@@ -1,17 +1,24 @@
-"""Hot loops with two interchangeable lanes.
+"""Hot loops over the pair-major constant arrays.
 
 Structure constants are stored pair-major: for labels ``0..L-1`` the row
-for the pair ``(i, j)`` is ``idx[ptr[i*L+j] : ptr[i*L+j+1]]`` (sorted
-output indices ``k``) with matching entries in ``val``. Everything here
-works on those raw arrays so the same code serves hand-built rings and
-the bulk SU(3) builder.
+for the pair ``(i, j)`` is ``idx[ptr[i*L+j] : ptr[i*L+j+1]]`` (strictly
+increasing output indices ``k``) with matching entries in ``val``.
+Everything here works on those raw arrays so the same code serves
+hand-built rings and the bulk SU(3) builder.
 
-Each public function has a compiled lane (numba, parallel) and a plain
+The bulk SU(3) builder :func:`su3_csr` evaluates the closed-form
+su(3)_k fusion rule one slab of first labels at a time and writes the
+pair-major arrays directly, in memory of order the number of nonzeros.
+The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
+as the independent reference the tests compare it against.
+
+The associativity scan has a compiled lane (numba, parallel) and a plain
 numpy/scipy lane. The compiled lane is used when numba imports and the
 environment variable ``ORBIFUSION_PURE_NUMPY`` is unset or ``0``; pass
 ``use_numba`` explicitly to pin a lane (the benchmark and the lane
-equality tests do). The lanes return identical results, the numpy lane
-is just slower on large rings.
+equality tests do). The lanes return identical results. The numpy lane
+compares the two bracketings as sparse products over blocks of rows, so
+its memory stays bounded by the block size rather than by the ring.
 """
 
 from __future__ import annotations
@@ -278,62 +285,75 @@ def _assoc_gen_witness_nb(ptr, idx, val, L, g, out):  # pragma: no cover
     return filled
 
 
-def _assoc_gen_np(ptr, idx, val, L, g, cap):
-    # Both bracketings of (g, j, k) at once, as two sparse products over
-    # the same middle index: rg[x, m] = N_{gx}^m serves as the left
-    # factor of the first and, read as (m, l), the right factor of the
-    # second. Keys linearize (j, k, l) so the two sides compare directly.
+_ASSOC_BLOCK = 2_000_000  # product entries per block of j rows, roughly
+
+
+def _flat_matrix(ptr, idx, val, L):
+    """The table as an (L, L*L) matrix: flat[m, k*L + l] = N_{mk}^l."""
     import scipy.sparse as sp
 
-    lo = ptr[g * L]
-    hi = ptr[(g + 1) * L]
+    itype = np.int32 if L * L <= np.iinfo(np.int32).max else np.int64
+    cols = np.repeat(np.tile(np.arange(L, dtype=itype) * L, L), np.diff(ptr))
+    cols += idx
+    return sp.csr_matrix((val, cols, ptr[::L]), shape=(L, L * L))
+
+
+def _assoc_gen_np(ptr, idx, val, L, g, cap, flat):
+    # Both bracketings of (g, j, k) over a block of j rows, as two sparse
+    # products over the same middle index: rg[x, m] = N_{gx}^m serves as
+    # the left factor of the first and, read as (m, l), the right factor
+    # of the second. The second product has rows (j, k) and is reshaped
+    # to the (j, k*L + l) layout of the first, so the two subtract
+    # directly; a clean block leaves an empty difference and costs no
+    # sort. Blocks run in ascending j and the rows of a nonzero
+    # difference are sorted, so witnesses come in ascending (j, k, l).
+    import scipy.sparse as sp
+
+    lo, hi = ptr[g * L], ptr[(g + 1) * L]
     rg = sp.csr_matrix(
-        (
-            val[lo:hi].astype(np.int64),
-            idx[lo:hi].astype(np.int64),
-            (ptr[g * L : (g + 1) * L + 1] - lo).astype(np.int64),
-        ),
-        shape=(L, L),
+        (val[lo:hi], idx[lo:hi], ptr[g * L : (g + 1) * L + 1] - lo), shape=(L, L)
     )
-    counts = np.diff(ptr)
-    pairs = np.repeat(np.arange(L * L, dtype=np.int64), counts)
-    flat = sp.csr_matrix(
-        (
-            val.astype(np.int64),
-            ((pairs % L) * L + idx).astype(np.int64),
-            ptr[::L].astype(np.int64),
-        ),
-        shape=(L, L * L),
-    )
-    full = sp.csr_matrix(
-        (val.astype(np.int64), idx.astype(np.int64), ptr.astype(np.int64)),
-        shape=(L * L, L),
-    )
-    lhs = (rg @ flat).tocoo()
-    rhs = (full @ rg).tocoo()
-    lkey = lhs.row.astype(np.int64) * (L * L) + lhs.col.astype(np.int64)
-    rkey = rhs.row.astype(np.int64) * L + rhs.col.astype(np.int64)
-    lorder = np.argsort(lkey, kind="stable")
-    rorder = np.argsort(rkey, kind="stable")
-    lkey, lval = lkey[lorder], lhs.data[lorder]
-    rkey, rval = rkey[rorder], rhs.data[rorder]
-    if len(lkey) == len(rkey) and np.array_equal(lkey, rkey) and np.array_equal(lval, rval):
+    # cumulative multiply count of the first product, row by row
+    slab = np.diff(ptr[::L])
+    work = np.concatenate(([0], np.cumsum(slab[rg.indices])))[rg.indptr]
+    found: list[np.ndarray] = []
+    room = cap
+    j0 = 0
+    while j0 < L and room > 0:
+        j1 = int(np.searchsorted(work, work[j0] + _ASSOC_BLOCK, side="right")) - 1
+        j1 = max(j1, j0 + 1)
+        nb = j1 - j0
+        lhs = rg[j0:j1] @ flat
+        a, b = ptr[j0 * L], ptr[j1 * L]
+        full = sp.csr_matrix(
+            (val[a:b], idx[a:b], ptr[j0 * L : j1 * L + 1] - a), shape=(nb * L, L)
+        )
+        rhs = full @ rg
+        kl = np.repeat(
+            np.tile(np.arange(L, dtype=flat.indices.dtype) * L, nb), np.diff(rhs.indptr)
+        )
+        kl += rhs.indices
+        rhs = sp.csr_matrix((rhs.data, kl, rhs.indptr[::L]), shape=(nb, L * L))
+        diff = lhs - rhs
+        diff.eliminate_zeros()
+        if diff.nnz:
+            diff.sort_indices()
+            rows = np.repeat(np.arange(nb), np.diff(diff.indptr))[:room]
+            cols = diff.indices[:room]
+            left = np.asarray(lhs[rows, cols]).ravel().astype(np.int64)
+            wit = np.zeros((len(rows), 6), dtype=np.int64)
+            wit[:, 0] = g
+            wit[:, 1] = j0 + rows
+            wit[:, 2] = cols // L
+            wit[:, 3] = cols % L
+            wit[:, 4] = left
+            wit[:, 5] = left - diff.data[:room]
+            found.append(wit)
+            room -= len(wit)
+        j0 = j1
+    if not found:
         return True, np.zeros((0, 6), dtype=np.int64)
-    allk = np.union1d(lkey, rkey)
-    lfull = np.zeros(len(allk), dtype=np.int64)
-    rfull = np.zeros(len(allk), dtype=np.int64)
-    lfull[np.searchsorted(allk, lkey)] = lval
-    rfull[np.searchsorted(allk, rkey)] = rval
-    badpos = np.nonzero(lfull != rfull)[0][:cap]
-    wit = np.zeros((len(badpos), 6), dtype=np.int64)
-    keys = allk[badpos]
-    wit[:, 0] = g
-    wit[:, 1] = keys // (L * L)
-    wit[:, 2] = (keys // L) % L
-    wit[:, 3] = keys % L
-    wit[:, 4] = lfull[badpos]
-    wit[:, 5] = rfull[badpos]
-    return False, wit
+    return False, np.vstack(found)
 
 
 def associativity_violations(
@@ -357,6 +377,7 @@ def associativity_violations(
     """
     gens = generating_set(ptr, idx, val, L)
     nb = numba_enabled(use_numba)
+    flat = None if nb else _flat_matrix(ptr, idx, val, L)
     found: list[np.ndarray] = []
     room = cap
     for g in gens:
@@ -372,7 +393,7 @@ def associativity_violations(
                 found.append(out[: int(filled)])
                 room -= int(filled)
         else:
-            ok, wit = _assoc_gen_np(ptr, idx, val, L, g, room)
+            ok, wit = _assoc_gen_np(ptr, idx, val, L, g, room, flat)
             if not ok:
                 found.append(wit)
                 room -= len(wit)
@@ -385,10 +406,66 @@ def associativity_violations(
 # bulk SU(3) table construction
 # ---------------------------------------------------------------------------
 #
-# Candidates lam + w + delta are folded into the level alcove by the
-# shifted affine reflections at height h = level + 3. In shifted
-# coordinates (x, y) = (a+1, b+1) the walls are x = 0, y = 0 and
-# x + y = h; each reflection flips the sign, a wall hit kills the term.
+# The builder evaluates the closed form of Begin, Mathieu and Walton
+# (Mod. Phys. Lett. A 7, 1992) for every (j, k) at once, one first label
+# i at a time. For weights lam, mu and the conjugate nu of the output,
+# with S1, S2 the sums of first and second Dynkin labels:
+#   a = (2 S1 + S2)/3,  b = (S1 + 2 S2)/3,  zero unless 3 | 2 S1 + S2,
+#   k0min = max(lam1+lam2, mu1+mu2, nu1+nu2, a - min(lam1, mu1, nu1),
+#               b - min(lam2, mu2, nu2)),
+#   k0max = min(a, b),
+#   N = max(0, min(k0max, level) - k0min + 1).
+# The nonzeros of slab i, read row-major over the (j, k) grid, are already
+# in pair-major order, so the slabs concatenate into the final arrays.
+
+
+def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
+    """Pair-major arrays of the level-truncated SU(3) constants.
+
+    ``la``/``lb`` are the Dynkin labels of the alcove weights in label
+    order. Returns ``(ptr, idx, val)`` exactly as :func:`cube_to_csr`
+    returns them for the dense cube, without building the cube.
+    """
+    L = len(la)
+    la = np.asarray(la, dtype=np.int32)
+    lb = np.asarray(lb, dtype=np.int32)
+    # rows j carry mu = weight j, columns k carry nu = conj(weight k);
+    # everything that does not involve lam is formed once
+    m1, m2 = la[:, None], lb[:, None]
+    n1, n2 = lb[None, :], la[None, :]
+    t_mn = 2 * (m1 + n1) + (m2 + n2)  # 2 S1 + S2 without lam
+    s_mn = (m1 + n1) + (m2 + n2)  # S1 + S2 without lam
+    low_mn = np.maximum(m1 + m2, n1 + n2)
+    min1, min2 = np.minimum(m1, n1), np.minimum(m2, n2)
+    grid_k = np.tile(np.arange(L, dtype=np.int32), L)
+    counts = np.empty((L, L), dtype=np.int64)
+    idx_parts, val_parts = [], []
+    for i in range(L):
+        l1, l2 = int(la[i]), int(lb[i])
+        t = t_mn + (2 * l1 + l2)
+        a = t // 3
+        b = s_mn + (l1 + l2) - a  # a + b = S1 + S2
+        low = np.maximum(low_mn, l1 + l2)
+        np.maximum(low, a - np.minimum(min1, l1), out=low)
+        np.maximum(low, b - np.minimum(min2, l2), out=low)
+        n = np.minimum(np.minimum(a, b), level) - low + 1
+        hit = (n > 0) & (3 * a == t)
+        counts[i] = np.count_nonzero(hit, axis=1)
+        at = np.flatnonzero(hit)  # row-major: ascending (j, k)
+        idx_parts.append(grid_k.take(at))
+        val_parts.append(n.ravel().take(at))
+    ptr = np.zeros(L * L + 1, dtype=np.int64)
+    np.cumsum(counts.ravel(), out=ptr[1:])
+    idx = np.concatenate(idx_parts)
+    val = np.concatenate(val_parts, dtype=np.int64)
+    return ptr, idx, val
+
+
+# The dense reference builder below takes the other route: candidates
+# lam + w + delta are folded into the level alcove by the shifted affine
+# reflections at height h = level + 3. In shifted coordinates
+# (x, y) = (a+1, b+1) the walls are x = 0, y = 0 and x + y = h; each
+# reflection flips the sign, a wall hit kills the term.
 
 @njit(cache=True, parallel=True)
 def _su3_cube_nb(L, h, la, lb, wflat, woff, pick):  # pragma: no cover
@@ -487,6 +564,8 @@ def su3_cube(
     use_numba: bool | None = None,
 ) -> np.ndarray:
     """Dense cube of level-truncated SU(3) constants, all pairs at once.
+
+    Test reference for :func:`su3_csr`: it needs memory of order L^3.
 
     ``la``/``lb`` are the Dynkin labels of the alcove weights in label
     order, ``wflat``/``woff`` the flattened classical weight systems

@@ -153,10 +153,11 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     ii, jj, kk, vv = ring.entry_arrays()
     L = ring.size
     p = np.asarray(perm, dtype=np.int64)
+    # rows are stored sorted, so only the permuted keys need sorting
     key = (ii * L + jj) * L + kk
     pkey = (p[ii] * L + jj) * L + p[kk]
-    o1, o2 = np.argsort(key), np.argsort(pkey)
-    if not (np.array_equal(key[o1], pkey[o2]) and np.array_equal(vv[o1], vv[o2])):
+    o2 = np.argsort(pkey)
+    if not (np.array_equal(key, pkey[o2]) and np.array_equal(vv, vv[o2])):
         raise AssumptionError(
             "A1", f"fusion by {alpha!r} fails first-slot equivariance"
         )
@@ -448,7 +449,8 @@ class OrbifoldSectors:
     label f are named f#0 .. f#{p-1}. ``dual_perm`` is the permutation
     induced by the canonical symmetry of the quotient: it fixes every
     merged class and shifts each piece family by one. ``conjugacy`` is
-    populated when p = n (trivial obstruction), else None.
+    populated when p = n (trivial obstruction), else None. ``dims`` is
+    the dimension table of the input ring the sectors were built from.
     """
 
     ring: FusionRing = field(repr=False)
@@ -458,6 +460,7 @@ class OrbifoldSectors:
     split: tuple[SplitFamily, ...]
     dual_perm: dict[str, str]
     conjugacy: ConjugacyReport | None
+    dims: DimensionTable = field(repr=False)
 
     @property
     def p(self) -> int:
@@ -513,6 +516,7 @@ def orbifold_sectors(
             split=(),
             dual_perm=dual_perm,
             conjugacy=None,
+            dims=dims,
         )
         return replace(sectors, conjugacy=conjugacy_assignment(sectors))
 
@@ -560,6 +564,7 @@ def orbifold_sectors(
         split=tuple(split),
         dual_perm=dual_perm,
         conjugacy=None,
+        dims=dims,
     )
     if p == n:
         sectors = replace(sectors, conjugacy=conjugacy_assignment(sectors))
@@ -630,13 +635,13 @@ def global_dim_check(
     """Sum of squared dimensions must drop by exactly the group order.
 
     Only meaningful for the full splitting p = n; refused otherwise.
+    The input side reads the dimension table the sectors were built from.
     """
     if sectors.p != sectors.n:
         raise UnsupportedStructureError(
             "the squared-dimension law applies to the full splitting p = n only"
         )
-    dims = fp_dimensions(ring)
-    total_in = float(np.sum(np.asarray(dims.dims) ** 2))
+    total_in = float(np.sum(np.asarray(sectors.dims.dims) ** 2))
     total_out = sum(d * d for d in sectors.dimensions().values())
     target = total_in / sectors.n
     rel = abs(total_out - target) / max(1.0, abs(target))

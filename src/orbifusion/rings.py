@@ -39,6 +39,19 @@ __all__ = [
 ]
 
 
+_INT64_LIMIT = 2**63
+
+
+def _check_constant_bound(L: int, largest: int) -> None:
+    # a product of two constants summed over L middle labels, as the
+    # associativity scan forms it, must stay exact in int64
+    if L * largest * largest >= _INT64_LIMIT:
+        raise SchemaError(
+            f"structure constant {largest} is too large for {L} labels: "
+            "L * N**2 must stay below 2**63"
+        )
+
+
 class FusionRing:
     """Immutable fusion ring on string labels.
 
@@ -56,6 +69,8 @@ class FusionRing:
     nconst : mapping or iterable
         Either a mapping ``(i, j, k) -> n`` or an iterable of
         ``(i, j, k, n)`` tuples, integer ``n >= 1``, absent means zero.
+        Every ``n`` must satisfy ``L * n**2 < 2**63`` so that sums of
+        products of constants stay exact in int64.
 
     Notes
     -----
@@ -100,6 +115,7 @@ class FusionRing:
         entries.sort()
         if any(entries[t][:2] == entries[t + 1][:2] for t in range(len(entries) - 1)):
             raise SchemaError("duplicate (i, j, k) entry")
+        _check_constant_bound(L, max((n for _, _, n in entries), default=0))
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
@@ -147,7 +163,15 @@ class FusionRing:
         idx: np.ndarray,
         val: np.ndarray,
     ) -> "FusionRing":
-        """Adopt prebuilt pair-major arrays (bulk constructors)."""
+        """Adopt prebuilt pair-major arrays (bulk constructors).
+
+        The arrays are checked, in time linear in their length: ``ptr``
+        starts at 0, never decreases and ends at ``len(idx) ==
+        len(val)``; every index lies in ``[0, L)``; indices increase
+        strictly within each row; and every stored constant is positive
+        and obeys the bound of the main constructor. Validation and the
+        symmetry checks rely on the sorted rows.
+        """
         self = cls.__new__(cls)
         labels = tuple(labels)
         L = len(labels)
@@ -160,9 +184,30 @@ class FusionRing:
         self.dual = tuple(int(d) for d in dual)
         if sorted(self.dual) != list(range(L)):
             raise SchemaError("dual must be a bijection on label indices")
-        self._ptr = np.asarray(ptr, dtype=np.int64)
-        self._idx = np.asarray(idx, dtype=np.int32)
-        self._val = np.asarray(val, dtype=np.int64)
+        try:
+            ptr = np.asarray(ptr, dtype=np.int64)
+            idx = np.asarray(idx)
+            val = np.asarray(val, dtype=np.int64)
+        except OverflowError:
+            raise SchemaError("structure constants do not fit in int64") from None
+        if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
+            raise SchemaError("ptr must start at 0 and never decrease")
+        if not (ptr[-1] == len(idx) == len(val)):
+            raise SchemaError("ptr must end at the number of stored constants")
+        if len(idx) and (idx.min() < 0 or idx.max() >= L):
+            raise SchemaError("structure constant index out of range")
+        # a step down or a repeat is allowed only where a new row starts
+        starts = np.zeros(len(idx), dtype=bool)
+        starts[ptr[:-1][ptr[:-1] < len(idx)]] = True
+        if np.any((idx[1:] <= idx[:-1]) & ~starts[1:]):
+            raise SchemaError("output indices must increase strictly within each row")
+        if len(val):
+            if val.min() < 1:
+                raise SchemaError("stored structure constants must be positive")
+            _check_constant_bound(L, int(val.max()))
+        self._ptr = ptr
+        self._idx = idx.astype(np.int32, copy=False)
+        self._val = val
         self._index = {lab: t for t, lab in enumerate(labels)}
         return self
 
@@ -323,6 +368,12 @@ class ValidationReport:
 _WITNESS_CAP = 20
 
 
+def _mirrored_keys(ii, jj, kk, dual, L):
+    """Keys of the two Frobenius partners of every entry, one at a time."""
+    yield (dual[ii] * L + kk) * L + jj
+    yield (kk * L + dual[jj]) * L + ii
+
+
 def validate_ring(ring: FusionRing, *, use_numba: bool | None = None) -> ValidationReport:
     """Check every fusion-ring axiom, exhaustively.
 
@@ -367,17 +418,15 @@ def validate_ring(ring: FusionRing, *, use_numba: bool | None = None) -> Validat
     if wit:
         failures.append(AxiomFailure("dual-unit", tuple(sorted(wit)[:_WITNESS_CAP])))
 
+    # rows are stored sorted, so the entry keys are already ascending
     dual = np.asarray(ring.dual, dtype=np.int64)
     key = (ii * L + jj) * L + kk
-    order = np.argsort(key, kind="stable")
     frob_ok = True
-    for a, b, c in ((dual[ii], kk, jj), (kk, dual[jj], ii)):
-        k2 = (a * L + b) * L + c
+    for k2 in _mirrored_keys(ii, jj, kk, dual, L):
         o2 = np.argsort(k2, kind="stable")
-        if not (
-            np.array_equal(key[order], k2[o2]) and np.array_equal(vv[order], vv[o2])
-        ):
+        if not (np.array_equal(key, k2[o2]) and np.array_equal(vv, vv[o2])):
             frob_ok = False
+        del k2, o2
     if not frob_ok:
         wit = []
         for i, j, k, v in zip(ii, jj, kk, vv):
@@ -389,6 +438,8 @@ def validate_ring(ring: FusionRing, *, use_numba: bool | None = None) -> Validat
                 if len(wit) >= _WITNESS_CAP:
                     break
         failures.append(AxiomFailure("frobenius-reciprocity", tuple(wit)))
+    # free the entry arrays so their peak does not stack on the scan's
+    del ii, jj, kk, vv, key, sel
 
     ptr, idx, val = ring.csr()
     ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP, use_numba=use_numba)

@@ -1,11 +1,14 @@
 """Level-truncated SU(3) fusion and its numeric cross-check.
 
-The classical tensor product is computed from cached Gelfand-Tsetlin
-weight systems (Racah-Speiser with the finite Weyl fold); the level
-truncation folds each classical summand into the alcove at height
-``level + 3`` with signs. An independent check evaluates characters at
-the standard special elements and sums them against the squared vacuum
-weights, which must land on integers.
+The full ring at a level comes from the closed-form su(3)_k fusion rule
+of Begin, Mathieu and Walton, evaluated in bulk by
+:func:`orbifusion.kernels.su3_csr`. Single products go the long way as
+an independent check: the classical tensor product is computed from
+cached Gelfand-Tsetlin weight systems (Racah-Speiser with the finite
+Weyl fold), and the level truncation folds each classical summand into
+the alcove at height ``level + 3`` with signs. A third check evaluates
+characters at the standard special elements and sums them against the
+squared vacuum weights, which must land on integers.
 
 Weights are Dynkin label pairs ``(a, b)``; as ring labels they are the
 strings ``"a,b"``. Admissible weights at a level are ordered by
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import cube_to_csr, su3_cube
+from .kernels import su3_csr
 from .orbifold import Verdict
 from .rings import FusionRing
 
@@ -300,7 +303,12 @@ def obstruction_m(k: int) -> SimpleCurrentObstruction:
 # ---------------------------------------------------------------------------
 
 def _alcove_arrays(level: int):
-    """Label order and flattened weight systems, ready for the bulk kernel."""
+    """Label order and flattened weight systems for the dense reference.
+
+    The tests use this to rebuild every table through
+    :func:`orbifusion.kernels.su3_cube` and compare it with
+    :func:`su3_ring`; the lane benchmark times the cube from it.
+    """
     ws = admissible_weights(level)
     L = len(ws)
     la = np.array([a for a, _ in ws], dtype=np.int64)
@@ -319,19 +327,22 @@ def _alcove_arrays(level: int):
 
 
 @lru_cache(maxsize=None)
-def su3_ring(level: int, use_numba: bool | None = None) -> FusionRing:
+def su3_ring(level: int) -> FusionRing:
     """Fusion ring over every admissible weight at the level.
 
-    Unit (0,0), duality (a,b) -> (b,a), constants from the bulk kernel
-    (all pairs at once). Levels above ``LEVEL_CAP`` are refused, the
-    weight count grows quadratically and exhaustive validation is meant
-    to stay desk-scale.
+    Unit (0,0), duality (a,b) -> (b,a), constants from the closed-form
+    fusion rule written straight into the pair-major arrays
+    (:func:`orbifusion.kernels.su3_csr`), in memory of order the number
+    of nonzeros. Levels above ``LEVEL_CAP`` are refused, the weight count
+    grows quadratically and exhaustive validation is meant to stay
+    desk-scale.
     """
     if not (1 <= level <= LEVEL_CAP):
         raise InputError(f"level must be between 1 and {LEVEL_CAP}")
-    ws, L, la, lb, wflat, woff = _alcove_arrays(level)
-    cube = su3_cube(L, level + 3, la, lb, wflat, woff, use_numba=use_numba)
-    ptr, idx, val = cube_to_csr(cube)
+    ws = admissible_weights(level)
+    la = np.array([a for a, _ in ws], dtype=np.int64)
+    lb = np.array([b for _, b in ws], dtype=np.int64)
+    ptr, idx, val = su3_csr(la, lb, level)
     labels = [weight_label(w) for w in ws]
     dual = [_windex(b, a) for a, b in ws]
     return FusionRing.from_csr(labels, _windex(0, 0), dual, ptr, idx, val)

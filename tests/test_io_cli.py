@@ -286,6 +286,18 @@ def test_cli_missing_file_is_a_schema_error(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "dims"])
+def test_cli_oversized_constant_is_a_schema_error(tmp_path, capsys, command):
+    doc = _ring_doc()
+    doc["labels"], doc["unit"], doc["dual"] = ["e"], "e", {"e": "e"}
+    doc["N"] = [["e", "e", "e", 2**70]]
+    path = _write(tmp_path, "big.ring", json.dumps(doc))
+    assert main([command, path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("schema error:") and err.count("\n") == 1
+
+
 def test_cli_dims(e6affine_files, capsys):
     _, ring, _ = e6affine_files
     assert main(["dims", ring]) == 0

@@ -1,7 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orbifusion import FusionRing, validate_ring
+from orbifusion import FusionRing, kernels, validate_ring
 from orbifusion.catalog import _near_group_ring
 from orbifusion.kernels import (
     associativity_violations,
@@ -45,6 +48,15 @@ def test_cube_lanes_agree(level):
         assert np.array_equal(a, b)
     assert a.shape == (L, L, L)
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
+
+
+@pytest.mark.parametrize("level", range(1, 13))
+def test_closed_form_builder_matches_the_dense_cube(level):
+    _, L, la, lb, wflat, woff = _alcove_arrays(level)
+    want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff, use_numba=False))
+    for got, ref in zip(su3_ring(level).csr(), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("level", [3, 6])
@@ -121,6 +133,68 @@ def test_witness_cap_is_respected():
         assert not ok
         assert len(wit) == 1
         assert np.array_equal(wit[0], wit_all[0])
+
+
+# ---------------------------------------------------------------------------
+# the blocked numpy scan
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _mutated_level6_cases():
+    """Broken level-6 tables with every generator-first witness, in order."""
+    ring = su3_ring(6)
+    at = ring.index
+    cases = []
+    for i, j, k, delta in (
+        (at("2,2"), at("2,2"), at("2,2"), +1),
+        (at("1,0"), at("0,1"), at("1,1"), +1),
+        (at("1,1"), at("1,1"), at("0,0"), -1),
+    ):
+        mutated = _mutated_su3_csr(6, i, j, k, delta)
+        ptr, idx, val = mutated.csr()
+        gens = generating_set(ptr, idx, val, mutated.size)
+        bad, lhs, rhs = dense_associator(mutated)
+        rows = [
+            (g, b, c, d, lhs[a, b, c, d], rhs[a, b, c, d])
+            for g in gens
+            for a, b, c, d in bad
+            if a == g
+        ]
+        cases.append((mutated, np.array(rows, dtype=np.int64)))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 500, 1_000_000])
+def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, block):
+    # 1 and 500 split the level-6 scan into many blocks, a million
+    # covers it in one as the default does; witnesses must not change
+    monkeypatch.setattr(kernels, "_ASSOC_BLOCK", block)
+    for mutated, want in _mutated_level6_cases():
+        ptr, idx, val = mutated.csr()
+        for cap in (1, 5, 20):
+            ok, wit = associativity_violations(
+                ptr, idx, val, mutated.size, cap=cap, use_numba=False
+            )
+            assert not ok
+            assert np.array_equal(wit, want[:cap])
+
+
+def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
+    # the dense-cube builder allocated 6.4 times the ring's own array
+    # bytes at this level, and validation 19 times
+    tracemalloc.start()
+    try:
+        ring = su3_ring.__wrapped__(18)
+        own = sum(a.nbytes for a in ring.csr())
+        build_extra = tracemalloc.get_traced_memory()[1] - own
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert validate_ring(ring).passed
+        check_extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_extra < 2 * own
+    assert check_extra < 10 * own
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,17 @@ def test_global_dim_law_on_the_worked_examples():
         assert law.output_sum == pytest.approx(total_in / n, abs=1e-9)
 
 
+def test_global_dim_law_reads_the_table_the_sectors_carry(monkeypatch):
+    entry, inp, sectors = _sectors("SU3_level_3")
+    want = global_dim_check(entry.ring, sectors)
+
+    def unexpected(ring, **kw):
+        raise AssertionError("dimensions solved a second time")
+
+    monkeypatch.setattr("orbifusion.orbifold.fp_dimensions", unexpected)
+    assert global_dim_check(entry.ring, sectors) == want
+
+
 def test_global_dim_law_refused_for_partial_splitting():
     entry, inp, sectors = _sectors("E6", ObstructionValue(1, 2))
     with pytest.raises(UnsupportedStructureError):

@@ -69,6 +69,106 @@ def test_unknown_label_in_triple_rejected():
         tiny_ring(triples=[("e", "e", "e", 1), ("x", "y", "e", 1)])
 
 
+def test_constants_must_keep_products_inside_int64():
+    # L * N**2 < 2**63: for one label the largest admissible constant is
+    # floor(sqrt(2**63 - 1)) = 3037000499
+    FusionRing(["e"], 0, [0], [(0, 0, 0, 3037000499)])
+    for n in (3037000500, 2**70):
+        with pytest.raises(SchemaError):
+            FusionRing(["e"], 0, [0], [(0, 0, 0, n)])
+    with pytest.raises(SchemaError):
+        tiny_ring(triples=[("e", "e", "e", 1), ("x", "x", "e", 2**31)])
+
+
+def _su3_level2_csr():
+    from orbifusion.su3 import su3_ring
+
+    ring = su3_ring(2)
+    return ring, [a.copy() for a in ring.csr()]
+
+
+def test_from_csr_adopts_well_formed_arrays():
+    ring, (ptr, idx, val) = _su3_level2_csr()
+    again = FusionRing.from_csr(ring.labels, ring.unit, ring.dual, ptr, idx, val)
+    for a, b in zip(again.csr(), ring.csr()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _first_long_row(ptr):
+    return int(np.nonzero(np.diff(ptr) >= 2)[0][0])
+
+
+def _csr_breakages():
+    def start_above_zero(ptr, idx, val):
+        ptr[0] = 1
+        return ptr, idx, val
+
+    def decreasing(ptr, idx, val):
+        ptr[2] = ptr[1] - 1
+        return ptr, idx, val
+
+    def short_end(ptr, idx, val):
+        return ptr, np.append(idx, 0), np.append(val, 1)
+
+    def val_length(ptr, idx, val):
+        return ptr, idx, val[:-1]
+
+    def index_too_large(ptr, idx, val):
+        idx[-1] = 6
+        return ptr, idx, val
+
+    def index_negative(ptr, idx, val):
+        idx[0] = -1
+        return ptr, idx, val
+
+    def row_out_of_order(ptr, idx, val):
+        lo = ptr[_first_long_row(ptr)]
+        idx[lo], idx[lo + 1] = idx[lo + 1], idx[lo]
+        return ptr, idx, val
+
+    def row_repeats_an_index(ptr, idx, val):
+        lo = ptr[_first_long_row(ptr)]
+        idx[lo + 1] = idx[lo]
+        return ptr, idx, val
+
+    def zero_constant(ptr, idx, val):
+        val[0] = 0
+        return ptr, idx, val
+
+    def negative_constant(ptr, idx, val):
+        val[-1] = -1
+        return ptr, idx, val
+
+    def constant_too_large(ptr, idx, val):
+        val[0] = 2**62
+        return ptr, idx, val
+
+    def constant_beyond_int64(ptr, idx, val):
+        return ptr, idx, [2**70] + val.tolist()[1:]
+
+    return [
+        start_above_zero,
+        decreasing,
+        short_end,
+        val_length,
+        index_too_large,
+        index_negative,
+        row_out_of_order,
+        row_repeats_an_index,
+        zero_constant,
+        negative_constant,
+        constant_too_large,
+        constant_beyond_int64,
+    ]
+
+
+@pytest.mark.parametrize("breakage", _csr_breakages(), ids=lambda f: f.__name__)
+def test_from_csr_rejects_malformed_arrays(breakage):
+    ring, arrays = _su3_level2_csr()
+    with pytest.raises(SchemaError):
+        FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *breakage(*arrays))
+
+
 def test_zero_count_is_dropped():
     ring = tiny_ring(
         triples=[

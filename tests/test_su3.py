@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,20 @@ def test_level_bounds():
         su3_ring(0)
     with pytest.raises(InputError):
         su3_ring(LEVEL_CAP + 1)
+
+
+@pytest.mark.parametrize("level", [18, 24])
+def test_high_level_rows_match_the_truncated_product(level):
+    ring = su3_ring(level)
+    ws = admissible_weights(level)
+    k = level // 3
+    pairs = [(0, 0), (level, 0), (k, k), (0, level)]
+    pairs = [(ring.index(weight_label(w)), ring.index(weight_label(w))) for w in pairs]
+    pairs += [tuple(p) for p in np.random.default_rng(level).integers(0, ring.size, (30, 2))]
+    for i, j in pairs:
+        ks, vs = ring.row(int(i), int(j))
+        got = {ws[int(t)]: int(v) for t, v in zip(ks, vs)}
+        assert got == kac_walton(ws[int(i)], ws[int(j)], level), (ws[int(i)], ws[int(j)])
 
 
 def test_level_four_ring_is_fully_valid():
