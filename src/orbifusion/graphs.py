@@ -9,9 +9,8 @@ inherits the representative-to-fixed multiplicity unchanged. Norm
 preservation under folding is checked by the callers, not assumed.
 
 Recognition of the classical and affine two-letter shapes goes through
-a structural classifier (degree and leg-length analysis) whose guess is
-then confirmed by an exact isomorphism test against a generated
-template.
+a structural classifier (degree and leg-length analysis); the generated
+templates are what the tests check it against.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -522,40 +520,19 @@ def _structural_guess(graph: BipartiteGraph) -> DynkinClass | None:
     return None
 
 
-def _to_nx(graph: BipartiteGraph) -> nx.Graph:
-    G = nx.Graph()
-    ne = len(graph.even)
-    G.add_nodes_from(range(graph.size))
-    for (e, o), m in graph.mult.items():
-        G.add_edge(e, ne + o, m=m)
-    return G
-
-
-_NX_CONFIRM_CAP = 40
-
-
 def recognize(graph: BipartiteGraph) -> DynkinClass:
     """Classify the underlying shape, ignoring the even/odd labeling.
 
-    A structural pass (degrees, cycle count, leg lengths) proposes the
+    A structural pass (degrees, cycle count, leg lengths) names the
     unique candidate class. The invariants it checks pin these shapes
-    down completely, so the proposal is already a certificate; up to
-    40 vertices it is additionally confirmed by an exact backtracking
-    isomorphism test against the generated template, cheap insurance at
-    the sizes the catalog produces. Anything failing a step, or past
-    rank 200, reports Unknown.
+    down completely, so the name is already a certificate: the tests
+    hold it to the generated template of every family, to every tree on
+    up to seven vertices and to near-miss shapes. Anything failing a
+    step, or past rank 200, reports Unknown.
     """
-    unknown = DynkinClass("Unknown", None)
     guess = _structural_guess(graph)
     if guess is None or (guess.rank or 0) > _RANK_CAP:
-        return unknown
-    if graph.size <= _NX_CONFIRM_CAP:
-        ref = template(guess.family, guess.rank)
-        matcher = nx.algorithms.isomorphism.GraphMatcher(
-            _to_nx(graph), _to_nx(ref), edge_match=lambda a, b: a["m"] == b["m"]
-        )
-        if not matcher.is_isomorphic():
-            return unknown
+        return DynkinClass("Unknown", None)
     return guess
 
 

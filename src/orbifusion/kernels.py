@@ -12,47 +12,14 @@ pair-major arrays directly, in memory of order the number of nonzeros.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
 
-The associativity scan has a compiled lane (numba, parallel) and a plain
-numpy/scipy lane. The compiled lane is used when numba imports and the
-environment variable ``ORBIFUSION_PURE_NUMPY`` is unset or ``0``; pass
-``use_numba`` explicitly to pin a lane (the benchmark and the lane
-equality tests do). The lanes return identical results. The numpy lane
-compares the two bracketings as sparse products over blocks of rows, so
-its memory stays bounded by the block size rather than by the ring.
+The associativity scan compares the two bracketings as sparse products
+over blocks of rows, so its memory stays bounded by the block size
+rather than by the ring.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-PURE_ENV = "ORBIFUSION_PURE_NUMPY"
-
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    HAS_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled(use_numba: bool | None = None) -> bool:
-    """Resolve the active lane: explicit flag > env switch > availability."""
-    if use_numba is not None:
-        return bool(use_numba) and HAS_NUMBA
-    if os.environ.get(PURE_ENV, "0") not in ("", "0"):
-        return False
-    return HAS_NUMBA
 
 
 # ---------------------------------------------------------------------------
@@ -168,123 +135,6 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     return gens
 
 
-@njit(cache=True, parallel=True)
-def _assoc_gen_count_nb(ptr, idx, val, L, g):  # pragma: no cover - compiled
-    bad = np.zeros(L, dtype=np.int64)
-    for j in prange(L):
-        acc1 = np.zeros(L, dtype=np.int64)
-        acc2 = np.zeros(L, dtype=np.int64)
-        touched1 = np.empty(L, dtype=np.int64)
-        touched2 = np.empty(L, dtype=np.int64)
-        nbad = 0
-        pgj0 = ptr[g * L + j]
-        pgj1 = ptr[g * L + j + 1]
-        for k in range(L):
-            n1 = 0
-            for t in range(pgj0, pgj1):
-                m = idx[t]
-                v = val[t]
-                r = m * L + k
-                for u in range(ptr[r], ptr[r + 1]):
-                    l = idx[u]
-                    if acc1[l] == 0:
-                        touched1[n1] = l
-                        n1 += 1
-                    acc1[l] += v * val[u]
-            n2 = 0
-            rjk = j * L + k
-            for t in range(ptr[rjk], ptr[rjk + 1]):
-                m = idx[t]
-                v = val[t]
-                r = g * L + m
-                for u in range(ptr[r], ptr[r + 1]):
-                    l = idx[u]
-                    if acc2[l] == 0:
-                        touched2[n2] = l
-                        n2 += 1
-                    acc2[l] += v * val[u]
-            for t in range(n1):
-                l = touched1[t]
-                if acc1[l] != acc2[l]:
-                    nbad += 1
-            for t in range(n2):
-                l = touched2[t]
-                if acc1[l] == 0 and acc2[l] != 0:
-                    nbad += 1
-            for t in range(n1):
-                acc1[touched1[t]] = 0
-            for t in range(n2):
-                acc2[touched2[t]] = 0
-        bad[j] = nbad
-    return bad.sum()
-
-
-@njit(cache=True)
-def _assoc_gen_witness_nb(ptr, idx, val, L, g, out):  # pragma: no cover
-    cap = out.shape[0]
-    filled = 0
-    acc1 = np.zeros(L, dtype=np.int64)
-    acc2 = np.zeros(L, dtype=np.int64)
-    touched1 = np.empty(L, dtype=np.int64)
-    touched2 = np.empty(L, dtype=np.int64)
-    union = np.empty(2 * L, dtype=np.int64)
-    for j in range(L):
-        pgj0 = ptr[g * L + j]
-        pgj1 = ptr[g * L + j + 1]
-        for k in range(L):
-            n1 = 0
-            for t in range(pgj0, pgj1):
-                m = idx[t]
-                v = val[t]
-                r = m * L + k
-                for u in range(ptr[r], ptr[r + 1]):
-                    l = idx[u]
-                    if acc1[l] == 0:
-                        touched1[n1] = l
-                        n1 += 1
-                    acc1[l] += v * val[u]
-            n2 = 0
-            rjk = j * L + k
-            for t in range(ptr[rjk], ptr[rjk + 1]):
-                m = idx[t]
-                v = val[t]
-                r = g * L + m
-                for u in range(ptr[r], ptr[r + 1]):
-                    l = idx[u]
-                    if acc2[l] == 0:
-                        touched2[n2] = l
-                        n2 += 1
-                    acc2[l] += v * val[u]
-            # emit in ascending l so both lanes produce the same
-            # sequence and a capped prefix is lane-independent
-            nu = 0
-            for t in range(n1):
-                union[nu] = touched1[t]
-                nu += 1
-            for t in range(n2):
-                l = touched2[t]
-                if acc1[l] == 0:
-                    union[nu] = l
-                    nu += 1
-            if nu > 0:
-                for l in np.sort(union[:nu]):
-                    if acc1[l] != acc2[l] and filled < cap:
-                        out[filled, 0] = g
-                        out[filled, 1] = j
-                        out[filled, 2] = k
-                        out[filled, 3] = l
-                        out[filled, 4] = acc1[l]
-                        out[filled, 5] = acc2[l]
-                        filled += 1
-            for t in range(n1):
-                acc1[touched1[t]] = 0
-            for t in range(n2):
-                acc2[touched2[t]] = 0
-            if filled == cap:
-                return filled
-    return filled
-
-
 _ASSOC_BLOCK = 2_000_000  # product entries per block of j rows, roughly
 
 
@@ -298,7 +148,7 @@ def _flat_matrix(ptr, idx, val, L):
     return sp.csr_matrix((val, cols, ptr[::L]), shape=(L, L * L))
 
 
-def _assoc_gen_np(ptr, idx, val, L, g, cap, flat):
+def _assoc_gen(ptr, idx, val, L, g, cap, flat):
     # Both bracketings of (g, j, k) over a block of j rows, as two sparse
     # products over the same middle index: rg[x, m] = N_{gx}^m serves as
     # the left factor of the first and, read as (m, l), the right factor
@@ -363,7 +213,6 @@ def associativity_violations(
     L: int,
     *,
     cap: int = 20,
-    use_numba: bool | None = None,
 ):
     """Associativity scan, exhaustive through the generator reduction.
 
@@ -376,27 +225,16 @@ def associativity_violations(
     violates associativity.
     """
     gens = generating_set(ptr, idx, val, L)
-    nb = numba_enabled(use_numba)
-    flat = None if nb else _flat_matrix(ptr, idx, val, L)
+    flat = _flat_matrix(ptr, idx, val, L)
     found: list[np.ndarray] = []
     room = cap
     for g in gens:
         if room <= 0:
             break
-        if nb:
-            total = _assoc_gen_count_nb(ptr, idx, val, np.int64(L), np.int64(g))
-            if total:
-                out = np.zeros((room, 6), dtype=np.int64)
-                filled = _assoc_gen_witness_nb(
-                    ptr, idx, val, np.int64(L), np.int64(g), out
-                )
-                found.append(out[: int(filled)])
-                room -= int(filled)
-        else:
-            ok, wit = _assoc_gen_np(ptr, idx, val, L, g, room, flat)
-            if not ok:
-                found.append(wit)
-                room -= len(wit)
+        ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
+        if not ok:
+            found.append(wit)
+            room -= len(wit)
     if not found:
         return True, np.zeros((0, 6), dtype=np.int64)
     return False, np.vstack(found)
@@ -467,47 +305,25 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
 # (x, y) = (a+1, b+1) the walls are x = 0, y = 0 and x + y = h; each
 # reflection flips the sign, a wall hit kills the term.
 
-@njit(cache=True, parallel=True)
-def _su3_cube_nb(L, h, la, lb, wflat, woff, pick):  # pragma: no cover
-    cube = np.zeros((L, L, L), dtype=np.int32)
-    for p in prange(L * L):
-        i = p // L
-        j = p % L
-        if i > j:
-            continue
-        # expand over the smaller weight system of the two factors
-        if pick[j] <= pick[i]:
-            lam, mu = i, j
-        else:
-            lam, mu = j, i
-        for t in range(woff[mu], woff[mu + 1]):
-            x = la[lam] + wflat[t, 0] + 1
-            y = lb[lam] + wflat[t, 1] + 1
-            m = wflat[t, 2]
-            s = 1
-            while True:
-                if x == 0 or y == 0 or x + y == h:
-                    s = 0
-                    break
-                if x < 0:
-                    x, y = -x, x + y
-                    s = -s
-                elif y < 0:
-                    x, y = x + y, -y
-                    s = -s
-                elif x + y > h:
-                    x, y = h - y, h - x
-                    s = -s
-                else:
-                    break
-            if s != 0:
-                a = x - 1
-                b = y - 1
-                cube[i, j, (a + b) * (a + b + 1) // 2 + a] += s * m
-    return cube
+def su3_cube(
+    L: int,
+    h: int,
+    la: np.ndarray,
+    lb: np.ndarray,
+    wflat: np.ndarray,
+    woff: np.ndarray,
+) -> np.ndarray:
+    """Dense cube of level-truncated SU(3) constants, all pairs at once.
 
+    Test reference for :func:`su3_csr`: it needs memory of order L^3.
 
-def _su3_cube_np(L, h, la, lb, wflat, woff, pick):
+    ``la``/``lb`` are the Dynkin labels of the alcove weights in label
+    order, ``wflat``/``woff`` the flattened classical weight systems
+    (rows ``(wa, wb, mult)``). The upper triangle ``i <= j`` is computed
+    and mirrored, products here commute.
+    """
+    la = la.astype(np.int64)
+    lb = lb.astype(np.int64)
     cube = np.zeros((L, L, L), dtype=np.int32)
     wa = wflat[:, 0].astype(np.int64)
     wb = wflat[:, 1].astype(np.int64)
@@ -515,8 +331,9 @@ def _su3_cube_np(L, h, la, lb, wflat, woff, pick):
     counts = np.diff(woff)
     for i in range(L):
         js = np.arange(i, L)
-        lam = np.where(pick[js] <= pick[i], js, i)
-        mu = np.where(pick[js] <= pick[i], i, js)
+        # expand over the smaller weight system of the two factors
+        lam = np.where(counts[js] <= counts[i], js, i)
+        mu = np.where(counts[js] <= counts[i], i, js)
         # one flat candidate batch for every pair (i, j >= i)
         reps = counts[mu]
         jj = np.repeat(js, reps)
@@ -549,49 +366,6 @@ def _su3_cube_np(L, h, la, lb, wflat, woff, pick):
             cube,
             (np.full(live.sum(), i), jj[live], nu),
             (sgn[live] * wm[tsel][live]).astype(np.int32),
-        )
-    return cube
-
-
-def su3_cube(
-    L: int,
-    h: int,
-    la: np.ndarray,
-    lb: np.ndarray,
-    wflat: np.ndarray,
-    woff: np.ndarray,
-    *,
-    use_numba: bool | None = None,
-) -> np.ndarray:
-    """Dense cube of level-truncated SU(3) constants, all pairs at once.
-
-    Test reference for :func:`su3_csr`: it needs memory of order L^3.
-
-    ``la``/``lb`` are the Dynkin labels of the alcove weights in label
-    order, ``wflat``/``woff`` the flattened classical weight systems
-    (rows ``(wa, wb, mult)``). The upper triangle ``i <= j`` is computed
-    and mirrored, products here commute.
-    """
-    pick = np.diff(woff)
-    if numba_enabled(use_numba):
-        cube = _su3_cube_nb(
-            np.int64(L),
-            np.int64(h),
-            la.astype(np.int64),
-            lb.astype(np.int64),
-            wflat.astype(np.int64),
-            woff.astype(np.int64),
-            pick.astype(np.int64),
-        )
-    else:
-        cube = _su3_cube_np(
-            L,
-            h,
-            la.astype(np.int64),
-            lb.astype(np.int64),
-            np.asarray(wflat),
-            np.asarray(woff),
-            pick,
         )
     upper = np.swapaxes(cube, 0, 1)
     ii, jj = np.tril_indices(L, k=-1)

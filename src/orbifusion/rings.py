@@ -374,7 +374,7 @@ def _mirrored_keys(ii, jj, kk, dual, L):
     yield (kk * L + dual[jj]) * L + ii
 
 
-def validate_ring(ring: FusionRing, *, use_numba: bool | None = None) -> ValidationReport:
+def validate_ring(ring: FusionRing) -> ValidationReport:
     """Check every fusion-ring axiom, exhaustively.
 
     Axioms, in reporting order: unit (left and right), duality
@@ -442,7 +442,7 @@ def validate_ring(ring: FusionRing, *, use_numba: bool | None = None) -> Validat
     del ii, jj, kk, vv, key, sel
 
     ptr, idx, val = ring.csr()
-    ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP, use_numba=use_numba)
+    ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP)
     if not ok:
         failures.append(AxiomFailure("associativity", tuple(map(tuple, aw.tolist()))))
 

@@ -171,8 +171,12 @@ def kac_walton(
 
     The classical decomposition is folded into the alcove by the shifted
     affine reflections at height ``level + 3``; wall hits cancel and the
-    survivors accumulate with signs into a nonnegative multiset.
+    survivors accumulate with signs into a nonnegative multiset. Levels
+    above ``LEVEL_CAP`` are refused, as by :func:`su3_ring`: the work
+    grows with the weight systems, which are enumerated in Python.
     """
+    if level > LEVEL_CAP:
+        raise InputError(f"level must be between 1 and {LEVEL_CAP}")
     _check_admissible(lam, level)
     _check_admissible(mu, level)
     h = level + 3
@@ -287,7 +291,8 @@ def obstruction_m(k: int) -> SimpleCurrentObstruction:
     """Multiplicity of (k,k) in its own square at level 3k, plus verdict.
 
     The symmetry has order 3, so the bound is conclusive exactly when
-    the count is coprime to 3.
+    the count is coprime to 3. :func:`kac_walton` caps the level at
+    ``LEVEL_CAP``, so k runs up to 8.
     """
     if k < 1:
         raise InputError("k must be a positive integer")
@@ -307,7 +312,7 @@ def _alcove_arrays(level: int):
 
     The tests use this to rebuild every table through
     :func:`orbifusion.kernels.su3_cube` and compare it with
-    :func:`su3_ring`; the lane benchmark times the cube from it.
+    :func:`su3_ring`.
     """
     ws = admissible_weights(level)
     L = len(ws)

@@ -9,16 +9,9 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the hot kernels once, outside any timed assertion.
-
-    The witness kernel only compiles when a violation exists, so the
-    warmup includes a deliberately broken table.
-    """
+    """Import scipy and fill the ring cache once, outside any timed assertion."""
     from orbifusion import validate_ring
     from orbifusion.su3 import su3_ring
 
-    from .oracles import broken_z3_ring
-
     validate_ring(su3_ring(3))
-    validate_ring(broken_z3_ring())
     yield

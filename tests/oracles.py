@@ -165,3 +165,54 @@ def broken_z3_ring():
     return FusionRing.from_labels(
         ["e", "a", "b"], unit="e", dual={"e": "e", "a": "b", "b": "a"}, triples=triples
     )
+
+
+# ---------------------------------------------------------------------------
+# unlabelled trees
+# ---------------------------------------------------------------------------
+
+def prufer_tree(code, nv: int) -> list[tuple[int, int]]:
+    """Edges of the labelled tree on 0..nv-1 with the given Prüfer code."""
+    degree = [1] * nv
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (t for t in range(nv) if degree[t] == 1)
+    edges.append((u, w))
+    return edges
+
+
+def tree_canon(nv: int, edges) -> str:
+    """Canonical form of an unlabelled tree.
+
+    Leaves are peeled layer by layer down to the one or two centres,
+    and the tree is encoded from each centre as nested parentheses with
+    the children's codes sorted (Aho-Hopcroft-Ullman); the least code
+    is the form. Two trees get equal forms exactly when isomorphic.
+    """
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(nv) if deg[v] <= 1]
+    left = nv
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)

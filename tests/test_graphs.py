@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -21,9 +22,9 @@ from orbifusion import (
     validate_symmetry,
 )
 from orbifusion.catalog import build, chain_graph
-from orbifusion.graphs import template
+from orbifusion.graphs import FAMILIES, _from_simple_edges, _legs_graph, template
 
-from .oracles import cyclic_ring, pf_norm_dense
+from .oracles import cyclic_ring, pf_norm_dense, prufer_tree, tree_canon
 
 
 def _tee_graph():
@@ -324,6 +325,64 @@ def test_shapes_outside_the_families_are_unknown():
         ["a", "b"], ["x", "y"], [("a", "x", 1), ("b", "y", 1)]
     )
     assert recognize(disconnected).family == "Unknown"
+
+
+def _spider(legs):
+    return _from_simple_edges(1 + sum(legs), _legs_graph(legs))
+
+
+def _cycle6_plus(extra):
+    edges = [(i, (i + 1) % 6) for i in range(6)] + extra
+    return _from_simple_edges(1 + max(max(e) for e in edges), edges)
+
+
+def test_near_miss_shapes_are_unknown():
+    near = [_spider(legs) for legs in ((1, 2, 6), (2, 2, 3), (1, 3, 4), (3, 3, 3))]
+    # two branch points, but one carries a leg of length 2
+    near.append(_from_simple_edges(
+        8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (6, 7)]
+    ))
+    # three branch points
+    near.append(_from_simple_edges(
+        8, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6), (2, 7)]
+    ))
+    # a four-pronged hub with one leg extended
+    near.append(_from_simple_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]))
+    near.append(_cycle6_plus([(0, 6)]))  # pendant on a hexagon
+    near.append(_cycle6_plus([(0, 3)]))  # chord across a hexagon
+    for graph in near:
+        assert recognize(graph) == DynkinClass("Unknown", None), graph.edges()
+
+
+def _canon(graph):
+    ne = len(graph.even)
+    return tree_canon(graph.size, [(e, ne + o) for e, o in graph.mult])
+
+
+def test_every_small_tree_is_classified_as_its_template():
+    max_nv = 7
+    named = {}
+    for family in FAMILIES[:-1]:
+        ranks = [int(family[1])] if family.startswith("E") else range(1, max_nv + 1)
+        for rank in ranks:
+            try:
+                ref = template(family, rank)
+            except InputError:
+                continue
+            simple = set(ref.mult.values()) == {1}
+            if ref.size <= max_nv and len(ref.mult) == ref.size - 1 and simple:
+                key = (ref.size, _canon(ref))
+                assert key not in named
+                named[key] = DynkinClass(family, rank)
+    trees = {}
+    for nv in range(2, max_nv + 1):
+        for code in itertools.product(range(nv), repeat=nv - 2):
+            edges = prufer_tree(code, nv)
+            trees.setdefault((nv, tree_canon(nv, edges)), edges)
+    assert len(trees) == 24  # 1, 1, 2, 3, 6 and 11 trees on 2..7 vertices
+    for (nv, form), edges in trees.items():
+        want = named.get((nv, form), DynkinClass("Unknown", None))
+        assert recognize(_from_simple_edges(nv, edges)) == want, (edges, str(want))
 
 
 def test_template_input_errors():

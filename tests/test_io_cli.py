@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orbifusion
 from orbifusion import (
     BipartiteGraph,
     ObstructionValue,
@@ -568,6 +572,39 @@ def test_cli_su3(capsys):
         "gcd": 3,
         "verdict": "Inconclusive",
     }
+
+
+@pytest.mark.parametrize(
+    "argv", [["su3", "fuse", "--level", "25", "0,0", "0,0"], ["su3", "m", "--k", "9"]]
+)
+def test_cli_su3_work_is_bounded(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level must be between 1 and 24\n"
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import orbifusion.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_cli_import_loads_no_library_beyond_numpy_and_scipy():
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) <= {"numpy", "scipy", "orbifusion"}, done.stdout
 
 
 def test_cli_catalog(capsys):

@@ -10,7 +10,6 @@ from orbifusion.kernels import (
     associativity_violations,
     cube_to_csr,
     generating_set,
-    numba_enabled,
     su3_cube,
 )
 from orbifusion.su3 import _alcove_arrays, su3_ring
@@ -36,16 +35,13 @@ def _mutated_su3_csr(level, i, j, k, delta):
 
 
 # ---------------------------------------------------------------------------
-# lane agreement
+# the dense reference and the scan
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 8])
 def test_cube_lanes_agree(level):
     _, L, la, lb, wflat, woff = _alcove_arrays(level)
-    a = su3_cube(L, level + 3, la, lb, wflat, woff, use_numba=False)
-    if numba_enabled():
-        b = su3_cube(L, level + 3, la, lb, wflat, woff, use_numba=True)
-        assert np.array_equal(a, b)
+    a = su3_cube(L, level + 3, la, lb, wflat, woff)
     assert a.shape == (L, L, L)
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
 
@@ -53,7 +49,7 @@ def test_cube_lanes_agree(level):
 @pytest.mark.parametrize("level", range(1, 13))
 def test_closed_form_builder_matches_the_dense_cube(level):
     _, L, la, lb, wflat, woff = _alcove_arrays(level)
-    want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff, use_numba=False))
+    want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff))
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
@@ -63,26 +59,15 @@ def test_closed_form_builder_matches_the_dense_cube(level):
 def test_violation_scan_lanes_agree_on_clean_tables(level):
     ring = su3_ring(level)
     ptr, idx, val = ring.csr()
-    ok_np, wit_np = associativity_violations(ptr, idx, val, ring.size, use_numba=False)
-    assert ok_np and len(wit_np) == 0
-    if numba_enabled():
-        ok_nb, wit_nb = associativity_violations(
-            ptr, idx, val, ring.size, use_numba=True
-        )
-        assert ok_nb and len(wit_nb) == 0
+    ok, wit = associativity_violations(ptr, idx, val, ring.size)
+    assert ok and len(wit) == 0
 
 
 def test_violation_scan_lanes_agree_on_a_broken_table():
     ring = broken_z3_ring()
     ptr, idx, val = ring.csr()
-    ok_np, wit_np = associativity_violations(ptr, idx, val, ring.size, use_numba=False)
-    assert not ok_np
-    if numba_enabled():
-        ok_nb, wit_nb = associativity_violations(
-            ptr, idx, val, ring.size, use_numba=True
-        )
-        assert not ok_nb
-        assert np.array_equal(wit_np, wit_nb)
+    ok, wit = associativity_violations(ptr, idx, val, ring.size)
+    assert not ok and len(wit) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +111,10 @@ def test_witness_cap_is_respected():
     ptr, idx, val = ring.csr()
     ok_all, wit_all = associativity_violations(ptr, idx, val, ring.size, cap=100)
     assert not ok_all and len(wit_all) > 1
-    for use_numba in (False, True) if numba_enabled() else (False,):
-        ok, wit = associativity_violations(
-            ptr, idx, val, ring.size, cap=1, use_numba=use_numba
-        )
-        assert not ok
-        assert len(wit) == 1
-        assert np.array_equal(wit[0], wit_all[0])
+    ok, wit = associativity_violations(ptr, idx, val, ring.size, cap=1)
+    assert not ok
+    assert len(wit) == 1
+    assert np.array_equal(wit[0], wit_all[0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +154,7 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
     for mutated, want in _mutated_level6_cases():
         ptr, idx, val = mutated.csr()
         for cap in (1, 5, 20):
-            ok, wit = associativity_violations(
-                ptr, idx, val, mutated.size, cap=cap, use_numba=False
-            )
+            ok, wit = associativity_violations(ptr, idx, val, mutated.size, cap=cap)
             assert not ok
             assert np.array_equal(wit, want[:cap])
 
@@ -216,19 +196,11 @@ def test_redirecting_one_product_is_caught_by_both_lanes():
     k = ring.index("1,1")
     mutated = _mutated_su3_csr(3, i, j, k, +1)
     ptr, idx, val = mutated.csr()
-    ok_np, wit_np = associativity_violations(
-        ptr, idx, val, mutated.size, use_numba=False
-    )
-    assert not ok_np
+    ok, wit = associativity_violations(ptr, idx, val, mutated.size)
+    assert not ok
     _, lhs, rhs = dense_associator(mutated)
-    for a, b, c, l, x, y in wit_np:
+    for a, b, c, l, x, y in wit:
         assert (x, y) == (lhs[a, b, c, l], rhs[a, b, c, l])
-    if numba_enabled():
-        ok_nb, wit_nb = associativity_violations(
-            ptr, idx, val, mutated.size, use_numba=True
-        )
-        assert not ok_nb
-        assert np.array_equal(wit_np, wit_nb)
 
 
 def test_near_group_self_coupling_is_free():
@@ -252,22 +224,11 @@ def test_cube_to_csr_roundtrip():
     assert np.array_equal(val, v2)
 
 
-def test_lane_selection_precedence(monkeypatch):
-    # explicit flag > env switch > availability
-    monkeypatch.setenv("ORBIFUSION_PURE_NUMPY", "1")
-    assert not numba_enabled()
-    monkeypatch.setenv("ORBIFUSION_PURE_NUMPY", "0")
-    from orbifusion.kernels import HAS_NUMBA
-
-    assert numba_enabled() == HAS_NUMBA
-    assert numba_enabled(True) == HAS_NUMBA
-    monkeypatch.delenv("ORBIFUSION_PURE_NUMPY")
-    assert not numba_enabled(False)
-
-
-def test_env_flag_switches_the_default_lane(monkeypatch):
+def test_env_flag_switches_the_default_lane():
+    # the default call reports exactly what validate_ring does
     ring = broken_z3_ring()
     ptr, idx, val = ring.csr()
-    monkeypatch.setenv("ORBIFUSION_PURE_NUMPY", "1")
     ok, wit = associativity_violations(ptr, idx, val, ring.size)
     assert not ok and len(wit) > 0
+    failure = next(f for f in validate_ring(ring).failures if f.axiom == "associativity")
+    assert failure.witnesses == tuple(map(tuple, wit.tolist()))

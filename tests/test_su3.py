@@ -229,6 +229,8 @@ def test_self_coupling_rejects_bad_k():
         obstruction_m(0)
     with pytest.raises(InputError):
         obstruction_m(-3)
+    with pytest.raises(InputError, match="between 1 and 24"):
+        obstruction_m(LEVEL_CAP // 3 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +242,9 @@ def test_level_bounds():
         su3_ring(0)
     with pytest.raises(InputError):
         su3_ring(LEVEL_CAP + 1)
+    assert kac_walton((0, 0), (0, 0), LEVEL_CAP) == {(0, 0): 1}
+    with pytest.raises(InputError, match="between 1 and 24"):
+        kac_walton((0, 0), (0, 0), LEVEL_CAP + 1)
 
 
 @pytest.mark.parametrize("level", [18, 24])
