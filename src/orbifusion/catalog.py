@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import InputError, OrbifusionError
 from .graphs import (
     BipartiteGraph,
@@ -71,18 +73,26 @@ def su2_even_ring(level: int) -> FusionRing:
 
     Labels rho0, rho2, ..., rho<level> with the truncated product
     N_{ab}^c = 1 exactly when |a-b| <= c <= min(a+b, 2*level-a-b).
+    The pair-major arrays come straight from that rule, with no sort:
+    with label index t standing for rho<2t>, row (s, t) holds every
+    output from |s-t| to min(s+t, level-s-t), each with constant 1.
     """
     if level < 2 or level % 2 != 0:
         raise InputError("the even subring needs an even level >= 2")
-    ks = list(range(0, level + 1, 2))
-    labels = [f"rho{k}" for k in ks]
-    triples = []
-    for a in ks:
-        for b in ks:
-            for c in range(abs(a - b), min(a + b, 2 * level - a - b) + 1, 2):
-                triples.append((f"rho{a}", f"rho{b}", f"rho{c}", 1))
-    return FusionRing.from_labels(
-        labels, unit="rho0", dual={lab: lab for lab in labels}, triples=triples
+    L = level // 2 + 1
+    s, t = np.divmod(np.arange(L * L, dtype=np.int64), L)
+    lo = np.abs(s - t)
+    # no row is empty: 2 max(s, t) <= level gives |s-t| <= level-s-t
+    counts = np.minimum(s + t, level - s - t) - lo + 1
+    ptr = np.zeros(L * L + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    nnz = int(ptr[-1])
+    # entry e of row r is lo[r] + (e - ptr[r])
+    idx = np.arange(nnz, dtype=np.int32)
+    idx += np.repeat((lo - ptr[:-1]).astype(np.int32), counts)
+    labels = [f"rho{2 * u}" for u in range(L)]
+    return FusionRing.from_csr(
+        labels, 0, range(L), ptr, idx, np.ones(nnz, dtype=np.int64)
     )
 
 

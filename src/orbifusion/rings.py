@@ -52,6 +52,17 @@ def _check_constant_bound(L: int, largest: int) -> None:
         )
 
 
+def _checked_entry(t, L: int) -> tuple[int, int, int, int]:
+    """One ``(i, j, k, n)`` entry as ints, or the error it raises."""
+    i, j, k, n = t
+    i, j, k = int(i), int(j), int(k)
+    if not (0 <= i < L and 0 <= j < L and 0 <= k < L):
+        raise SchemaError(f"structure constant index out of range: {(i, j, k)}")
+    if int(n) != n or n < 0:
+        raise SchemaError(f"structure constant must be a nonnegative integer: {(i, j, k, n)}")
+    return i, j, k, int(n)
+
+
 class FusionRing:
     """Immutable fusion ring on string labels.
 
@@ -99,33 +110,40 @@ class FusionRing:
         if len(dual) != L or sorted(dual) != list(range(L)):
             raise SchemaError("dual must be a bijection on label indices")
         if isinstance(nconst, Mapping):
-            triples = [(i, j, k, n) for (i, j, k), n in nconst.items()]
+            rows = [(i, j, k, n) for (i, j, k), n in nconst.items()]
         else:
-            triples = [tuple(t) for t in nconst]
-        entries = []
-        for i, j, k, n in triples:
-            i, j, k = int(i), int(j), int(k)
-            if not (0 <= i < L and 0 <= j < L and 0 <= k < L):
-                raise SchemaError(f"structure constant index out of range: {(i, j, k)}")
-            if int(n) != n or n < 0:
-                raise SchemaError(f"structure constant must be a nonnegative integer: {(i, j, k, n)}")
-            if n == 0:
-                continue
-            entries.append((i * L + j, k, int(n)))
-        entries.sort()
-        if any(entries[t][:2] == entries[t + 1][:2] for t in range(len(entries) - 1)):
+            rows = [tuple(t) for t in nconst]
+        try:
+            ent = np.asarray(rows) if rows else np.zeros((0, 4), dtype=np.int64)
+        except ValueError:  # rows of unequal length: the loop below reports them
+            ent = np.zeros(0, dtype=object)
+        if ent.dtype.kind == "i" and ent.shape == (len(rows), 4):
+            ent = ent.astype(np.int64, copy=False)
+            ijk, n = ent[:, :3], ent[:, 3]
+            bad = np.flatnonzero(np.any((ijk < 0) | (ijk >= L), axis=1) | (n < 0))
+            if len(bad):
+                _checked_entry(rows[bad[0]], L)
+        else:
+            # floats, strings, constants beyond int64: one entry at a time
+            ent = np.array([_checked_entry(t, L) for t in rows], dtype=object).reshape(-1, 4)
+            ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
+        keep = np.flatnonzero(n != 0)
+        p = ijk[keep, 0] * L + ijk[keep, 1]
+        k = ijk[keep, 2]
+        n = n[keep]
+        order = np.lexsort((k, p))
+        p, k, n = p[order], k[order], n[order]
+        if np.any((p[1:] == p[:-1]) & (k[1:] == k[:-1])):
             raise SchemaError("duplicate (i, j, k) entry")
-        _check_constant_bound(L, max((n for _, _, n in entries), default=0))
+        _check_constant_bound(L, int(n.max()) if len(n) else 0)
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
         ptr = np.zeros(L * L + 1, dtype=np.int64)
-        for p, _, _ in entries:
-            ptr[p + 1] += 1
-        np.cumsum(ptr, out=ptr)
+        np.cumsum(np.bincount(p, minlength=L * L), out=ptr[1:])
         self._ptr = ptr
-        self._idx = np.fromiter((k for _, k, _ in entries), dtype=np.int32, count=len(entries))
-        self._val = np.fromiter((n for _, _, n in entries), dtype=np.int64, count=len(entries))
+        self._idx = k.astype(np.int32)
+        self._val = n.astype(np.int64)
         self._index = {lab: t for t, lab in enumerate(labels)}
 
     @classmethod

@@ -86,6 +86,22 @@ def su2_truncated(i: int, j: int, level: int) -> dict[int, int]:
     return {k: 1 for k in range(abs(i - j), top + 1, 2)}
 
 
+def su2_even_ring_from_labels(level: int):
+    """The even SU(2) ring from string triples, one per nonzero constant."""
+    from orbifusion import FusionRing
+
+    ks = list(range(0, level + 1, 2))
+    labels = [f"rho{k}" for k in ks]
+    triples = []
+    for a in ks:
+        for b in ks:
+            for c in range(abs(a - b), min(a + b, 2 * level - a - b) + 1, 2):
+                triples.append((f"rho{a}", f"rho{b}", f"rho{c}", 1))
+    return FusionRing.from_labels(
+        labels, unit="rho0", dual={lab: lab for lab in labels}, triples=triples
+    )
+
+
 # ---------------------------------------------------------------------------
 # dense checks
 # ---------------------------------------------------------------------------
@@ -105,6 +121,20 @@ def dense_associator(ring):
     rhs = np.einsum("jkm,iml->ijkl", N, N)
     bad = np.argwhere(lhs != rhs)
     return bad, lhs, rhs
+
+
+def pf_norm_loop(graph, max_iter: int = 500_000) -> float:
+    """The graph norm by the Gram-side power iteration, written plainly."""
+    B = graph.matrix().astype(np.float64)
+    M = B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B
+    v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
+    for _ in range(max_iter):
+        w = M @ v
+        lam = float(v @ w)
+        if np.max(np.abs(w - lam * v)) <= 1e-13 * max(1.0, lam):
+            return float(np.sqrt(lam))
+        v = w / np.linalg.norm(w)
+    raise RuntimeError("no convergence")
 
 
 def pf_norm_dense(graph) -> float:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from orbifusion import (
@@ -23,7 +25,7 @@ from orbifusion.catalog import (
     su2_even_ring,
 )
 
-from .oracles import klein_ring
+from .oracles import klein_ring, su2_even_ring_from_labels
 
 
 def test_names_cover_every_family():
@@ -90,6 +92,35 @@ def test_even_subring_labels():
     ring = su2_even_ring(8)
     assert list(ring.labels) == ["rho0", "rho2", "rho4", "rho6", "rho8"]
     assert validate_ring(ring).passed
+
+
+# every even level up to 60, both residues mod 4, and the level of the
+# A_197 -> D_100 fold; the oracle takes about 1 s over these
+@pytest.mark.parametrize("level", list(range(2, 62, 2)) + [196])
+def test_even_subring_arrays_match_the_triple_oracle(level):
+    ring = su2_even_ring(level)
+    want = su2_even_ring_from_labels(level)
+    assert (ring.labels, ring.unit, ring.dual) == (want.labels, want.unit, want.dual)
+    for got, ref in zip(ring.csr(), want.csr()):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("level", [-2, 0, 1, 3, 199])
+def test_even_subring_needs_an_even_level_of_two_or_more(level):
+    with pytest.raises(InputError, match=r"^the even subring needs an even level >= 2$"):
+        su2_even_ring(level)
+
+
+def test_even_subring_build_allocates_in_proportion_to_the_ring():
+    tracemalloc.start()
+    try:
+        ring = su2_even_ring(196)
+        own = sum(a.nbytes for a in ring.csr())
+        extra = tracemalloc.get_traced_memory()[1] - own
+    finally:
+        tracemalloc.stop()
+    assert extra <= 2 * own
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,16 @@ from orbifusion import (
     recognize,
     validate_symmetry,
 )
-from orbifusion.catalog import build, chain_graph
-from orbifusion.graphs import FAMILIES, _from_simple_edges, _legs_graph, template
+from orbifusion.catalog import build, chain_graph, names, su2_even_ring
+from orbifusion.graphs import (
+    FAMILIES,
+    NORM_VERTEX_CAP,
+    _from_simple_edges,
+    _legs_graph,
+    template,
+)
 
-from .oracles import cyclic_ring, pf_norm_dense, prufer_tree, tree_canon
+from .oracles import cyclic_ring, pf_norm_dense, pf_norm_loop, prufer_tree, tree_canon
 
 
 def _tee_graph():
@@ -128,6 +134,38 @@ def test_norm_agrees_with_dense_eigenvalues_on_templates():
     for family, rank in shapes:
         g = template(family, rank)
         assert pf_norm(g) == pytest.approx(pf_norm_dense(g), abs=1e-9)
+
+
+def _folded_chain(n):
+    level = 4 * n - 4
+    ring = su2_even_ring(level)
+    graph = chain_graph(4 * n - 3)
+    action = cyclic_action(ring, f"rho{level}")
+    sym = induced_graph_symmetry(ring, action, graph, {v: v for v in graph.even})
+    return fold_graph(sym)
+
+
+def test_norm_is_bitwise_the_plain_power_iteration():
+    graphs = [path_graph(m) for m in list(range(2, 41)) + [199]]
+    catalog = (build(name).graph for name in names() if not name.startswith("SU3"))
+    graphs += [g for g in catalog if g is not None]
+    graphs += [_folded_chain(n) for n in (2, 3, 10, 30, 50)]
+    graphs += [template(family, None) for family in ("E6", "E7", "E8", "E6_affine", "E8_affine")]
+    graphs += [template("A_affine", 7), template("D_affine", 9), template("D", 6)]
+    for g in graphs:
+        assert pf_norm(g) == pf_norm_loop(g), g
+
+
+def test_norm_refuses_graphs_past_the_vertex_cap():
+    assert NORM_VERTEX_CAP == 800
+    with pytest.raises(InputError) as err:
+        pf_norm(path_graph(NORM_VERTEX_CAP + 1))
+    assert str(err.value) == "the graph norm needs at most 800 vertices, got 801"
+    # a star at the cap is accepted: its Gram side is one vertex
+    leaves = [f"l{t}" for t in range(NORM_VERTEX_CAP - 1)]
+    star = BipartiteGraph.from_edges(["c"], leaves, [("c", lf, 1) for lf in leaves])
+    assert star.size == NORM_VERTEX_CAP
+    assert pf_norm(star) == pytest.approx(math.sqrt(NORM_VERTEX_CAP - 1), rel=1e-12)
 
 
 def test_norm_requires_connectivity():

@@ -544,6 +544,14 @@ def test_cli_graph_identify(tmp_path, capsys):
     assert "class: A_5" in out and "pf norm: 1.732050808" in out
 
 
+def test_cli_graph_identify_refuses_a_graph_past_the_norm_cap(tmp_path, capsys):
+    graph = _write(tmp_path, "long.graph", dump_graph(path_graph(801)))
+    assert main(["graph", "identify", graph]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the graph norm needs at most 800 vertices, got 801\n"
+
+
 def test_cli_graph_fold(tmp_path, capsys):
     graph = _write(tmp_path, "chain.graph", dump_graph(build("A5").graph))
     perm = _write(

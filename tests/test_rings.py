@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,6 +80,77 @@ def test_constants_must_keep_products_inside_int64():
             FusionRing(["e"], 0, [0], [(0, 0, 0, n)])
     with pytest.raises(SchemaError):
         tiny_ring(triples=[("e", "e", "e", 1), ("x", "x", "e", 2**31)])
+
+
+def _raises_schema(nconst, message):
+    with pytest.raises(SchemaError) as err:
+        FusionRing(["e", "x"], 0, [0, 1], nconst)
+    assert str(err.value) == message
+
+
+def test_index_out_of_range_names_the_entry():
+    _raises_schema(
+        [(0, 0, 0, 1), (0, 2, 0, 1)],
+        "structure constant index out of range: (0, 2, 0)",
+    )
+    _raises_schema([(-1, 0, 0, 1)], "structure constant index out of range: (-1, 0, 0)")
+    # the range is checked before the constant of the same entry
+    _raises_schema([(0, 5, 0, -1)], "structure constant index out of range: (0, 5, 0)")
+
+
+def test_constant_must_be_a_nonnegative_integer():
+    message = "structure constant must be a nonnegative integer: {}"
+    _raises_schema([(0, 0, 0, 1), (1, 1, 0, 1.5)], message.format((1, 1, 0, 1.5)))
+    _raises_schema([(0, 0, 0, 1), (1, 1, 0, -1)], message.format((1, 1, 0, -1)))
+    _raises_schema({(1, 1, 0): -2}, message.format((1, 1, 0, -2)))
+
+
+def test_first_bad_entry_in_input_order_is_reported():
+    good = [(0, 0, 0, 1), (1, 1, 0, 1)]
+    _raises_schema(
+        good + [(1, 0, 1, -3), (0, 9, 0, 1)],
+        "structure constant must be a nonnegative integer: (1, 0, 1, -3)",
+    )
+    _raises_schema(
+        good + [(0, 9, 0, 1), (1, 0, 1, -3)],
+        "structure constant index out of range: (0, 9, 0)",
+    )
+    # every entry is checked before duplicates are looked for
+    _raises_schema(
+        good + [(1, 1, 0, 1), (0, 1, 1, 2.5)],
+        "structure constant must be a nonnegative integer: (0, 1, 1, 2.5)",
+    )
+
+
+def test_duplicate_entry_message():
+    _raises_schema([(0, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 2)], "duplicate (i, j, k) entry")
+    # duplicates are looked for before the size bound
+    _raises_schema([(0, 0, 0, 2**70), (0, 0, 0, 2**70)], "duplicate (i, j, k) entry")
+    # a zero entry is dropped, so it duplicates nothing
+    ring = FusionRing(["e"], 0, [0], [(0, 0, 0, 0), (0, 0, 0, 1)])
+    assert ring.n(0, 0, 0) == 1 and ring.nnz == 1
+
+
+def test_size_bound_message():
+    _raises_schema(
+        [(0, 0, 0, 1), (1, 1, 0, 2**70)],
+        f"structure constant {2**70} is too large for 2 labels: L * N**2 must stay below 2**63",
+    )
+
+
+def test_constructor_arrays_are_pair_major_and_sorted():
+    # entries in scrambled order, integral floats and a zero among them
+    ring = FusionRing(
+        ["e", "x", "y"],
+        0,
+        [0, 1, 2],
+        [(2, 1, 2, 3), (0, 0, 0, 1), (1, 2, 2, 2.0), (2, 1, 0, 1), (1, 1, 1, 0)],
+    )
+    ptr, idx, val = ring.csr()
+    assert ptr.dtype == np.int64 and idx.dtype == np.int32 and val.dtype == np.int64
+    assert ptr.tolist() == [0, 1, 1, 1, 1, 1, 2, 2, 4, 4]
+    assert idx.tolist() == [0, 2, 0, 2]
+    assert val.tolist() == [1, 2, 1, 3]
 
 
 def _su3_level2_csr():
@@ -296,6 +369,18 @@ def test_chain_ring_dimensions_are_exact_small_integers():
     dims = fp_dimensions(ring)
     order = [ring.index(lab) for lab in ("rho0", "rho2", "rho4")]
     assert [dims[i] for i in order] == pytest.approx([1.0, 2.0, 1.0], abs=1e-9)
+
+
+def test_even_su2_dimensions_are_the_quantum_dimensions():
+    # d(rho_k) = sin((k+1) pi / (level+2)) / sin(pi / (level+2)); the worst
+    # relative error over these levels is about 1e-11
+    worst = 0.0
+    for level in range(2, 200, 2):
+        dims = fp_dimensions(su2_even_ring(level)).dims
+        h = math.pi / (level + 2)
+        want = [math.sin((2 * t + 1) * h) / math.sin(h) for t in range(len(dims))]
+        worst = max(worst, max(abs(d - w) / w for d, w in zip(dims, want)))
+    assert worst <= 1e-10
 
 
 def test_dimensions_reject_inconsistent_product_equations():

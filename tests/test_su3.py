@@ -10,6 +10,7 @@ from orbifusion import (
     Verdict,
     admissible_weights,
     cyclic_action,
+    fp_dimensions,
     kac_walton,
     obstruction_m,
     parse_weight,
@@ -267,3 +268,19 @@ def test_level_four_ring_is_fully_valid():
     assert report.passed
     assert ring.labels[ring.dual[ring.index("3,1")]] == "1,3"
     assert ring.labels[ring.unit] == "0,0"
+
+
+def test_alcove_dimensions_are_the_quantum_dimensions():
+    # d(a,b) = [a+1][b+1][a+b+2] / [2] with [n] = sin(n pi/h) / sin(pi/h),
+    # h = level + 3; the worst relative error is about 8e-11, at level 24
+    for level in list(range(1, 13)) + [24]:
+        ring = su3_ring(level)
+        dims = fp_dimensions(ring).dims
+        h = math.pi / (level + 3)
+
+        def q(n):
+            return math.sin(n * h) / math.sin(h)
+
+        for (a, b), d in zip(admissible_weights(level), dims):
+            want = q(a + 1) * q(b + 1) * q(a + b + 2) / q(2)
+            assert abs(d - want) <= 1e-10 * want, (level, a, b)
