@@ -34,7 +34,6 @@ from .orbifold import (
     ObstructionValue,
     OrbifoldInput,
     Verdict,
-    check_assumptions,
     cyclic_action,
     global_dim_check,
     obstruction_bound,
@@ -452,7 +451,7 @@ def run(name: str) -> OutcomeReport:
             return report()
 
         inp = OrbifoldInput.make(action, entry.rho, loi_trivial_attested=True)
-        arep = check_assumptions(inp)
+        arep = inp.assumptions
         if not entry.expect_a3:
             add(
                 "assumption scan",

@@ -54,7 +54,6 @@ from .orbifold import (
     ObstructionValue,
     OrbifoldInput,
     Verdict,
-    check_assumptions,
     cyclic_action,
     global_dim_check,
     obstruction_bound,
@@ -139,7 +138,7 @@ def _cmd_obstruction(args) -> int:
     action = cyclic_action(ring, args.alpha)
     inp = OrbifoldInput.make(action, args.rho, loi_trivial_attested=False)
     bound = obstruction_bound(inp)
-    rep = check_assumptions(inp)
+    rep = inp.assumptions
     g = math.gcd(bound.m, bound.n)
     lines = [
         f"alpha: {args.alpha}, order {action.order}",
@@ -194,7 +193,7 @@ def _cmd_orbifold(args) -> int:
 
     action = cyclic_action(ring, alpha)
     inp = OrbifoldInput.make(action, rho, attested)
-    rep = check_assumptions(inp)
+    rep = inp.assumptions
     for item in rep.items:
         if not item.passed:
             raise AssumptionError(item.item, item.detail)

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .orbifold import SymmetryAction
+from .orbifold import SymmetryAction, cycles
 from .rings import FusionRing
 
 __all__ = [
@@ -155,16 +155,18 @@ def path_graph(m: int) -> BipartiteGraph:
 # a path of 800 vertices takes about 6 s on 2 cores, and one of 1,600 does
 # not converge within the iteration budget
 NORM_VERTEX_CAP = 800
+NORM_MAX_ITER = 500_000
 
 
-def pf_norm(graph: BipartiteGraph, max_iter: int = 500_000) -> float:
+def pf_norm(graph: BipartiteGraph) -> float:
     """Largest adjacency eigenvalue, by power iteration on the Gram side.
 
     Working on B B^T (taken on the smaller part) squares the spectrum,
     which removes the plus/minus pairing of bipartite eigenvalues; the
     norm is the square root of the dominant Gram eigenvalue. Converges
-    to well below 1e-12 on the graphs this package handles. Graphs with
-    more than ``NORM_VERTEX_CAP`` vertices are refused.
+    to well below 1e-12 on the graphs this package handles, within
+    ``NORM_MAX_ITER`` steps. Graphs with more than ``NORM_VERTEX_CAP``
+    vertices are refused.
     """
     if graph.size > NORM_VERTEX_CAP:
         raise InputError(
@@ -175,7 +177,7 @@ def pf_norm(graph: BipartiteGraph, max_iter: int = 500_000) -> float:
     B = graph.matrix().astype(np.float64)
     M = B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B
     v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
-    for _ in range(max_iter):
+    for _ in range(NORM_MAX_ITER):
         w = M @ v
         lam = float(v @ w)
         if np.abs(w - lam * v).max() <= 1e-13 * max(1.0, lam):
@@ -214,19 +216,7 @@ def validate_symmetry(
         if (v in everts) != (w in everts):
             raise ValidationError(f"permutation breaks parity at {v!r} -> {w!r}")
 
-    order = 1
-    seen: set[str] = set()
-    for v in list(graph.even) + list(graph.odd):
-        if v in seen:
-            continue
-        size = 1
-        w = vperm[v]
-        seen.add(v)
-        while w != v:
-            seen.add(w)
-            w = vperm[w]
-            size += 1
-        order = order * size // np.gcd(order, size)
+    order = math.lcm(*map(len, cycles(graph.even + graph.odd, vperm)))
     if order != n:
         raise ValidationError(f"permutation has exact order {order}, expected {n}")
 
@@ -240,23 +230,6 @@ def validate_symmetry(
                 f"but its image has {graph.mult.get(img, 0)}"
             )
     return GraphSymmetry(graph=graph, order=n, vperm=dict(vperm))
-
-
-def _part_orbits(part: tuple[str, ...], vperm: Mapping[str, str]) -> list[tuple[str, ...]]:
-    seen: set[str] = set()
-    out = []
-    for v in part:
-        if v in seen:
-            continue
-        cyc = [v]
-        seen.add(v)
-        w = vperm[v]
-        while w != v:
-            seen.add(w)
-            cyc.append(w)
-            w = vperm[w]
-        out.append(tuple(cyc))
-    return out
 
 
 def fold_graph(sym: GraphSymmetry) -> BipartiteGraph:
@@ -276,7 +249,7 @@ def fold_graph(sym: GraphSymmetry) -> BipartiteGraph:
     for part_name, part in (("even", g.even), ("odd", g.odd)):
         entries = []  # (kind, members, output labels)
         owner: dict[str, tuple[int, str]] = {}
-        for orbit in _part_orbits(part, sym.vperm):
+        for orbit in cycles(part, sym.vperm):
             if len(orbit) == n:
                 rep = min(orbit)
                 entries.append(("merged", orbit, [rep]))

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -35,10 +37,11 @@ from .errors import (
     InputError,
     UnsupportedStructureError,
 )
-from .rings import DimensionTable, FusionRing, fp_dimensions
+from .rings import DimensionTable, FusionRing, fp_dimensions, left_permutation
 
 __all__ = [
     "Verdict",
+    "cycles",
     "SymmetryAction",
     "cyclic_action",
     "OrbifoldInput",
@@ -59,6 +62,9 @@ __all__ = [
     "global_dim_check",
 ]
 
+# relative error up to which global_dim_check accepts the squared-dimension law
+DIM_LAW_TOLERANCE = 1e-6
+
 
 class Verdict(Enum):
     TRIVIAL = "Trivial"
@@ -68,6 +74,29 @@ class Verdict(Enum):
 # ---------------------------------------------------------------------------
 # the symmetry
 # ---------------------------------------------------------------------------
+
+def cycles(items: Iterable, image) -> list[tuple]:
+    """Cycles of a bijection, each opened at its first member in ``items``.
+
+    ``image[x]`` is the image of ``x``, by index or by key. The caller
+    guarantees a bijection that maps the items onto themselves, so every
+    walk closes.
+    """
+    seen = set()
+    out = []
+    for x in items:
+        if x in seen:
+            continue
+        cyc = [x]
+        seen.add(x)
+        y = image[x]
+        while y != x:
+            seen.add(y)
+            cyc.append(y)
+            y = image[y]
+        out.append(tuple(cyc))
+    return out
+
 
 @dataclass(frozen=True)
 class SymmetryAction:
@@ -93,36 +122,7 @@ class SymmetryAction:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Cycles of the permutation, in order of least member index."""
-        seen = [False] * len(self.perm)
-        out = []
-        for i in range(len(self.perm)):
-            if seen[i]:
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.perm[i]
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = self.perm[j]
-            out.append(tuple(cyc))
-        return out
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    for orbit_len in {_cycle_len(perm, i) for i in range(len(perm))}:
-        order = math.lcm(order, orbit_len)
-    return order
-
-
-def _cycle_len(perm: tuple[int, ...], i: int) -> int:
-    n = 1
-    j = perm[i]
-    while j != i:
-        j = perm[j]
-        n += 1
-    return n
+        return cycles(range(len(self.perm)), self.perm)
 
 
 def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
@@ -133,19 +133,14 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     cycle length of the unit.
     """
     a = ring.index(alpha)
-    mat = ring.fusion_matrix(a)
-    invertible = (
-        ring.n(a, ring.dual[a], ring.unit) == 1
-        and bool(np.all(mat.sum(axis=0) == 1))
-        and bool(np.all(mat.sum(axis=1) == 1))
-    )
-    if not invertible:
+    perm = left_permutation(ring, a)
+    if perm is None or ring.n(a, ring.dual[a], ring.unit) != 1:
         raise AssumptionError(
             "A1", f"label {alpha!r} is not invertible, so it generates no cyclic symmetry"
         )
-    perm = tuple(int(np.argmax(mat[i])) for i in range(ring.size))
-    order = _cycle_len(perm, ring.unit)
-    if _perm_order(perm) != order:
+    orbits = cycles(range(ring.size), perm)
+    order = next(len(c) for c in orbits if ring.unit in c)
+    if math.lcm(*map(len, orbits)) != order:
         # cannot happen for left fusion by an invertible label; guards
         # against a corrupted ring slipping past validation
         raise AssumptionError("A1", f"fusion by {alpha!r} is not a cyclic action")
@@ -175,7 +170,8 @@ class OrbifoldInput:
     ``rho`` is a label index, or None to ask the checker to scan for a
     candidate (the scan failing is exactly how the known bad cases are
     reported). The attestation flag records (A2); nothing here can
-    verify it.
+    verify it. ``assumptions`` is the (A1)-(A3) report, computed once
+    per input.
     """
 
     action: SymmetryAction
@@ -192,6 +188,10 @@ class OrbifoldInput:
     @property
     def rho_label(self) -> str | None:
         return None if self.rho is None else self.action.ring.labels[self.rho]
+
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        return check_assumptions(self)
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def check_assumptions(inp: OrbifoldInput) -> AssumptionReport:
 
 
 def _require(inp: OrbifoldInput, *names: str) -> AssumptionReport:
-    report = check_assumptions(inp)
+    report = inp.assumptions
     for name in names:
         it = report.item(name)
         if not it.passed:
@@ -488,7 +488,8 @@ def orbifold_sectors(
     """Merge free orbits and split fixed labels.
 
     The obstruction must be supplied explicitly: use the trivial value
-    when the gcd test certifies it, a recorded value otherwise. Orbits
+    when the gcd test certifies it, a recorded value otherwise; a
+    nontrivial value the gcd test contradicts is refused. Orbits
     of size strictly between 1 and n are refused; order 1 degenerates
     to a copy of the input (every label a singleton class).
     """
@@ -498,6 +499,12 @@ def orbifold_sectors(
     if obstruction.n != n:
         raise InputError(
             f"obstruction modulus {obstruction.n} does not match the action order {n}"
+        )
+    m = inp.assumptions.m
+    if m is not None and math.gcd(m, n) == 1 and not obstruction.is_trivial:
+        raise InputError(
+            f"obstruction {obstruction.describe()} contradicts the gcd test: "
+            f"gcd({m}, {n}) = 1 certifies the trivial value"
         )
     if dims is None:
         dims = fp_dimensions(ring)
@@ -629,13 +636,12 @@ class GlobalDimCheck:
         )
 
 
-def global_dim_check(
-    ring: FusionRing, sectors: OrbifoldSectors, tolerance: float = 1e-6
-) -> GlobalDimCheck:
+def global_dim_check(ring: FusionRing, sectors: OrbifoldSectors) -> GlobalDimCheck:
     """Sum of squared dimensions must drop by exactly the group order.
 
     Only meaningful for the full splitting p = n; refused otherwise.
-    The input side reads the dimension table the sectors were built from.
+    The input side reads the dimension table the sectors were built from;
+    the law holds when the relative error is below ``DIM_LAW_TOLERANCE``.
     """
     if sectors.p != sectors.n:
         raise UnsupportedStructureError(
@@ -650,5 +656,5 @@ def global_dim_check(
         output_sum=total_out,
         n=sectors.n,
         rel_error=rel,
-        passed=rel < tolerance,
+        passed=rel < DIM_LAW_TOLERANCE,
     )

@@ -34,12 +34,21 @@ __all__ = [
     "hom_dim",
     "fp_dimensions",
     "invertibles",
+    "left_permutation",
     "classify_group",
     "classify_by_orders",
 ]
 
 
 _INT64_LIMIT = 2**63
+
+# power iteration of fp_dimensions: the tolerance of its three checks on
+# the table, and the iteration budget
+FP_TOLERANCE = 1e-9
+FP_MAX_ITER = 100_000
+
+# the largest group order classify_by_orders and classify_group name
+GROUP_ORDER_CAP = 12
 
 
 def _check_constant_bound(L: int, largest: int) -> None:
@@ -275,15 +284,6 @@ class FusionRing:
         pairs = np.repeat(np.arange(L * L, dtype=np.int64), counts)
         return pairs // L, pairs % L, self._idx.astype(np.int64), self._val.copy()
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
-        """Dense matrix of left fusion by label ``i``: ``M[j, k] = N[i,j,k]``."""
-        L = self.size
-        out = np.zeros((L, L), dtype=np.int64)
-        lo, hi = self._ptr[i * L], self._ptr[(i + 1) * L]
-        rows = np.repeat(np.arange(L), np.diff(self._ptr[i * L : (i + 1) * L + 1]))
-        out[rows, self._idx[lo:hi]] = self._val[lo:hi]
-        return out
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._ptr, self._idx, self._val
 
@@ -343,10 +343,9 @@ class FormalSum:
 
 @dataclass(frozen=True)
 class DimensionTable:
-    """Frobenius-Perron dimensions per label, with the working tolerance."""
+    """Frobenius-Perron dimensions per label."""
 
     dims: tuple[float, ...]
-    tolerance: float = 1e-9
 
     def __getitem__(self, i: int) -> float:
         return self.dims[i]
@@ -495,26 +494,22 @@ def hom_dim(ring: FusionRing, x: FormalSum, y: FormalSum) -> int:
     return sum(a * ys.get(i, 0) for i, a in x.items())
 
 
-def fp_dimensions(
-    ring: FusionRing,
-    *,
-    tolerance: float = 1e-9,
-    max_iter: int = 100_000,
-) -> DimensionTable:
+def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """Frobenius-Perron dimensions by power iteration.
 
     Iterates ``M = sum_i N_i`` (symmetric for a ring satisfying
     Frobenius reciprocity, primitive because the diagonal is positive
-    and the unit connects every label) from the all-ones vector and
-    normalizes so the unit has dimension exactly 1. The table is checked
-    against the defining equations before it is returned.
+    and the unit connects every label) from the all-ones vector, for at
+    most ``FP_MAX_ITER`` steps, and normalizes so the unit has dimension
+    exactly 1. The table is checked against the defining equations, to
+    ``FP_TOLERANCE``, before it is returned.
     """
     L = ring.size
     ii, jj, kk, vv = ring.entry_arrays()
     M = np.zeros((L, L), dtype=np.float64)
     np.add.at(M, (jj, kk), vv)
     v = np.ones(L, dtype=np.float64) / math.sqrt(L)
-    for _ in range(max_iter):
+    for _ in range(FP_MAX_ITER):
         w = M @ v
         lam = float(v @ w)
         if np.max(np.abs(w - lam * v)) <= 1e-12 * max(1.0, lam):
@@ -529,17 +524,37 @@ def fp_dimensions(
         v = -v
     d = v / v[ring.unit]
 
-    if abs(d[ring.unit] - 1.0) > tolerance or np.min(d) < 1 - tolerance:
+    if abs(d[ring.unit] - 1.0) > FP_TOLERANCE or np.min(d) < 1 - FP_TOLERANCE:
         raise NumericError("dimension vector failed positivity checks")
     rhs = np.zeros(L * L, dtype=np.float64)
     np.add.at(rhs, ii * L + jj, vv * d[kk])
     lhs = np.outer(d, d).ravel()
-    if np.max(np.abs(lhs - rhs)) > tolerance * max(1.0, float(np.max(lhs))):
+    if np.max(np.abs(lhs - rhs)) > FP_TOLERANCE * max(1.0, float(np.max(lhs))):
         raise NumericError("dimensions do not satisfy the product equations")
     for i in range(L):
-        if abs(d[i] - d[ring.dual[i]]) > tolerance:
+        if abs(d[i] - d[ring.dual[i]]) > FP_TOLERANCE:
             raise NumericError("dimensions are not duality invariant")
-    return DimensionTable(tuple(float(x) for x in d), tolerance)
+    return DimensionTable(tuple(float(x) for x in d))
+
+
+def left_permutation(ring: FusionRing, i: int) -> tuple[int, ...] | None:
+    """Left fusion by label ``i`` as a label permutation, if it is one.
+
+    ``perm[j]`` is the single k with ``N[i,j,k] = 1``. The answer is None
+    when some row ``i * j`` is not a single output with constant 1, or
+    when two rows share an output: exactly when the fusion matrix of
+    ``i`` is not a permutation matrix. Reads the L rows of ``i`` from the
+    pair-major arrays.
+    """
+    L = ring.size
+    ptr, idx, val = ring.csr()
+    rows = ptr[i * L : (i + 1) * L + 1]
+    if np.any(np.diff(rows) != 1):
+        return None
+    ks = idx[rows[0] : rows[-1]]
+    if np.any(val[rows[0] : rows[-1]] != 1) or np.any(np.bincount(ks, minlength=L) != 1):
+        return None
+    return tuple(ks.tolist())
 
 
 def invertibles(ring: FusionRing) -> list[str]:
@@ -547,20 +562,9 @@ def invertibles(ring: FusionRing) -> list[str]:
 
     Equivalent to dimension 1; `classify_group` accepts the result.
     """
-    out = []
-    L = ring.size
-    for i in range(L):
-        cols = np.full(L, -1, dtype=np.int64)
-        good = True
-        for j in range(L):
-            ks, vs = ring.row(i, j)
-            if len(ks) != 1 or vs[0] != 1:
-                good = False
-                break
-            cols[j] = ks[0]
-        if good and len(set(cols.tolist())) == L:
-            out.append(ring.labels[i])
-    return out
+    return [
+        lab for i, lab in enumerate(ring.labels) if left_permutation(ring, i) is not None
+    ]
 
 
 @dataclass(frozen=True)
@@ -574,7 +578,7 @@ class GroupClass:
         return self.name
 
 
-def _template_order_multisets(max_order: int = 12) -> dict[tuple[int, ...], GroupClass]:
+def _template_order_multisets() -> dict[tuple[int, ...], GroupClass]:
     """Order multisets of the recognizable families, computed not quoted."""
 
     def cyclic_orders(n):
@@ -586,12 +590,12 @@ def _template_order_multisets(max_order: int = 12) -> dict[tuple[int, ...], Grou
         key = tuple(sorted(orders))
         out.setdefault(key, GroupClass(name, order))
 
-    for n in range(1, max_order + 1):
+    for n in range(1, GROUP_ORDER_CAP + 1):
         put(cyclic_orders(n), f"Z/{n}" if n > 1 else "trivial", n)
     # products of two or three cyclic factors, smallest factors first
-    for a in range(2, max_order + 1):
-        for b in range(a, max_order + 1):
-            if a * b > max_order:
+    for a in range(2, GROUP_ORDER_CAP + 1):
+        for b in range(a, GROUP_ORDER_CAP + 1):
+            if a * b > GROUP_ORDER_CAP:
                 break
             # order of (s, t) in Z/a x Z/b is the lcm of the component orders
             orders = [
@@ -600,8 +604,8 @@ def _template_order_multisets(max_order: int = 12) -> dict[tuple[int, ...], Grou
                 for t in range(b)
             ]
             put(orders, f"Z/{a} x Z/{b}", a * b)
-            for c in range(b, max_order + 1):
-                if a * b * c > max_order:
+            for c in range(b, GROUP_ORDER_CAP + 1):
+                if a * b * c > GROUP_ORDER_CAP:
                     break
                 orders3 = [
                     math.lcm(math.lcm(a // math.gcd(a, s), b // math.gcd(b, t)), c // math.gcd(c, u))
@@ -610,7 +614,7 @@ def _template_order_multisets(max_order: int = 12) -> dict[tuple[int, ...], Grou
                     for u in range(c)
                 ]
                 put(orders3, f"Z/{a} x Z/{b} x Z/{c}", a * b * c)
-    for m in range(3, max_order // 2 + 1):
+    for m in range(3, GROUP_ORDER_CAP // 2 + 1):
         orders = [m // math.gcd(m, t) for t in range(m)] + [2] * m
         put(orders, f"D_{m}", 2 * m)
     return out
@@ -620,7 +624,7 @@ _GROUP_TEMPLATES = _template_order_multisets()
 
 
 def classify_by_orders(orders: Sequence[int]) -> GroupClass:
-    """Identify a group of order <= 12 from its element-order multiset.
+    """Identify a group of order <= ``GROUP_ORDER_CAP`` from its element-order multiset.
 
     Cyclic groups, products of cyclics and dihedral groups are pairwise
     separated by this invariant at these orders. Anything else comes
@@ -636,7 +640,7 @@ def classify_by_orders(orders: Sequence[int]) -> GroupClass:
 
 
 def classify_group(ring: FusionRing, elems: Sequence[str]) -> GroupClass:
-    """Isomorphism class of a set of invertible labels, order <= 12.
+    """Isomorphism class of a set of invertible labels, order <= ``GROUP_ORDER_CAP``.
 
     ``elems`` must be closed under fusion and duality; violations raise
     :class:`InputError` rather than reporting a wrong group.
@@ -658,8 +662,8 @@ def classify_group(ring: FusionRing, elems: Sequence[str]) -> GroupClass:
             if int(ks[0]) not in members:
                 raise InputError(f"{ring.labels[i]!r} * {ring.labels[j]!r} leaves the set")
             table[(i, j)] = int(ks[0])
-    if len(members) > 12:
-        raise InputError("group classification is implemented for order <= 12")
+    if len(members) > GROUP_ORDER_CAP:
+        raise InputError(f"group classification is implemented for order <= {GROUP_ORDER_CAP}")
 
     def element_order(g):
         acc = g

@@ -172,11 +172,11 @@ def kac_walton(
     The classical decomposition is folded into the alcove by the shifted
     affine reflections at height ``level + 3``; wall hits cancel and the
     survivors accumulate with signs into a nonnegative multiset. Levels
-    above ``LEVEL_CAP`` are refused, as by :func:`su3_ring`: the work
-    grows with the weight systems, which are enumerated in Python.
+    outside 0 .. ``LEVEL_CAP`` are refused: the work grows with the
+    weight systems, which are enumerated in Python.
     """
-    if level > LEVEL_CAP:
-        raise InputError(f"level must be between 1 and {LEVEL_CAP}")
+    if not 0 <= level <= LEVEL_CAP:
+        raise InputError(f"level must be between 0 and {LEVEL_CAP}")
     _check_admissible(lam, level)
     _check_admissible(mu, level)
     h = level + 3
@@ -292,10 +292,10 @@ def obstruction_m(k: int) -> SimpleCurrentObstruction:
 
     The symmetry has order 3, so the bound is conclusive exactly when
     the count is coprime to 3. :func:`kac_walton` caps the level at
-    ``LEVEL_CAP``, so k runs up to 8.
+    ``LEVEL_CAP``, so k runs from 1 to ``LEVEL_CAP // 3`` = 8.
     """
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    if not 1 <= k <= LEVEL_CAP // 3:
+        raise InputError(f"k must be between 1 and {LEVEL_CAP // 3}")
     level = 3 * k
     rho = (k, k)
     m = kac_walton(rho, rho, level).get(rho, 0)

@@ -6,6 +6,8 @@ diagonalize. The package should win on speed and agree on every value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -145,6 +147,117 @@ def pf_norm_dense(graph) -> float:
     A[:ne, ne:] = M
     A[ne:, :ne] = M.T
     return float(np.max(np.linalg.eigvalsh(A)))
+
+
+# ---------------------------------------------------------------------------
+# permutation walkers and the invertibility test, written plainly
+# ---------------------------------------------------------------------------
+
+def perm_orbits(perm) -> list[tuple[int, ...]]:
+    """Cycles of an index permutation, in order of least member index."""
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = perm[i]
+        while j != i:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def cycle_len(perm, i: int) -> int:
+    """Length of the cycle through i."""
+    n = 1
+    j = perm[i]
+    while j != i:
+        j = perm[j]
+        n += 1
+    return n
+
+
+def perm_order(perm) -> int:
+    """Order of an index permutation: the lcm of its distinct cycle lengths."""
+    order = 1
+    for orbit_len in {cycle_len(perm, i) for i in range(len(perm))}:
+        order = math.lcm(order, orbit_len)
+    return order
+
+
+def part_orbits(part, vperm) -> list[tuple[str, ...]]:
+    """Cycles of a vertex permutation through one part, in part order."""
+    seen: set[str] = set()
+    out = []
+    for v in part:
+        if v in seen:
+            continue
+        cyc = [v]
+        seen.add(v)
+        w = vperm[v]
+        while w != v:
+            seen.add(w)
+            cyc.append(w)
+            w = vperm[w]
+        out.append(tuple(cyc))
+    return out
+
+
+def vertex_perm_order(graph, vperm) -> int:
+    """Order of a vertex permutation, walked over the even then odd part."""
+    order = 1
+    seen: set[str] = set()
+    for v in list(graph.even) + list(graph.odd):
+        if v in seen:
+            continue
+        size = 1
+        w = vperm[v]
+        seen.add(v)
+        while w != v:
+            seen.add(w)
+            w = vperm[w]
+            size += 1
+        order = order * size // int(np.gcd(order, size))
+    return order
+
+
+def fusion_matrix(ring, i: int) -> np.ndarray:
+    """Dense matrix of left fusion by label i: ``M[j, k] = N[i,j,k]``."""
+    L = ring.size
+    M = np.zeros((L, L), dtype=np.int64)
+    for j in range(L):
+        ks, vs = ring.row(i, j)
+        M[j, ks] = vs
+    return M
+
+
+def left_permutation_dense(ring, i: int):
+    """The permutation of a permutation fusion matrix, else None."""
+    M = fusion_matrix(ring, i)
+    if not (np.all(M.sum(axis=0) == 1) and np.all(M.sum(axis=1) == 1)):
+        return None
+    return tuple(int(np.argmax(M[j])) for j in range(ring.size))
+
+
+def invertibles_loop(ring) -> list[str]:
+    """Labels whose every row is one output with constant 1, outputs distinct."""
+    out = []
+    L = ring.size
+    for i in range(L):
+        cols = []
+        for j in range(L):
+            ks, vs = ring.row(i, j)
+            if len(ks) != 1 or vs[0] != 1:
+                break
+            cols.append(int(ks[0]))
+        else:
+            if len(set(cols)) == L:
+                out.append(ring.labels[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

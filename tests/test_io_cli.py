@@ -398,6 +398,57 @@ def test_cli_orbifold_with_supplied_obstruction(e6_ring_file, tmp_path, capsys):
     assert "global dimension" not in out
 
 
+_CONTRADICTED = "error: obstruction -1 contradicts the gcd test: gcd(1, 2) = 1 certifies the trivial value\n"
+
+
+def test_cli_orbifold_refuses_an_obstruction_the_gcd_test_contradicts(tmp_path, capsys):
+    ring = _write(tmp_path, "a5.ring", dump_ring(build("A5").ring))
+    argv = ["orbifold", ring, "--alpha", "rho4", "--assume-loi-trivial"]
+    assert main(argv + ["--obstruction", "1/2"]) == 1
+    assert capsys.readouterr() == ("", _CONTRADICTED)
+    assert main(argv + ["--obstruction", "0/2"]) == 0
+    assert "obstruction: 1 (supplied)" in capsys.readouterr().out
+
+
+def test_cli_request_with_a_contradicted_obstruction_is_refused(tmp_path, capsys):
+    _write(tmp_path, "a5.ring", dump_ring(build("A5").ring))
+    req = _write(
+        tmp_path,
+        "a5.request",
+        dump_json(
+            {
+                "format": "orbifusion/1",
+                "ring": "a5.ring",
+                "alpha": "rho4",
+                "rho": "rho2",
+                "loi_trivial": True,
+                "obstruction": {"j": 1, "n": 2},
+            }
+        ),
+    )
+    assert main(["orbifold", req, "--json"]) == 1
+    assert capsys.readouterr() == ("", _CONTRADICTED)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "run", "E6affine"],
+        ["obstruction", "RING", "--alpha", "alpha"],
+        ["orbifold", "RING", "--alpha", "alpha", "--assume-loi-trivial", "--json"],
+    ],
+)
+def test_cli_checks_the_assumptions_once(e6affine_files, monkeypatch, capsys, argv):
+    from orbifusion import orbifold
+
+    calls = []
+    check = orbifold.check_assumptions
+    monkeypatch.setattr(orbifold, "check_assumptions", lambda inp: calls.append(1) or check(inp))
+    _, ring, _ = e6affine_files
+    assert main([ring if a == "RING" else a for a in argv]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_orbifold_dot_needs_a_fold(e6_ring_file, tmp_path, capsys):
     graph = _write(tmp_path, "e6.graph", dump_graph(build("E6").graph))
     code = main(
@@ -582,6 +633,12 @@ def test_cli_su3(capsys):
     }
 
 
+_BOUND_MESSAGES = {
+    "fuse": "level must be between 0 and 24",
+    "m": "k must be between 1 and 8",
+}
+
+
 @pytest.mark.parametrize(
     "argv", [["su3", "fuse", "--level", "25", "0,0", "0,0"], ["su3", "m", "--k", "9"]]
 )
@@ -589,7 +646,7 @@ def test_cli_su3_work_is_bounded(capsys, argv):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: level must be between 1 and 24\n"
+    assert err == f"error: {_BOUND_MESSAGES[argv[1]]}\n"
 
 
 _IMPORT_PROBE = """

@@ -272,6 +272,42 @@ def test_obstruction_order_must_match_the_action():
         orbifold_sectors(inp, ObstructionValue(0, 2))
 
 
+@pytest.mark.parametrize("name, j, n", [("A5", 1, 2), ("E6affine", 1, 3), ("E6affine", 2, 3)])
+def test_an_obstruction_the_gcd_test_contradicts_is_refused(name, j, n):
+    entry = build(name)
+    action = cyclic_action(entry.ring, entry.alpha)
+    inp = OrbifoldInput.make(action, entry.rho, True)
+    with pytest.raises(InputError, match="contradicts the gcd test: gcd"):
+        orbifold_sectors(inp, ObstructionValue(j, n))
+    assert orbifold_sectors(inp, ObstructionValue(0, n)).p == n
+
+
+def test_an_inconclusive_verdict_takes_any_supplied_obstruction():
+    for j in (0, 1):
+        _, _, sectors = _sectors("E6", ObstructionValue(j, 2))
+        assert sectors.p == 2 - j
+
+
+def test_the_assumptions_are_checked_once_per_input(monkeypatch):
+    from orbifusion import orbifold
+
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return check_assumptions(inp)
+
+    monkeypatch.setattr(orbifold, "check_assumptions", counted)
+    entry = build("E6affine")
+    action = cyclic_action(entry.ring, entry.alpha)
+    inp = OrbifoldInput.make(action, entry.rho, True)
+    bound = obstruction_bound(inp)
+    sectors = orbifold_sectors(inp, ObstructionValue(0, bound.n))
+    assert inp.assumptions is inp.assumptions
+    assert inp.assumptions == check_assumptions(inp)
+    assert sectors.p == 3 and calls == [inp]
+
+
 def test_order_one_is_a_passthrough():
     ring = klein_ring()
     action = cyclic_action(ring, "e")

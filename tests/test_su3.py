@@ -226,12 +226,9 @@ def test_self_coupling_count_grows_linearly():
 
 
 def test_self_coupling_rejects_bad_k():
-    with pytest.raises(InputError):
-        obstruction_m(0)
-    with pytest.raises(InputError):
-        obstruction_m(-3)
-    with pytest.raises(InputError, match="between 1 and 24"):
-        obstruction_m(LEVEL_CAP // 3 + 1)
+    for k in (0, -3, LEVEL_CAP // 3 + 1):
+        with pytest.raises(InputError, match="^k must be between 1 and 8$"):
+            obstruction_m(k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +241,10 @@ def test_level_bounds():
     with pytest.raises(InputError):
         su3_ring(LEVEL_CAP + 1)
     assert kac_walton((0, 0), (0, 0), LEVEL_CAP) == {(0, 0): 1}
-    with pytest.raises(InputError, match="between 1 and 24"):
-        kac_walton((0, 0), (0, 0), LEVEL_CAP + 1)
+    assert kac_walton((0, 0), (0, 0), 0) == {(0, 0): 1}
+    for level in (-1, LEVEL_CAP + 1):
+        with pytest.raises(InputError, match="^level must be between 0 and 24$"):
+            kac_walton((0, 0), (0, 0), level)
 
 
 @pytest.mark.parametrize("level", [18, 24])
