@@ -81,6 +81,8 @@ def load_json(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except ValueError as exc:

@@ -37,7 +37,7 @@ from .errors import (
     InputError,
     UnsupportedStructureError,
 )
-from .rings import DimensionTable, FusionRing, fp_dimensions, left_permutation
+from .rings import DimensionTable, FusionRing, _invariant_under, fp_dimensions, left_permutation
 
 __all__ = [
     "Verdict",
@@ -145,14 +145,9 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
         # against a corrupted ring slipping past validation
         raise AssumptionError("A1", f"fusion by {alpha!r} is not a cyclic action")
 
-    ii, jj, kk, vv = ring.entry_arrays()
-    L = ring.size
+    # N[p(i),j,p(k)] = N[i,j,k]
     p = np.asarray(perm, dtype=np.int64)
-    # rows are stored sorted, so only the permuted keys need sorting
-    key = (ii * L + jj) * L + kk
-    pkey = (p[ii] * L + jj) * L + p[kk]
-    o2 = np.argsort(pkey)
-    if not (np.array_equal(key, pkey[o2]) and np.array_equal(vv, vv[o2])):
+    if not _invariant_under(ring, (0, 1, 2), (p, None, p)):
         raise AssumptionError(
             "A1", f"fusion by {alpha!r} fails first-slot equivariance"
         )

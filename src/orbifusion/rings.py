@@ -42,6 +42,11 @@ __all__ = [
 
 _INT64_LIMIT = 2**63
 
+# the most labels a ring may have: the pair-major ptr holds L**2 + 1 int64
+# entries (134 MB at the cap), and the symmetry check groups outputs by
+# 16-bit keys
+LABEL_CAP = 4096
+
 # power iteration of fp_dimensions: the tolerance of its three checks on
 # the table, and the iteration budget
 FP_TOLERANCE = 1e-9
@@ -61,6 +66,11 @@ def _check_constant_bound(L: int, largest: int) -> None:
         )
 
 
+def _check_label_count(L: int) -> None:
+    if L > LABEL_CAP:
+        raise SchemaError(f"a fusion ring may have at most {LABEL_CAP} labels, got {L}")
+
+
 def _checked_entry(t, L: int) -> tuple[int, int, int, int]:
     """One ``(i, j, k, n)`` entry as ints, or the error it raises."""
     i, j, k, n = t
@@ -78,8 +88,9 @@ class FusionRing:
     Parameters
     ----------
     labels : sequence of str
-        Ordered, duplicate-free sector names. Indices into this list are
-        the working representation everywhere.
+        Ordered, duplicate-free sector names, at most ``LABEL_CAP`` of
+        them. Indices into this list are the working representation
+        everywhere.
     unit : int
         Index of the unit label.
     dual : sequence of int
@@ -108,6 +119,7 @@ class FusionRing:
         nconst: Mapping[tuple[int, int, int], int] | Iterable[tuple[int, int, int, int]],
     ):
         labels = tuple(str(x) for x in labels)
+        _check_label_count(len(labels))
         if not labels:
             raise SchemaError("a fusion ring needs at least one label")
         if len(set(labels)) != len(labels):
@@ -199,9 +211,10 @@ class FusionRing:
         and obeys the bound of the main constructor. Validation and the
         symmetry checks rely on the sorted rows.
         """
-        self = cls.__new__(cls)
         labels = tuple(labels)
         L = len(labels)
+        _check_label_count(L)
+        self = cls.__new__(cls)
         if len(set(labels)) != L:
             raise SchemaError("duplicate labels")
         if len(ptr) != L * L + 1:
@@ -385,10 +398,72 @@ class ValidationReport:
 _WITNESS_CAP = 20
 
 
-def _mirrored_keys(ii, jj, kk, dual, L):
-    """Keys of the two Frobenius partners of every entry, one at a time."""
-    yield (dual[ii] * L + kk) * L + jj
-    yield (kk * L + dual[jj]) * L + ii
+# cells of the dense buffer _invariant_under fills per block of first labels
+_SYM_BLOCK_CELLS = 1 << 18
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ``arange(a, b)`` of every span, and the span of each element."""
+    n = stops - starts
+    span = np.repeat(np.arange(len(n)), n)
+    return np.arange(int(n.sum())) + np.repeat(starts - (np.cumsum(n) - n), n), span
+
+
+def _invariant_under(
+    ring: FusionRing, slots: tuple[int, int, int], maps: tuple[np.ndarray | None, ...]
+) -> bool:
+    """Whether moving every stored constant by an index bijection gives back the table.
+
+    The bijection sends ``x = (i, j, k)`` to ``(f0(x[s0]), f1(x[s1]),
+    f2(x[s2]))`` for ``(s0, s1, s2) = slots``, where each ``f`` in
+    ``maps`` is a label permutation as an int64 array, or None for the
+    identity. ``s0`` is 0 (the image's first label comes from the
+    source's first label, so the sources are whole first-label slices)
+    or 2 (from its output; the entries are grouped by output once).
+
+    Works one block of image first labels at a time: the block's
+    sources are scattered into a dense buffer of about
+    ``_SYM_BLOCK_CELLS`` cells, the buffer is read back at the block's
+    stored positions, and the cells written are cleared again. When
+    every stored constant reads back its own value the tables are
+    equal: the images are as many as the stored constants, distinct,
+    and every stored constant is positive. A block whose number of
+    images differs from its number of stored constants fails at once.
+    """
+    L = ring.size
+    ptr, idx, val = ring.csr()
+    if slots[0] == 2:
+        # a stable sort of 16-bit keys is a radix sort; LABEL_CAP < 2**16
+        order = np.argsort(idx.astype(np.uint16), kind="stable")
+        group = np.zeros(L + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=L), out=group[1:])
+        group_pair = np.repeat(np.arange(L * L, dtype=np.int32), np.diff(ptr))[order]
+    source = np.arange(L) if maps[0] is None else np.argsort(maps[0])
+    step = max(1, _SYM_BLOCK_CELLS // (L * L))
+    buf = np.zeros(min(step, L) * L * L, dtype=np.int64)
+    for t0 in range(0, L, step):
+        t1 = min(t0 + step, L)
+        src = source[t0:t1]
+        if slots[0] == 0:
+            rows = (src[:, None] * L + np.arange(L)).ravel()
+            pos, span = _spans(ptr[rows], ptr[rows + 1])
+            pair = rows[span]
+        else:
+            at, _ = _spans(group[src], group[src + 1])
+            pos, pair = order[at], group_pair[at]
+        lo, hi = ptr[t0 * L], ptr[t1 * L]
+        if len(pos) != hi - lo:
+            return False
+        x = (pair // L, pair % L, idx[pos])
+        t = [x[s] if f is None else f[x[s]] for s, f in zip(slots, maps)]
+        cells = ((t[0] - t0) * L + t[1]) * L + t[2]
+        buf[cells] = val[pos]
+        here = np.repeat(np.arange((t1 - t0) * L), np.diff(ptr[t0 * L : t1 * L + 1]))
+        same = np.array_equal(buf[here * L + idx[lo:hi]], val[lo:hi])
+        buf[cells] = 0
+        if not same:
+            return False
+    return True
 
 
 def validate_ring(ring: FusionRing) -> ValidationReport:
@@ -422,32 +497,28 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     if wit:
         failures.append(AxiomFailure("duality-involution", tuple(wit[:_WITNESS_CAP])))
 
-    ii, jj, kk, vv = ring.entry_arrays()
-    sel = kk == e
-    seen = {(int(a), int(b)): int(v) for a, b, v in zip(ii[sel], jj[sel], vv[sel])}
-    wit = []
-    for i in range(L):
-        want = {(i, ring.dual[i]): 1}
-        got = {key: v for key, v in seen.items() if key[0] == i}
-        if got != want:
-            for key in set(got) | set(want):
-                wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
-    if wit:
+    ptr, idx, val = ring.csr()
+    dual = np.asarray(ring.dual, dtype=np.int64)
+    at = np.flatnonzero(idx == e)
+    pairs = np.searchsorted(ptr, at, side="right") - 1
+    if not (np.array_equal(pairs, np.arange(L) * L + dual) and np.all(val[at] == 1)):
+        seen = {(int(p) // L, int(p) % L): int(v) for p, v in zip(pairs, val[at])}
+        wit = []
+        for i in range(L):
+            want = {(i, ring.dual[i]): 1}
+            got = {key: v for key, v in seen.items() if key[0] == i}
+            if got != want:
+                for key in set(got) | set(want):
+                    wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
         failures.append(AxiomFailure("dual-unit", tuple(sorted(wit)[:_WITNESS_CAP])))
 
-    # rows are stored sorted, so the entry keys are already ascending
-    dual = np.asarray(ring.dual, dtype=np.int64)
-    key = (ii * L + jj) * L + kk
-    frob_ok = True
-    for k2 in _mirrored_keys(ii, jj, kk, dual, L):
-        o2 = np.argsort(k2, kind="stable")
-        if not (np.array_equal(key, k2[o2]) and np.array_equal(vv, vv[o2])):
-            frob_ok = False
-        del k2, o2
-    if not frob_ok:
+    # N[i,j,k] = N[i*,k,j] and N[i,j,k] = N[k,j*,i]
+    if not (
+        _invariant_under(ring, (0, 2, 1), (dual, None, None))
+        and _invariant_under(ring, (2, 1, 0), (None, dual, None))
+    ):
         wit = []
-        for i, j, k, v in zip(ii, jj, kk, vv):
-            i, j, k, v = int(i), int(j), int(k), int(v)
+        for i, j, k, v in ring.iter_entries():
             a = ring.n(ring.dual[i], k, j)
             b = ring.n(k, ring.dual[j], i)
             if a != v or b != v:
@@ -455,10 +526,7 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
                 if len(wit) >= _WITNESS_CAP:
                     break
         failures.append(AxiomFailure("frobenius-reciprocity", tuple(wit)))
-    # free the entry arrays so their peak does not stack on the scan's
-    del ii, jj, kk, vv, key, sel
 
-    ptr, idx, val = ring.csr()
     ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP)
     if not ok:
         failures.append(AxiomFailure("associativity", tuple(map(tuple, aw.tolist()))))
@@ -505,9 +573,15 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
     ``FP_TOLERANCE``, before it is returned.
     """
     L = ring.size
-    ii, jj, kk, vv = ring.entry_arrays()
-    M = np.zeros((L, L), dtype=np.float64)
-    np.add.at(M, (jj, kk), vv)
+    ptr, idx, val = ring.csr()
+    # bincount adds its weights in input order, so M and rhs are bitwise
+    # the entry-by-entry sums
+    jk = np.repeat(np.arange(L * L, dtype=np.int64), np.diff(ptr))
+    jk %= L
+    jk *= L
+    jk += idx
+    M = np.bincount(jk, weights=val, minlength=L * L).reshape(L, L)
+    del jk
     v = np.ones(L, dtype=np.float64) / math.sqrt(L)
     for _ in range(FP_MAX_ITER):
         w = M @ v
@@ -526,8 +600,9 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
 
     if abs(d[ring.unit] - 1.0) > FP_TOLERANCE or np.min(d) < 1 - FP_TOLERANCE:
         raise NumericError("dimension vector failed positivity checks")
-    rhs = np.zeros(L * L, dtype=np.float64)
-    np.add.at(rhs, ii * L + jj, vv * d[kk])
+    dk = d[idx]
+    dk *= val
+    rhs = np.bincount(np.repeat(np.arange(L * L), np.diff(ptr)), weights=dk, minlength=L * L)
     lhs = np.outer(d, d).ravel()
     if np.max(np.abs(lhs - rhs)) > FP_TOLERANCE * max(1.0, float(np.max(lhs))):
         raise NumericError("dimensions do not satisfy the product equations")

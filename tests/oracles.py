@@ -125,6 +125,97 @@ def dense_associator(ring):
     return bad, lhs, rhs
 
 
+def frobenius_left_dense(N, dual) -> bool:
+    """``N[i,j,k] = N[i*,k,j]`` on the dense cube."""
+    return bool(np.array_equal(N, N[list(dual)].transpose(0, 2, 1)))
+
+
+def frobenius_right_dense(N, dual) -> bool:
+    """``N[i,j,k] = N[k,j*,i]`` on the dense cube."""
+    return bool(np.array_equal(N, N.transpose(2, 1, 0)[:, list(dual), :]))
+
+
+def equivariant_dense(N, perm) -> bool:
+    """``N[p(i),j,p(k)] = N[i,j,k]`` on the dense cube."""
+    p = list(perm)
+    return bool(np.array_equal(N[p][:, :, p], N))
+
+
+def dual_unit_and_frobenius_sorted(ring):
+    """The dual-unit and Frobenius failures as the entry-array, argsort check found them."""
+    L = ring.size
+    e = ring.unit
+    failures = []
+    ii, jj, kk, vv = ring.entry_arrays()
+    sel = kk == e
+    seen = {(int(a), int(b)): int(v) for a, b, v in zip(ii[sel], jj[sel], vv[sel])}
+    wit = []
+    for i in range(L):
+        want = {(i, ring.dual[i]): 1}
+        got = {key: v for key, v in seen.items() if key[0] == i}
+        if got != want:
+            for key in set(got) | set(want):
+                wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
+    if wit:
+        failures.append(("dual-unit", tuple(sorted(wit)[:20])))
+    dual = np.asarray(ring.dual, dtype=np.int64)
+    key = (ii * L + jj) * L + kk
+    frob_ok = True
+    for k2 in ((dual[ii] * L + kk) * L + jj, (kk * L + dual[jj]) * L + ii):
+        o2 = np.argsort(k2, kind="stable")
+        if not (np.array_equal(key, k2[o2]) and np.array_equal(vv, vv[o2])):
+            frob_ok = False
+    if not frob_ok:
+        wit = []
+        for i, j, k, v in zip(ii, jj, kk, vv):
+            i, j, k, v = int(i), int(j), int(k), int(v)
+            a = ring.n(ring.dual[i], k, j)
+            b = ring.n(k, ring.dual[j], i)
+            if a != v or b != v:
+                wit.append((i, j, k, v, a, b))
+                if len(wit) >= 20:
+                    break
+        failures.append(("frobenius-reciprocity", tuple(wit)))
+    return failures
+
+
+def fp_dimensions_add_at(ring):
+    """``fp_dimensions`` with M and the product sums scattered by ``np.add.at``."""
+    from orbifusion.errors import NumericError
+    from orbifusion.rings import FP_MAX_ITER, FP_TOLERANCE, DimensionTable
+
+    L = ring.size
+    ii, jj, kk, vv = ring.entry_arrays()
+    M = np.zeros((L, L), dtype=np.float64)
+    np.add.at(M, (jj, kk), vv)
+    v = np.ones(L, dtype=np.float64) / math.sqrt(L)
+    for _ in range(FP_MAX_ITER):
+        w = M @ v
+        lam = float(v @ w)
+        if np.max(np.abs(w - lam * v)) <= 1e-12 * max(1.0, lam):
+            break
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            raise NumericError("power iteration collapsed to zero")
+        v = w / nw
+    else:
+        raise NumericError("power iteration did not converge; is the ring validated?")
+    if v[ring.unit] <= 0:
+        v = -v
+    d = v / v[ring.unit]
+    if abs(d[ring.unit] - 1.0) > FP_TOLERANCE or np.min(d) < 1 - FP_TOLERANCE:
+        raise NumericError("dimension vector failed positivity checks")
+    rhs = np.zeros(L * L, dtype=np.float64)
+    np.add.at(rhs, ii * L + jj, vv * d[kk])
+    lhs = np.outer(d, d).ravel()
+    if np.max(np.abs(lhs - rhs)) > FP_TOLERANCE * max(1.0, float(np.max(lhs))):
+        raise NumericError("dimensions do not satisfy the product equations")
+    for i in range(L):
+        if abs(d[i] - d[ring.dual[i]]) > FP_TOLERANCE:
+            raise NumericError("dimensions are not duality invariant")
+    return DimensionTable(tuple(float(x) for x in d))
+
+
 def pf_norm_loop(graph, max_iter: int = 500_000) -> float:
     """The graph norm by the Gram-side power iteration, written plainly."""
     B = graph.matrix().astype(np.float64)

@@ -167,6 +167,10 @@ def test_load_json_failures(tmp_path):
     listfile = _write(tmp_path, "list.json", "[1, 2]\n")
     with pytest.raises(SchemaError):
         load_json(listfile)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"labels": ["\xe9"]}')
+    with pytest.raises(SchemaError, match="is not UTF-8 text"):
+        load_json(str(latin))
 
 
 def test_perm_files(tmp_path):
@@ -300,6 +304,22 @@ def test_cli_oversized_constant_is_a_schema_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("schema error:") and err.count("\n") == 1
+
+
+def test_cli_refuses_a_ring_past_the_label_cap(tmp_path, capsys):
+    labels = [f"x{t}" for t in range(4097)]
+    doc = {
+        "format": "orbifusion/1",
+        "labels": labels,
+        "unit": "x0",
+        "dual": {lab: lab for lab in labels},
+        "N": [["x0", "x0", "x0", 1]],
+    }
+    path = _write(tmp_path, "wide.ring", json.dumps(doc))
+    assert main(["validate", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "schema error: a fusion ring may have at most 4096 labels, got 4097\n"
 
 
 def test_cli_dims(e6affine_files, capsys):

@@ -161,7 +161,8 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
 
 def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
     # the dense-cube builder allocated 6.4 times the ring's own array
-    # bytes at this level, and validation 19 times
+    # bytes at this level, and validation 19 times; without the entry
+    # arrays the associativity scan sets validation's peak, about 5.2 times
     tracemalloc.start()
     try:
         ring = su3_ring.__wrapped__(18)
@@ -174,7 +175,7 @@ def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
     finally:
         tracemalloc.stop()
     assert build_extra < 2 * own
-    assert check_extra < 10 * own
+    assert check_extra < 6 * own
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from orbifusion import (
     validate_ring,
 )
 from orbifusion.catalog import su2_even_ring
-from orbifusion.rings import classify_by_orders
+from orbifusion import rings
+from orbifusion.rings import LABEL_CAP, classify_by_orders
 
 from .oracles import broken_z3_ring, cyclic_ring, dense_associator, klein_ring
 
@@ -80,6 +82,39 @@ def test_constants_must_keep_products_inside_int64():
             FusionRing(["e"], 0, [0], [(0, 0, 0, n)])
     with pytest.raises(SchemaError):
         tiny_ring(triples=[("e", "e", "e", 1), ("x", "x", "e", 2**31)])
+
+
+@pytest.mark.parametrize("size", [LABEL_CAP + 1, 50_000])
+def test_label_cap_is_checked_before_any_square_allocation(size):
+    # the pair-major ptr alone would hold size**2 + 1 int64 entries: 134 MB
+    # at the cap, 20 GB at 50,000 labels
+    labels = [f"x{t}" for t in range(size)]
+    dual = list(range(size))
+    empty = np.zeros(0, dtype=np.int64)
+    builds = (
+        lambda: FusionRing(labels, 0, dual, []),
+        lambda: FusionRing.from_csr(labels, 0, dual, np.zeros(1, dtype=np.int64), empty, empty),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as err:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"a fusion ring may have at most 4096 labels, got {size}"
+        assert peak < 2**20
+
+
+def test_label_cap_edge(monkeypatch):
+    monkeypatch.setattr(rings, "LABEL_CAP", 2)
+    assert tiny_ring().size == 2
+    with pytest.raises(SchemaError, match="at most 2 labels, got 3"):
+        tiny_ring(labels=["e", "x", "y"], dual={"e": "e", "x": "x", "y": "y"})
+    ptr, idx, val = tiny_ring().csr()
+    with pytest.raises(SchemaError, match="at most 2 labels, got 3"):
+        FusionRing.from_csr(["e", "x", "y"], 0, [0, 1, 2], ptr, idx, val)
 
 
 def _raises_schema(nconst, message):
