@@ -38,11 +38,21 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
+from typing import NoReturn
+
+import numpy as np
 
 from .errors import SchemaError
 from .graphs import BipartiteGraph
 from .orbifold import ObstructionValue
-from .rings import FusionRing
+from .rings import (
+    FusionRing,
+    _check_constant_bound,
+    _checked_header,
+    _dual_indices,
+    _label_index,
+)
 
 __all__ = [
     "SCHEMA",
@@ -85,7 +95,7 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # deep nesting recurses
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path} must hold a JSON object at top level")
@@ -115,8 +125,9 @@ def _string(x, what: str) -> str:
 
 
 def _count(x, what: str) -> int:
-    # bool is an int subclass, and JSON true/false must not pass here
-    if not isinstance(x, int) or isinstance(x, bool):
+    # JSON gives int, float or bool, and bool is an int subclass that
+    # must not pass here
+    if type(x) is not int:
         raise SchemaError(f"{what} must be an integer, got {x!r}")
     return x
 
@@ -132,6 +143,13 @@ def _string_list(x, what: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def parse_ring(doc: dict) -> FusionRing:
+    """Check a ring document and build its ring.
+
+    ``N`` is read as columns: one pass checks the row shapes and the
+    count types, and the label columns map through the label index in
+    bulk. When any column check fails, :func:`_raise_row_fault` names
+    the fault that a reading row by row meets first.
+    """
     _expect_format(doc)
     _expect_keys(doc, {"format", "labels", "unit", "dual", "N"})
     labels = _string_list(doc["labels"], "labels")
@@ -145,43 +163,103 @@ def parse_ring(doc: dict) -> FusionRing:
     rows = doc["N"]
     if not isinstance(rows, list):
         raise SchemaError("N must be an array of [label, label, label, count]")
-    triples = []
+    order = {lab: t for t, lab in enumerate(labels)}
+    columns = _n_columns(rows, order)
+    if columns is None:
+        _raise_row_fault(labels, unit, dual, rows, order)
+    dual_ix = _dual_indices(labels, dual, order)
+    return FusionRing.from_entries(labels, _label_index(order, unit), dual_ix, *columns)
+
+
+def _n_columns(rows: list, order: dict[str, int]):
+    """``N`` as int64 columns ``(i, j, k, n)``, or None if a row is at fault.
+
+    A successful lookup in ``order`` proves that a label is one of the
+    label strings.
+    """
+    if not all(isinstance(row, list) and len(row) == 4 for row in rows):
+        return None
+    flat = list(chain.from_iterable(rows))
+    counts = flat[3::4]
+    if not set(map(type, counts)) <= {int}:
+        return None
+    try:
+        n = np.array(counts, dtype=np.int64)
+        ijk = [
+            np.fromiter(map(order.__getitem__, flat[c::4]), dtype=np.int64, count=len(rows))
+            for c in range(3)
+        ]
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if len(n) and n.min() < 1:
+        return None
+    return (*ijk, n)
+
+
+def _raise_row_fault(
+    labels: list[str], unit: str, dual: dict[str, str], rows: list, order: dict[str, int]
+) -> NoReturn:
+    """Raise the first error of a reading of ``N`` row by row.
+
+    The order is: each row's shape, labels, count type and count sign,
+    row after row; the header's labels and dual; each row's labels
+    against the label list; the unit; then, for a count past int64, the
+    checks of :class:`FusionRing` on the header, repeated triples and
+    the constant bound.
+    """
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError(f"N entry must be [label, label, label, count]: {row!r}")
-        a, b, c = (_string(x, "N label") for x in row[:3])
+        for x in row[:3]:
+            _string(x, "N label")
         n = _count(row[3], "N count")
         if n < 1:
             raise SchemaError(f"N count must be >= 1, got {n} at {row[:3]}")
-        triples.append((a, b, c, n))
-    return FusionRing.from_labels(labels, unit=unit, dual=dual, triples=triples)
+    dual_ix = _dual_indices(labels, dual, order)
+    for row in rows:
+        for x in row[:3]:
+            _label_index(order, x)
+    _checked_header(labels, _label_index(order, unit), dual_ix)
+    if len({tuple(row[:3]) for row in rows}) < len(rows):
+        raise SchemaError("duplicate (i, j, k) entry")
+    _check_constant_bound(len(labels), max(row[3] for row in rows))
+    raise AssertionError("the N columns were refused, yet every row check passed")
 
 
 def load_ring(path: str) -> FusionRing:
     return parse_ring(load_json(path))
 
 
-def _row_block(name: str, rows: list[list], last: bool) -> list[str]:
-    """A key whose value is an array of short rows, one row per line."""
-    out = [f'  "{name}": [']
-    for t, row in enumerate(rows):
-        comma = "," if t + 1 < len(rows) else ""
-        out.append("    " + json.dumps(row) + comma)
-    out.append("  ]" + ("" if last else ","))
-    return out
+def _row_block(name: str, rows: list[str]) -> list[str]:
+    """The last key of a document: an array with one row per line.
+
+    Each item of ``rows`` is one encoded row or several joined by ",\\n".
+    """
+    body = [",\n".join(rows)] if rows else []
+    return [f'  "{name}": [', *body, "  ]"]
 
 
 def dump_ring(ring: FusionRing) -> str:
+    """Ring file text, rows written straight from the pair-major arrays."""
+    L = ring.size
     lab = ring.labels
+    enc = [json.dumps(x) for x in lab]
     lines = ["{", f'  "format": {json.dumps(SCHEMA)},']
-    lines.append(f'  "labels": {json.dumps(list(lab))},')
-    lines.append(f'  "unit": {json.dumps(lab[ring.unit])},')
-    dual = {lab[i]: lab[ring.dual[i]] for i in range(ring.size)}
+    lines.append(f'  "labels": [{", ".join(enc)}],')
+    lines.append(f'  "unit": {enc[ring.unit]},')
+    dual = {lab[i]: lab[ring.dual[i]] for i in range(L)}
     lines.append(f'  "dual": {json.dumps(dual)},')
-    rows = [[lab[i], lab[j], lab[k], int(v)] for i, j, k, v in ring.iter_entries()]
-    lines.extend(_row_block("N", rows, last=True))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ptr, idx, val = ring.csr()
+    pairs = np.flatnonzero(np.diff(ptr))
+    ks, vs = idx.tolist(), val.tolist()
+    blocks = []
+    # the rows of one product i * j share their first two labels
+    for p, lo, hi in zip(pairs.tolist(), ptr[pairs].tolist(), ptr[pairs + 1].tolist()):
+        head = f"    [{enc[p // L]}, {enc[p % L]}, "
+        blocks.append(",\n".join([f"{head}{enc[k]}, {v}]" for k, v in zip(ks[lo:hi], vs[lo:hi])]))
+    lines.extend(_row_block("N", blocks))
+    # the empty last line ends the text with a newline
+    return "\n".join([*lines, "}", ""])
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +295,9 @@ def dump_graph(graph: BipartiteGraph) -> str:
     lines = ["{", f'  "format": {json.dumps(SCHEMA)},']
     lines.append(f'  "even": {json.dumps(list(graph.even))},')
     lines.append(f'  "odd": {json.dumps(list(graph.odd))},')
-    rows = [[e, o, int(m)] for e, o, m in graph.edges()]
-    lines.extend(_row_block("edges", rows, last=True))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rows = ["    " + json.dumps([e, o, int(m)]) for e, o, m in graph.edges()]
+    lines.extend(_row_block("edges", rows))
+    return "\n".join([*lines, "}", ""])
 
 
 def _dot_quote(lab: str) -> str:

@@ -12,6 +12,7 @@ the same validation path as a three-label toy ring.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -71,6 +72,56 @@ def _check_label_count(L: int) -> None:
         raise SchemaError(f"a fusion ring may have at most {LABEL_CAP} labels, got {L}")
 
 
+def _label_index(order: Mapping[str, int], lab: str) -> int:
+    try:
+        return order[lab]
+    except KeyError:
+        raise SchemaError(f"unknown label {lab!r}") from None
+
+
+def _dual_indices(
+    labels: Sequence[str], dual: Mapping[str, str], order: Mapping[str, int]
+) -> list[int]:
+    """The dual as label indices, after the label list's own checks."""
+    if len(order) != len(labels):
+        raise SchemaError("duplicate labels")
+    if set(dual) != set(labels):
+        raise SchemaError("dual map must cover every label exactly once")
+    return [_label_index(order, dual[lab]) for lab in labels]
+
+
+def _checked_header(labels, unit: int, dual) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels and the dual as tuples, or the first error they raise."""
+    labels = tuple(str(x) for x in labels)
+    _check_label_count(len(labels))
+    if not labels:
+        raise SchemaError("a fusion ring needs at least one label")
+    if len(set(labels)) != len(labels):
+        raise SchemaError("duplicate labels")
+    L = len(labels)
+    if not (0 <= unit < L):
+        raise SchemaError(f"unit index {unit} out of range")
+    dual = tuple(int(d) for d in dual)
+    if len(dual) != L or sorted(dual) != list(range(L)):
+        raise SchemaError("dual must be a bijection on label indices")
+    return labels, dual
+
+
+def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
+    """Entries keyed by pair ``p = i * L + j`` as sorted ``(ptr, idx, val)``.
+
+    A repeated ``(p, k)`` or a constant past the int64 bound raises.
+    """
+    order = np.lexsort((k, p))
+    p, k, n = p[order], k[order], n[order]
+    if np.any((p[1:] == p[:-1]) & (k[1:] == k[:-1])):
+        raise SchemaError("duplicate (i, j, k) entry")
+    _check_constant_bound(L, int(n.max()) if len(n) else 0)
+    ptr = np.zeros(L * L + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=L * L), out=ptr[1:])
+    return ptr, k.astype(np.int32), n.astype(np.int64)
+
+
 def _checked_entry(t, L: int) -> tuple[int, int, int, int]:
     """One ``(i, j, k, n)`` entry as ints, or the error it raises."""
     i, j, k, n = t
@@ -118,18 +169,8 @@ class FusionRing:
         dual: Sequence[int],
         nconst: Mapping[tuple[int, int, int], int] | Iterable[tuple[int, int, int, int]],
     ):
-        labels = tuple(str(x) for x in labels)
-        _check_label_count(len(labels))
-        if not labels:
-            raise SchemaError("a fusion ring needs at least one label")
-        if len(set(labels)) != len(labels):
-            raise SchemaError("duplicate labels")
+        labels, dual = _checked_header(labels, unit, dual)
         L = len(labels)
-        if not (0 <= unit < L):
-            raise SchemaError(f"unit index {unit} out of range")
-        dual = tuple(int(d) for d in dual)
-        if len(dual) != L or sorted(dual) != list(range(L)):
-            raise SchemaError("dual must be a bijection on label indices")
         if isinstance(nconst, Mapping):
             rows = [(i, j, k, n) for (i, j, k), n in nconst.items()]
         else:
@@ -149,22 +190,12 @@ class FusionRing:
             ent = np.array([_checked_entry(t, L) for t in rows], dtype=object).reshape(-1, 4)
             ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
         keep = np.flatnonzero(n != 0)
-        p = ijk[keep, 0] * L + ijk[keep, 1]
-        k = ijk[keep, 2]
-        n = n[keep]
-        order = np.lexsort((k, p))
-        p, k, n = p[order], k[order], n[order]
-        if np.any((p[1:] == p[:-1]) & (k[1:] == k[:-1])):
-            raise SchemaError("duplicate (i, j, k) entry")
-        _check_constant_bound(L, int(n.max()) if len(n) else 0)
+        self._ptr, self._idx, self._val = _pair_major(
+            L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep]
+        )
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
-        ptr = np.zeros(L * L + 1, dtype=np.int64)
-        np.cumsum(np.bincount(p, minlength=L * L), out=ptr[1:])
-        self._ptr = ptr
-        self._idx = k.astype(np.int32)
-        self._val = n.astype(np.int64)
         self._index = {lab: t for t, lab in enumerate(labels)}
 
     @classmethod
@@ -177,20 +208,36 @@ class FusionRing:
     ) -> "FusionRing":
         """Build from label strings instead of indices."""
         order = {lab: t for t, lab in enumerate(labels)}
-        if len(order) != len(labels):
-            raise SchemaError("duplicate labels")
-
-        def at(lab):
-            try:
-                return order[lab]
-            except KeyError:
-                raise SchemaError(f"unknown label {lab!r}") from None
-
-        if set(dual) != set(labels):
-            raise SchemaError("dual map must cover every label exactly once")
-        dual_ix = [at(dual[lab]) for lab in labels]
+        dual_ix = _dual_indices(labels, dual, order)
+        at = functools.partial(_label_index, order)
         n_ix = [(at(a), at(b), at(c), n) for a, b, c, n in triples]
         return cls(labels, at(unit), dual_ix, n_ix)
+
+    @classmethod
+    def from_entries(
+        cls,
+        labels: Sequence[str],
+        unit: int,
+        dual: Sequence[int],
+        i: np.ndarray,
+        j: np.ndarray,
+        k: np.ndarray,
+        n: np.ndarray,
+    ) -> "FusionRing":
+        """Build from int64 entry columns ``(i, j, k, n)`` in any order.
+
+        Every count must be >= 1. The header checks, the check for a
+        repeated triple and the constant bound run in the main
+        constructor's order with its messages; the columns are sorted
+        into pair-major arrays and adopted through :meth:`from_csr`.
+        """
+        labels, dual = _checked_header(labels, unit, dual)
+        L = len(labels)
+        for col in (i, j):  # from_csr checks k
+            if len(col) and (col.min() < 0 or col.max() >= L):
+                raise SchemaError("structure constant index out of range")
+        ptr, idx, val = _pair_major(L, i * L + j, k, n)
+        return cls.from_csr(labels, unit, dual, ptr, idx, val)
 
     @classmethod
     def from_csr(

@@ -331,7 +331,6 @@ def _alcove_arrays(level: int):
     return ws, L, la, lb, wflat, woff
 
 
-@lru_cache(maxsize=None)
 def su3_ring(level: int) -> FusionRing:
     """Fusion ring over every admissible weight at the level.
 
@@ -340,7 +339,8 @@ def su3_ring(level: int) -> FusionRing:
     (:func:`orbifusion.kernels.su3_csr`), in memory of order the number
     of nonzeros. Levels above ``LEVEL_CAP`` are refused, the weight count
     grows quadratically and exhaustive validation is meant to stay
-    desk-scale.
+    desk-scale. Every call builds the ring anew and nothing keeps it,
+    so a run over many levels holds one ring at a time.
     """
     if not (1 <= level <= LEVEL_CAP):
         raise InputError(f"level must be between 1 and {LEVEL_CAP}")

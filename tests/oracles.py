@@ -6,9 +6,86 @@ diagonalize. The package should win on speed and agree on every value.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 
 import numpy as np
+
+from orbifusion import su3
+from orbifusion.errors import SchemaError
+from orbifusion.fileio import SCHEMA, _expect_format, _expect_keys, _string, _string_list
+from orbifusion.rings import FusionRing
+
+
+# ---------------------------------------------------------------------------
+# one alcove ring per level for the whole suite
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def su3_ring(level: int) -> FusionRing:
+    """The package's alcove ring at the level, built once per test session.
+
+    The package keeps no cache of its own, so that a long run does not
+    hold every level it has touched.
+    """
+    return su3.su3_ring(level)
+
+
+# ---------------------------------------------------------------------------
+# ring files one row at a time, as the package read and wrote them before
+# it worked on columns
+# ---------------------------------------------------------------------------
+
+def _count_by_row(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def parse_ring_by_row(doc: dict) -> FusionRing:
+    """Check and convert each N row as a Python tuple, then build."""
+    _expect_format(doc)
+    _expect_keys(doc, {"format", "labels", "unit", "dual", "N"})
+    labels = _string_list(doc["labels"], "labels")
+    unit = _string(doc["unit"], "unit")
+    dual = doc["dual"]
+    if not isinstance(dual, dict):
+        raise SchemaError("dual must be an object mapping label to label")
+    dual = {
+        _string(k, "dual key"): _string(v, "dual value") for k, v in dual.items()
+    }
+    rows = doc["N"]
+    if not isinstance(rows, list):
+        raise SchemaError("N must be an array of [label, label, label, count]")
+    triples = []
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4):
+            raise SchemaError(f"N entry must be [label, label, label, count]: {row!r}")
+        a, b, c = (_string(x, "N label") for x in row[:3])
+        n = _count_by_row(row[3], "N count")
+        if n < 1:
+            raise SchemaError(f"N count must be >= 1, got {n} at {row[:3]}")
+        triples.append((a, b, c, n))
+    return FusionRing.from_labels(labels, unit=unit, dual=dual, triples=triples)
+
+
+def dump_ring_by_row(ring: FusionRing) -> str:
+    """JSON-encode each N row as a Python list."""
+    lab = ring.labels
+    lines = ["{", f'  "format": {json.dumps(SCHEMA)},']
+    lines.append(f'  "labels": {json.dumps(list(lab))},')
+    lines.append(f'  "unit": {json.dumps(lab[ring.unit])},')
+    dual = {lab[i]: lab[ring.dual[i]] for i in range(ring.size)}
+    lines.append(f'  "dual": {json.dumps(dual)},')
+    rows = [[lab[i], lab[j], lab[k], int(v)] for i, j, k, v in ring.iter_entries()]
+    lines.append('  "N": [')
+    for t, row in enumerate(rows):
+        comma = "," if t + 1 < len(rows) else ""
+        lines.append("    " + json.dumps(row) + comma)
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from orbifusion import (
     pf_norm,
     recognize,
     simple_current,
-    su3_ring,
     validate_ring,
     verlinde_table,
     weight_label,
@@ -39,7 +38,7 @@ from orbifusion.graphs import template
 from orbifusion.rings import FormalSum, classify_by_orders
 from orbifusion.su3 import admissible_weights, verlinde
 
-from .oracles import dense_associator
+from .oracles import dense_associator, su3_ring
 
 
 @pytest.fixture

@@ -69,12 +69,23 @@ def _mutate(data, doc):
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         parent, key = node, data.draw(st.sampled_from(keys))
         node = parent[key]
-    edit = data.draw(st.sampled_from(["replace", "label", "edge", "delete", "repeat"]))
+    edit = data.draw(
+        st.sampled_from(["replace", "label", "edge", "delete", "repeat", "shuffle", "swap"])
+    )
     if edit == "delete" and parent is not None:
         del parent[key]
         return doc
     if edit == "repeat" and isinstance(node, list) and node:
         node.append(copy.deepcopy(node[data.draw(st.integers(0, len(node) - 1))]))
+        return doc
+    # tables out of pair-major order, with the repeats above also
+    # duplicate ones, reach the column reader and its fault reporter
+    if edit == "shuffle" and isinstance(rows, list) and len(rows) > 1:
+        rows[:] = data.draw(st.permutations(rows))
+        return doc
+    if edit == "swap" and isinstance(rows, list) and len(rows) > 1:
+        a, b = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[a], rows[b] = rows[b], rows[a]
         return doc
     value = data.draw(
         {"label": st.sampled_from(_LABELS), "edge": _EDGE_VALUES}.get(edit, _JSON)

@@ -171,6 +171,9 @@ def test_load_json_failures(tmp_path):
     latin.write_bytes(b'{"labels": ["\xe9"]}')
     with pytest.raises(SchemaError, match="is not UTF-8 text"):
         load_json(str(latin))
+    deep = _write(tmp_path, "deep.json", '{"N": ' + "[" * 100_000)
+    with pytest.raises(SchemaError, match="is not valid JSON: maximum recursion depth"):
+        load_json(deep)
 
 
 def test_perm_files(tmp_path):
@@ -304,6 +307,19 @@ def test_cli_oversized_constant_is_a_schema_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("schema error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate", "{}"], ["dims", "{}", "--json"], ["graph", "identify", "{}"]]
+)
+def test_cli_deep_nesting_is_a_schema_error(tmp_path, capsys, argv):
+    # json.loads recurses once per nested array
+    path = _write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main([part.format(path) for part in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"schema error: {path} is not valid JSON: maximum recursion depth")
+    assert err.count("\n") == 1
 
 
 def test_cli_refuses_a_ring_past_the_label_cap(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orbifusion import FusionRing, kernels, validate_ring
+from orbifusion import FusionRing, kernels, su3, validate_ring
 from orbifusion.catalog import _near_group_ring
 from orbifusion.kernels import (
     associativity_violations,
@@ -12,9 +12,9 @@ from orbifusion.kernels import (
     generating_set,
     su3_cube,
 )
-from orbifusion.su3 import _alcove_arrays, su3_ring
+from orbifusion.su3 import _alcove_arrays
 
-from .oracles import broken_z3_ring, dense_associator, dense_cube
+from .oracles import broken_z3_ring, dense_associator, dense_cube, su3_ring
 
 
 def _mutated_su3_csr(level, i, j, k, delta):
@@ -165,7 +165,7 @@ def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
     # arrays the associativity scan sets validation's peak, about 5.2 times
     tracemalloc.start()
     try:
-        ring = su3_ring.__wrapped__(18)
+        ring = su3.su3_ring(18)
         own = sum(a.nbytes for a in ring.csr())
         build_extra = tracemalloc.get_traced_memory()[1] - own
         tracemalloc.reset_peak()

@@ -20,9 +20,9 @@ from orbifusion import (
 )
 from orbifusion.catalog import _near_group_ring, build, su2_even_ring
 from orbifusion.orbifold import ConjugacyOutcome, ObstructionVerdict
-from orbifusion.su3 import su3_ring, weight_label
+from orbifusion.su3 import weight_label
 
-from .oracles import cyclic_ring, klein_ring
+from .oracles import cyclic_ring, klein_ring, su3_ring
 
 
 def _mixed_z4_ring():

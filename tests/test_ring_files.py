@@ -1,0 +1,261 @@
+"""Ring files read and written on columns agree with the row-by-row code.
+
+``dump_ring`` must give the same bytes as the writer that encoded one
+Python list per row, and ``parse_ring`` the same arrays and, on a
+faulty document, the same first error message as the reader that
+checked one row at a time (both kept in :mod:`tests.oracles`).
+"""
+
+import copy
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbifusion import SchemaError, catalog
+from orbifusion.fileio import dump_ring, parse_ring
+from orbifusion.rings import LABEL_CAP, FusionRing
+
+from .oracles import dump_ring_by_row, parse_ring_by_row, su3_ring
+
+# the row-by-row writer takes about 4.5 us a row; above this many rows
+# (the alcove rings of levels 18, 21 and 24) a sample of the rows stands
+# in for the full comparison
+_FULL_COMPARE_NNZ = 400_000
+
+
+def _hand_ring(labels, triples):
+    """A ring on the labels with every label self-dual and the first as unit."""
+    return FusionRing.from_labels(labels, labels[0], {lab: lab for lab in labels}, triples)
+
+
+def _escaped_rings():
+    odd = ['id', 'q"uote', "back\\slash", "new\nline", "été", "α⊗\U0001d53d", "tab\t"]
+    x = odd[1:]
+    triples = [(odd[0], a, a, 1) for a in odd] + [(a, odd[0], a, 1) for a in x]
+    triples += [(a, a, odd[0], 1) for a in x] + [(x[0], x[1], x[2], 2), (x[3], x[4], x[5], 3)]
+    return {
+        "escaped": _hand_ring(odd, triples),
+        "no-rows": _hand_ring(["e", 'x"'], []),
+        "one-label": _hand_ring(["\\"], [("\\", "\\", "\\", 1)]),
+    }
+
+
+def _catalog_ring(name):
+    if name.startswith("SU3_level_"):
+        return su3_ring(int(name.rsplit("_", 1)[1]))  # built once per session
+    return catalog.build(name).ring
+
+
+# the catalog's alcove rings are su3_ring(3), (6), ..., (24)
+_RINGS = {
+    **{name: (lambda name=name: _catalog_ring(name)) for name in catalog.names()},
+    "su2_even_198": lambda: catalog.su2_even_ring(198),
+    **{name: (lambda ring=ring: ring) for name, ring in _escaped_rings().items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_RINGS))
+def test_dump_is_byte_identical_to_the_row_writer(name):
+    ring = _RINGS[name]()
+    text = dump_ring(ring)
+    if ring.nnz <= _FULL_COMPARE_NNZ:
+        assert text == dump_ring_by_row(ring)
+        return
+    # the header and the footer from the row writer on the same labels
+    # with no rows; then the row count, and a sample of rows each as
+    # json.dumps writes the Python list
+    bare = FusionRing.from_csr(
+        ring.labels, ring.unit, ring.dual, np.zeros(ring.size**2 + 1, dtype=np.int64), [], []
+    )
+    head, tail = dump_ring_by_row(bare).split('  "N": [\n')
+    assert text.startswith(head + '  "N": [\n') and text.endswith("\n" + tail)
+    assert text.isascii()  # so that byte offsets are string offsets
+    ends = np.flatnonzero(np.frombuffer(text.encode(), dtype=np.uint8) == ord("\n"))
+    first = head.count("\n") + 1
+    assert len(ends) == first + ring.nnz + tail.count("\n")
+    i, j, k, n = ring.entry_arrays()
+    lab = ring.labels
+    for t in random.Random(name).sample(range(ring.nnz), 2000) + [0, ring.nnz - 1]:
+        row = [lab[i[t]], lab[j[t]], lab[k[t]], int(n[t])]
+        comma = "," if t + 1 < ring.nnz else ""
+        line = text[ends[first + t - 1] + 1 : ends[first + t]]
+        assert line == "    " + json.dumps(row) + comma
+
+
+def test_an_empty_table_keeps_its_two_lines():
+    text = dump_ring(_escaped_rings()["no-rows"])
+    assert '  "N": [\n  ]\n}\n' in text
+
+
+def _assert_same_ring(got, want):
+    assert (got.labels, got.unit, got.dual) == (want.labels, want.unit, want.dual)
+    for a, b in zip(got.csr(), want.csr()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["A13", "E6affine", "SU3_level_9", "escaped", "no-rows", "one-label"])
+def test_shuffled_rows_give_the_arrays_of_the_row_reader(name):
+    doc = json.loads(dump_ring(_RINGS[name]()))
+    random.Random(name).shuffle(doc["N"])
+    _assert_same_ring(parse_ring(doc), parse_ring_by_row(doc))
+    _assert_same_ring(parse_ring(doc), _RINGS[name]())
+
+
+# ---------------------------------------------------------------------------
+# first error of a faulty document
+# ---------------------------------------------------------------------------
+
+def _base_doc():
+    """Z/2 extended by a self-dual r with r * r = e + a + r, rows shuffled."""
+    return {
+        "format": "orbifusion/1",
+        "labels": ["e", "a", "r"],
+        "unit": "e",
+        "dual": {"e": "e", "a": "a", "r": "r"},
+        "N": [
+            ["r", "r", "r", 1], ["e", "a", "a", 1], ["a", "r", "r", 1], ["e", "e", "e", 1],
+            ["r", "e", "r", 1], ["a", "e", "a", 1], ["a", "a", "e", 1], ["e", "r", "r", 1],
+            ["r", "a", "r", 1], ["r", "r", "e", 1], ["r", "r", "a", 1],
+        ],
+    }
+
+
+def _row(t, value):
+    def edit(doc):
+        doc["N"][t] = value
+    return edit
+
+
+def _cell(t, col, value):
+    def edit(doc):
+        doc["N"][t][col] = value
+    return edit
+
+
+def _key(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _repeat(t):
+    def edit(doc):
+        doc["N"].append(list(doc["N"][t]))
+    return edit
+
+
+def _wide(doc):
+    doc["labels"] = doc["labels"] + [f"x{t}" for t in range(LABEL_CAP)]
+    doc["dual"] = {lab: lab for lab in doc["labels"]}
+
+
+_SHAPE = "N entry must be [label, label, label, count]: "
+_MUTATIONS = {
+    # one fault
+    "short row": ([_row(4, ["r", "e", "r"])], _SHAPE + "['r', 'e', 'r']"),
+    "long row": ([_row(4, ["r", "e", "r", 1, 1])], _SHAPE + "['r', 'e', 'r', 1, 1]"),
+    "row not a list": ([_row(2, {"a": 1})], _SHAPE + "{'a': 1}"),
+    "label not a string": ([_cell(3, 1, 1)], "N label must be a string, got 1"),
+    "label a list": ([_cell(3, 2, ["e"])], "N label must be a string, got ['e']"),
+    "bool count": ([_cell(5, 3, True)], "N count must be an integer, got True"),
+    "float count": ([_cell(5, 3, 1.0)], "N count must be an integer, got 1.0"),
+    "string count": ([_cell(5, 3, "1")], "N count must be an integer, got '1'"),
+    "count 0": ([_cell(6, 3, 0)], "N count must be >= 1, got 0 at ['a', 'a', 'e']"),
+    "count -2^70": ([_cell(6, 3, -(2**70))], f"N count must be >= 1, got {-(2**70)} at ['a', 'a', 'e']"),
+    "count 2^70": ([_cell(0, 3, 2**70)], f"structure constant {2**70} is too large for 3 labels"),
+    "count 2^63": ([_cell(0, 3, 2**63)], f"structure constant {2**63} is too large for 3 labels"),
+    "bound": ([_cell(0, 3, 2**31)], f"structure constant {2**31} is too large for 3 labels"),
+    "unknown label": ([_cell(7, 0, "q")], "unknown label 'q'"),
+    "duplicate triple": ([_repeat(8)], "duplicate (i, j, k) entry"),
+    "duplicate labels": ([_key("labels", ["e", "a", "r", "a"])], "duplicate labels"),
+    "dual misses a label": ([_key("dual", {"e": "e", "a": "a"})], "dual map must cover"),
+    "dual to an unknown": ([_key("dual", {"e": "e", "a": "q", "r": "r"})], "unknown label 'q'"),
+    "dual not a bijection": ([_key("dual", {"e": "e", "a": "a", "r": "a"})], "dual must be a bijection"),
+    "unknown unit": ([_key("unit", "u")], "unknown label 'u'"),
+    "label cap": ([_wide], f"a fusion ring may have at most {LABEL_CAP} labels"),
+    # two faults: the row checks run row after row, before the header's
+    # labels and dual, then the labels of every row, the unit, the cap,
+    # the dual's bijection, repeated triples and last the bound
+    "unknown label, then a bool count": (
+        [_cell(1, 0, "q"), _cell(9, 3, True)], "N count must be an integer, got True"),
+    "bool count, then a short row": (
+        [_cell(1, 3, True), _row(9, ["e"])], "N count must be an integer, got True"),
+    "short row, then a bool count": (
+        [_row(1, ["e"]), _cell(9, 3, True)], _SHAPE + "['e']"),
+    "label and count in one row": (
+        [_cell(1, 2, 7), _cell(1, 3, 0.5)], "N label must be a string, got 7"),
+    "count 0, then a label not a string": (
+        [_cell(2, 3, 0), _cell(8, 1, None)], "N count must be >= 1, got 0 at ['a', 'r', 'r']"),
+    "two unknown labels": ([_cell(2, 1, "q"), _cell(1, 0, "p")], "unknown label 'p'"),
+    "unknown label in the third column first": (
+        [_cell(1, 2, "q"), _cell(2, 0, "p")], "unknown label 'q'"),
+    "unknown unit and an unknown label": ([_key("unit", "u"), _cell(5, 0, "q")], "unknown label 'q'"),
+    "duplicate labels and an unknown label": (
+        [_key("labels", ["e", "a", "r", "e"]), _cell(5, 0, "q")], "duplicate labels"),
+    "dual to an unknown and an unknown label": (
+        [_key("dual", {"e": "e", "a": "p", "r": "r"}), _cell(5, 0, "q")], "unknown label 'p'"),
+    "label cap and an unknown label": ([_wide, _cell(5, 0, "q")], "unknown label 'q'"),
+    "label cap and a duplicate triple": ([_wide, _repeat(3)], "a fusion ring may have at most"),
+    "dual not a bijection and a duplicate triple": (
+        [_key("dual", {"e": "e", "a": "r", "r": "r"}), _repeat(3)], "dual must be a bijection"),
+    "duplicate triple and the bound": ([_repeat(3), _cell(0, 3, 2**31)], "duplicate (i, j, k) entry"),
+    "duplicate triple and 2^70": ([_repeat(3), _cell(0, 3, 2**70)], "duplicate (i, j, k) entry"),
+    "2^70 and an unknown label": ([_cell(0, 3, 2**70), _cell(9, 1, "q")], "unknown label 'q'"),
+    "2^70 and an unknown unit": ([_cell(0, 3, 2**70), _key("unit", "u")], "unknown label 'u'"),
+    "2^70 and a dual not a bijection": (
+        [_cell(0, 3, 2**70), _key("dual", {"e": "e", "a": "e", "r": "r"})], "dual must be a bijection"),
+    "2^70 and a count 0": ([_cell(0, 3, 2**70), _cell(10, 3, 0)], "N count must be >= 1, got 0"),
+    "the bound and 2^70": ([_cell(0, 3, 2**31), _cell(10, 3, 2**70)], f"structure constant {2**70} "),
+}
+
+
+def _first_error(parse, doc) -> str:
+    with pytest.raises(SchemaError) as info:
+        parse(copy.deepcopy(doc))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_a_faulty_table_raises_the_row_readers_first_message(name):
+    edits, want = _MUTATIONS[name]
+    doc = _base_doc()
+    for edit in edits:
+        edit(doc)
+    got = _first_error(parse_ring, doc)
+    assert got == _first_error(parse_ring_by_row, doc)
+    assert got.startswith(want), got
+
+
+_FAULTS = st.sampled_from(
+    [[1, 2, 3], "r", None, True, False, 0, -1, 2, 2**31, 2**63, 2**70, 1.5, "q", "e", "a", ["r"]]
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_random_faults_raise_the_row_readers_first_message(data):
+    doc = _base_doc()
+    rows = doc["N"]
+    random.Random(data.draw(st.integers(0, 2**16))).shuffle(rows)
+    for _ in range(data.draw(st.integers(1, 3))):
+        t = data.draw(st.integers(0, len(rows) - 1))
+        what = data.draw(st.sampled_from(["cell", "row", "repeat", "drop"]))
+        fault = copy.deepcopy(data.draw(_FAULTS))
+        if what == "cell" and isinstance(rows[t], list) and len(rows[t]) == 4:
+            rows[t][data.draw(st.integers(0, 3))] = fault
+        elif what == "row":
+            rows[t] = fault
+        elif what == "repeat":
+            rows.insert(data.draw(st.integers(0, len(rows))), copy.deepcopy(rows[t]))
+        elif what == "drop":
+            del rows[t]
+    try:
+        want = parse_ring_by_row(copy.deepcopy(doc))
+    except SchemaError as exc:
+        assert _first_error(parse_ring, doc) == str(exc)
+    else:
+        _assert_same_ring(parse_ring(doc), want)

@@ -189,10 +189,27 @@ def test_constructor_arrays_are_pair_major_and_sorted():
 
 
 def _su3_level2_csr():
-    from orbifusion.su3 import su3_ring
+    from .oracles import su3_ring
 
     ring = su3_ring(2)
     return ring, [a.copy() for a in ring.csr()]
+
+
+def test_from_entries_matches_the_main_constructor_on_shuffled_columns():
+    ring, _ = _su3_level2_csr()
+    i, j, k, n = ring.entry_arrays()
+    order = np.random.default_rng(0).permutation(len(i))
+    built = FusionRing.from_entries(ring.labels, ring.unit, ring.dual, *(a[order] for a in (i, j, k, n)))
+    main = FusionRing(ring.labels, ring.unit, ring.dual, zip(i[order], j[order], k[order], n[order]))
+    for got, want in zip(built.csr(), main.csr()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    one = np.array([0])
+    with pytest.raises(SchemaError, match="duplicate \\(i, j, k\\) entry"):
+        FusionRing.from_entries(["e"], 0, [0], *(np.array([0, 0]),) * 3, np.array([1, 1]))
+    with pytest.raises(SchemaError, match="index out of range"):
+        FusionRing.from_entries(["e"], 0, [0], one, one + 1, one, one)
+    with pytest.raises(SchemaError, match="too large for 1 labels"):
+        FusionRing.from_entries(["e"], 0, [0], one, one, one, np.array([2**32]))
 
 
 def test_from_csr_adopts_well_formed_arrays():

@@ -15,11 +15,11 @@ from orbifusion import (
     obstruction_m,
     parse_weight,
     simple_current,
-    su3_ring,
     validate_ring,
     verlinde_table,
     weight_label,
 )
+from orbifusion import su3
 from orbifusion.su3 import (
     LEVEL_CAP,
     classical_lr,
@@ -28,7 +28,7 @@ from orbifusion.su3 import (
     weight_system,
 )
 
-from .oracles import classical_fusion
+from .oracles import classical_fusion, su3_ring
 
 _small = st.integers(min_value=0, max_value=4)
 
@@ -235,11 +235,18 @@ def test_self_coupling_rejects_bad_k():
 # the ring constructor
 # ---------------------------------------------------------------------------
 
+def test_each_call_builds_a_new_ring():
+    # a cache would keep every level a long run touches alive
+    a, b = su3.su3_ring(3), su3.su3_ring(3)
+    assert a is not b
+    assert all(np.array_equal(x, y) for x, y in zip(a.csr(), b.csr()))
+
+
 def test_level_bounds():
     with pytest.raises(InputError):
-        su3_ring(0)
+        su3.su3_ring(0)
     with pytest.raises(InputError):
-        su3_ring(LEVEL_CAP + 1)
+        su3.su3_ring(LEVEL_CAP + 1)
     assert kac_walton((0, 0), (0, 0), LEVEL_CAP) == {(0, 0): 1}
     assert kac_walton((0, 0), (0, 0), 0) == {(0, 0): 1}
     for level in (-1, LEVEL_CAP + 1):

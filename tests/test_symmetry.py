@@ -22,9 +22,8 @@ import orbifusion
 from orbifusion import rings
 from orbifusion.catalog import build, names, su2_even_ring
 from orbifusion.rings import _invariant_under, left_permutation
-from orbifusion.su3 import su3_ring
-
 from .oracles import (
+    su3_ring,
     cyclic_ring,
     dense_cube,
     dual_unit_and_frobenius_sorted,
