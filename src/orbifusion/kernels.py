@@ -206,6 +206,21 @@ def _assoc_gen(ptr, idx, val, L, g, cap, flat):
     return False, np.vstack(found)
 
 
+def _is_identity_slab(ptr, idx, val, L, g) -> bool:
+    """Whether N_{gj}^k = delta_jk: each row (g, j) is the one entry (j, 1).
+
+    Then both bracketings of (g, j, k) are N_{jk}, so the scan of g is
+    clean whatever the rest of the table holds.
+    """
+    rows = ptr[g * L : (g + 1) * L + 1]
+    lo, hi = rows[0], rows[-1]
+    return (
+        bool((np.diff(rows) == 1).all())
+        and np.array_equal(idx[lo:hi], np.arange(L))
+        and bool((val[lo:hi] == 1).all())
+    )
+
+
 def associativity_violations(
     ptr: np.ndarray,
     idx: np.ndarray,
@@ -221,8 +236,10 @@ def associativity_violations(
     rhs are the two bracketings of the product x_i x_j x_k at output
     x_l. Only triples whose first slot is in the certified generating
     set are scanned, which decides all the rest, so every witness row
-    has a generator first. A clean scan means no quadruple anywhere
-    violates associativity.
+    has a generator first. A generator whose slab is the identity (the
+    unit, which the catalog rings carry at label 0, the first generator)
+    cannot give a witness and is not scanned. A clean scan means no
+    quadruple anywhere violates associativity.
     """
     gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)
@@ -231,6 +248,8 @@ def associativity_violations(
     for g in gens:
         if room <= 0:
             break
+        if _is_identity_slab(ptr, idx, val, L, g):
+            continue
         ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
         if not ok:
             found.append(wit)

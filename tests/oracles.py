@@ -293,18 +293,24 @@ def fp_dimensions_add_at(ring):
     return DimensionTable(tuple(float(x) for x in d))
 
 
-def pf_norm_loop(graph, max_iter: int = 500_000) -> float:
-    """The graph norm by the Gram-side power iteration, written plainly."""
+def pf_norm_loop_step(graph, max_iter: int = 500_000) -> tuple[float, int]:
+    """The graph norm by the Gram-side power iteration, written plainly,
+    with the index of the step whose residual test first passes."""
     B = graph.matrix().astype(np.float64)
     M = B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B
     v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
-    for _ in range(max_iter):
+    for t in range(max_iter):
         w = M @ v
         lam = float(v @ w)
         if np.max(np.abs(w - lam * v)) <= 1e-13 * max(1.0, lam):
-            return float(np.sqrt(lam))
+            return float(np.sqrt(lam)), t
         v = w / np.linalg.norm(w)
     raise RuntimeError("no convergence")
+
+
+def pf_norm_loop(graph, max_iter: int = 500_000) -> float:
+    """The graph norm by the plain power iteration, testing every step."""
+    return pf_norm_loop_step(graph, max_iter)[0]
 
 
 def pf_norm_dense(graph) -> float:
@@ -527,3 +533,92 @@ def tree_canon(nv: int, edges) -> str:
         return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
 
     return min(code(c, -1) for c in layer)
+
+
+# ---------------------------------------------------------------------------
+# the associativity scan over every generator, the unit included
+# ---------------------------------------------------------------------------
+
+def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
+    """The package's scan as it ran before it skipped identity slabs."""
+    from orbifusion.kernels import _assoc_gen, _flat_matrix, generating_set
+
+    gens = generating_set(ptr, idx, val, L)
+    flat = _flat_matrix(ptr, idx, val, L)
+    found: list[np.ndarray] = []
+    room = cap
+    for g in gens:
+        if room <= 0:
+            break
+        ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
+        if not ok:
+            found.append(wit)
+            room -= len(wit)
+    if not found:
+        return True, np.zeros((0, 6), dtype=np.int64)
+    return False, np.vstack(found)
+
+
+# ---------------------------------------------------------------------------
+# transport of a ring action to its graph, comparing every pair of columns
+# ---------------------------------------------------------------------------
+
+def induced_graph_symmetry_pairwise(ring, action, graph, even_map):
+    """The odd extension as the package found it before it bucketed the
+    columns: every unassigned vertex against every untaken one."""
+    from orbifusion.errors import AmbiguousMatchingError, InputError
+    from orbifusion.graphs import validate_symmetry
+
+    if set(even_map.keys()) != set(graph.even):
+        raise InputError("even_map must cover exactly the even vertices")
+    if len(set(even_map.values())) != len(even_map):
+        raise InputError("even_map must be injective")
+    ring_to_vertex = {lab: v for v, lab in even_map.items()}
+
+    evperm = {}
+    for v in graph.even:
+        img_ring = ring.labels[action.perm[ring.index(even_map[v])]]
+        if img_ring not in ring_to_vertex:
+            raise InputError(
+                f"the action moves {even_map[v]!r} to {img_ring!r}, "
+                "which is not among the mapped even vertices"
+            )
+        evperm[v] = ring_to_vertex[img_ring]
+
+    M = graph.matrix()
+    ei = {lab: i for i, lab in enumerate(graph.even)}
+    pe = np.array([ei[evperm[lab]] for lab in graph.even])
+    R = M[pe, :]
+
+    no = len(graph.odd)
+    assigned: dict[int, int] = {}
+    taken: set[int] = set()
+    while len(assigned) < no:
+        progress = False
+        for o in range(no):
+            if o in assigned:
+                continue
+            cands = [
+                t
+                for t in range(no)
+                if t not in taken and np.array_equal(R[:, t], M[:, o])
+            ]
+            if not cands:
+                raise InputError(
+                    f"odd vertex {graph.odd[o]!r} has no image compatible with the action"
+                )
+            if len(cands) == 1:
+                assigned[o] = cands[0]
+                taken.add(cands[0])
+                progress = True
+        if not progress:
+            stuck = next(o for o in range(no) if o not in assigned)
+            raise AmbiguousMatchingError(
+                f"odd vertex {graph.odd[stuck]!r} has several compatible images; "
+                "supply the vertex permutation explicitly"
+            )
+
+    vperm = dict(evperm)
+    for o, t in assigned.items():
+        vperm[graph.odd[o]] = graph.odd[t]
+    return validate_symmetry(graph, vperm, action.order)

@@ -1,15 +1,19 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbifusion.graphs as graphs_module
 from orbifusion import (
     AmbiguousMatchingError,
     BipartiteGraph,
     DynkinClass,
     InputError,
+    NumericError,
+    OrbifusionError,
     SchemaError,
     UnsupportedStructureError,
     ValidationError,
@@ -30,7 +34,18 @@ from orbifusion.graphs import (
     template,
 )
 
-from .oracles import cyclic_ring, pf_norm_dense, pf_norm_loop, prufer_tree, tree_canon
+from .oracles import (
+    cyclic_ring,
+    induced_graph_symmetry_pairwise,
+    pf_norm_dense,
+    pf_norm_loop,
+    pf_norm_loop_step,
+    prufer_tree,
+    tree_canon,
+)
+
+# the paper's application: A_{4n-3} chains folded to D_{2n}
+D2N_SIZES = tuple(range(2, 31)) + (40, 50)
 
 
 def _tee_graph():
@@ -149,11 +164,52 @@ def test_norm_is_bitwise_the_plain_power_iteration():
     graphs = [path_graph(m) for m in list(range(2, 41)) + [199]]
     catalog = (build(name).graph for name in names() if not name.startswith("SU3"))
     graphs += [g for g in catalog if g is not None]
-    graphs += [_folded_chain(n) for n in (2, 3, 10, 30, 50)]
+    # the 62 graphs of the paper's application: every A_{4n-3} and its fold
+    graphs += [chain_graph(4 * n - 3) for n in D2N_SIZES]
+    graphs += [_folded_chain(n) for n in D2N_SIZES]
     graphs += [template(family, None) for family in ("E6", "E7", "E8", "E6_affine", "E8_affine")]
     graphs += [template("A_affine", 7), template("D_affine", 9), template("D", 6)]
     for g in graphs:
         assert pf_norm(g) == pf_norm_loop(g), g
+
+
+def _block_edge_graphs():
+    """Graphs whose first passing step sits at an edge of a 64-step block."""
+    return [
+        (path_graph(2), 0),
+        (path_graph(8), 63),
+        (template("D_affine", 7), 64),
+        (template("E8_affine"), 65),
+        (_from_simple_edges(13, _legs_graph((1, 3, 8))), 128),
+        (_from_simple_edges(16, _legs_graph((2, 4, 9))), 129),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_norm_blocks_stop_at_the_first_passing_step(monkeypatch, chunk):
+    monkeypatch.setattr(graphs_module, "_NORM_CHUNK", chunk)
+    for g, step in _block_edge_graphs():
+        want, first = pf_norm_loop_step(g)
+        assert first == step
+        assert pf_norm(g) == want
+
+
+def test_norm_iteration_budget_can_end_inside_a_block(monkeypatch):
+    assert graphs_module._NORM_CHUNK == 64
+    # budgets of 66/65, 132/131 and 1069/1068 steps end inside a block of
+    # 64, and 64/63 at the end of the first block
+    cases = ((template("E8_affine"), 65), (path_graph(12), 131), (path_graph(40), 1068))
+    for g, step in cases + ((path_graph(8), 63),):
+        want, first = pf_norm_loop_step(g)
+        assert first == step
+        # one step more than the plain loop needs still returns its float
+        monkeypatch.setattr(graphs_module, "NORM_MAX_ITER", first + 1)
+        assert pf_norm(g) == want
+        # one step fewer never reaches the passing step
+        monkeypatch.setattr(graphs_module, "NORM_MAX_ITER", first)
+        with pytest.raises(NumericError) as err:
+            pf_norm(g)
+        assert str(err.value) == "graph norm iteration failed to converge"
 
 
 def test_norm_refuses_graphs_past_the_vertex_cap():
@@ -501,3 +557,102 @@ def test_induced_assignment_propagates_forced_choices():
     folded = fold_graph(sym)
     assert set(folded.odd) == {"o0", "o2#0", "o2#1"}
     assert recognize(folded) == DynkinClass("D", 4)
+
+
+# ---------------------------------------------------------------------------
+# the column buckets against the pairwise comparison
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, ring, action, graph, even_map):
+    try:
+        return fn(ring, action, graph, even_map).vperm
+    except OrbifusionError as err:
+        return type(err), str(err)
+
+
+def _hand_cases():
+    """(ring, action, graph, even_map): ambiguous, no image, forced,
+    image already taken, and an action leaving the mapped vertices."""
+    ring = cyclic_ring(2)
+    action = cyclic_action(ring, "g1")
+    ident = {"g0": "g0", "g1": "g1"}
+    square = BipartiteGraph.from_edges(
+        ["g0", "g1"],
+        ["o0", "o1"],
+        [("g0", "o0", 1), ("g0", "o1", 1), ("g1", "o0", 1), ("g1", "o1", 1)],
+    )
+    lopsided = BipartiteGraph.from_edges(
+        ["g0", "g1"], ["o0", "o1"], [("g0", "o0", 1), ("g1", "o0", 2), ("g1", "o1", 1)]
+    )
+    forced = BipartiteGraph.from_edges(
+        ["g0", "g1"],
+        ["o0", "o1", "o2"],
+        [("g0", "o0", 1), ("g1", "o1", 1), ("g0", "o2", 1), ("g1", "o2", 1)],
+    )
+    # o0 and o1 both need the one image o2; whichever comes second has none
+    claimed = BipartiteGraph.from_edges(
+        ["g0", "g1"], ["o0", "o1", "o2"], [("g0", "o0", 1), ("g0", "o1", 1), ("g1", "o2", 1)]
+    )
+    z4 = cyclic_ring(4)
+    moved = BipartiteGraph.from_edges(["a", "b"], ["x"], [("a", "x", 1), ("b", "x", 1)])
+    return [
+        (ring, action, square, ident),
+        (ring, action, lopsided, ident),
+        (ring, action, forced, ident),
+        (ring, action, claimed, ident),
+        (z4, cyclic_action(z4, "g1"), moved, {"a": "g0", "b": "g2"}),
+    ]
+
+
+def _relabeled(graph, even_map, rng):
+    """The same graph with fresh vertex names and both parts reordered."""
+    names = {v: f"u{t}" for t, v in enumerate(rng.sample(graph.even + graph.odd, graph.size))}
+    even = [names[v] for v in rng.sample(graph.even, len(graph.even))]
+    odd = [names[v] for v in rng.sample(graph.odd, len(graph.odd))]
+    edges = [(names[e], names[o], m) for e, o, m in graph.edges()]
+    rng.shuffle(edges)
+    return (
+        BipartiteGraph.from_edges(even, odd, edges),
+        {names[v]: lab for v, lab in even_map.items()},
+    )
+
+
+def test_column_buckets_agree_with_pairwise_matching_on_hand_graphs():
+    cases = _hand_cases()
+    kinds = [_outcome(induced_graph_symmetry, *case) for case in cases]
+    assert kinds[0][0] is AmbiguousMatchingError
+    assert kinds[1] == (InputError, "odd vertex 'o0' has no image compatible with the action")
+    assert kinds[2] == {"g0": "g1", "g1": "g0", "o0": "o1", "o1": "o0", "o2": "o2"}
+    assert kinds[3] == (InputError, "odd vertex 'o1' has no image compatible with the action")
+    assert kinds[4][0] is InputError and "moves" in kinds[4][1]
+    rng = random.Random(20)
+    for seed in range(50):
+        for ring, action, graph, even_map in cases:
+            if seed:
+                graph, even_map = _relabeled(graph, even_map, rng)
+            case = (ring, action, graph, even_map)
+            assert _outcome(induced_graph_symmetry, *case) == _outcome(
+                induced_graph_symmetry_pairwise, *case
+            ), (seed, graph)
+
+
+def test_column_buckets_agree_with_pairwise_matching_on_catalog_and_d2n():
+    cases = []
+    for name in names():
+        if name.startswith("SU3"):
+            continue
+        entry = build(name)
+        if entry.graph is not None:
+            action = cyclic_action(entry.ring, entry.alpha)
+            cases.append((entry.ring, action, entry.graph, entry.even_map or {}))
+    for n in D2N_SIZES:
+        level = 4 * n - 4
+        ring = su2_even_ring(level)
+        graph = chain_graph(4 * n - 3)
+        action = cyclic_action(ring, f"rho{level}")
+        cases.append((ring, action, graph, {v: v for v in graph.even}))
+    assert len(cases) > len(D2N_SIZES)
+    for case in cases:
+        got = _outcome(induced_graph_symmetry, *case)
+        assert isinstance(got, dict)
+        assert got == _outcome(induced_graph_symmetry_pairwise, *case)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbifusion import FusionRing, kernels, su3, validate_ring
-from orbifusion.catalog import _near_group_ring
+from orbifusion.catalog import _near_group_ring, build, names
 from orbifusion.kernels import (
     associativity_violations,
     cube_to_csr,
@@ -14,7 +14,14 @@ from orbifusion.kernels import (
 )
 from orbifusion.su3 import _alcove_arrays
 
-from .oracles import broken_z3_ring, dense_associator, dense_cube, su3_ring
+from .oracles import (
+    associativity_scan_every_generator,
+    broken_z3_ring,
+    dense_associator,
+    dense_cube,
+    klein_ring,
+    su3_ring,
+)
 
 
 def _mutated_su3_csr(level, i, j, k, delta):
@@ -157,6 +164,79 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
             ok, wit = associativity_violations(ptr, idx, val, mutated.size, cap=cap)
             assert not ok
             assert np.array_equal(wit, want[:cap])
+
+
+# ---------------------------------------------------------------------------
+# the identity slab is not scanned
+# ---------------------------------------------------------------------------
+
+def _unit_slab_mutations():
+    """Raw tables whose label-0 slab is not the identity, or whose label 0
+    is not the unit: the scan of label 0 must run and may report."""
+    tables = []
+    for ring in (su3_ring(3), klein_ring(), broken_z3_ring()):
+        L = ring.size
+        cube = dense_cube(ring)
+        for j in (0, 1, L - 1):
+            bumped = cube.copy()
+            bumped[0, j, j] += 1
+            tables.append(("bumped", bumped))
+            redirected = cube.copy()
+            redirected[0, j, j] = 0
+            redirected[0, j, (j + 1) % L] += 1
+            tables.append(("redirected", redirected))
+        # the unit moved off label 0: swap labels 0 and 1 everywhere
+        p = np.arange(L)
+        p[[0, 1]] = [1, 0]
+        tables.append(("relabeled", cube[np.ix_(p, p, p)]))
+    return [(kind, cube_to_csr(cube), cube.shape[0]) for kind, cube in tables]
+
+
+def _scan_cases():
+    cases = []
+    for name in names():
+        if not name.startswith("SU3"):
+            ring = build(name).ring
+            cases.append((name, ring.csr(), ring.size))
+    for level in (1, 2, 3, 6, 9):
+        cases.append((f"su3_{level}", su3_ring(level).csr(), su3_ring(level).size))
+    for ring, name in ((broken_z3_ring(), "broken Z/3"), (klein_ring(), "Klein")):
+        cases.append((name, ring.csr(), ring.size))
+    for t, (mutated, _) in enumerate(_mutated_level6_cases()):
+        cases.append((f"mutated level 6 #{t}", mutated.csr(), mutated.size))
+    cases += _unit_slab_mutations()
+    return cases
+
+
+def test_skipping_the_identity_slab_changes_no_verdict_or_witness():
+    reported = set()
+    for name, (ptr, idx, val), L in _scan_cases():
+        for cap in (1, 5, 20):
+            ok, wit = associativity_violations(ptr, idx, val, L, cap=cap)
+            want_ok, want = associativity_scan_every_generator(ptr, idx, val, L, cap=cap)
+            assert ok == want_ok, (name, cap)
+            assert np.array_equal(wit, want), (name, cap)
+            if not ok and (wit[:, 0] == 0).any():
+                reported.add(name)
+    # label 0 was scanned and reported in the tables built to need it
+    assert {"bumped", "redirected", "relabeled"} <= reported
+
+
+def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
+    ring = su3_ring(6)
+    ptr, idx, val = ring.csr()
+    assert generating_set(ptr, idx, val, ring.size)[0] == ring.unit == 0
+    scanned = []
+    real = kernels._assoc_gen
+
+    def spy(ptr, idx, val, L, g, cap, flat):
+        scanned.append(g)
+        return real(ptr, idx, val, L, g, cap, flat)
+
+    monkeypatch.setattr(kernels, "_assoc_gen", spy)
+    ok, wit = associativity_violations(ptr, idx, val, ring.size)
+    assert ok and len(wit) == 0
+    assert scanned and ring.unit not in scanned
 
 
 def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
