@@ -7,8 +7,9 @@ Everything here works on those raw arrays so the same code serves
 hand-built rings and the bulk SU(3) builder.
 
 The bulk SU(3) builder :func:`su3_csr` evaluates the closed-form
-su(3)_k fusion rule one slab of first labels at a time and writes the
-pair-major arrays directly, in memory of order the number of nonzeros.
+su(3)_k fusion rule one slab of first labels at a time, on the
+triality-matched cells only, and writes the pair-major arrays directly,
+in memory of order the number of nonzeros.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
 
@@ -100,7 +101,9 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     Starting from nothing, adjoin the lowest-index basis element outside
     the current span, then close the span under right multiplication by
     every generator chosen so far. Deterministic, and independent of any
-    axiom the table may fail, since only the raw constants are read.
+    axiom the table may fail, since only the raw constants are read. A
+    generator whose right multiplication is the identity (the unit) maps
+    every word to itself and is not closed under.
     """
     basis = _SpanBasis(L)
     gens: list[int] = []
@@ -113,7 +116,8 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
             probe[b] = 1
             if basis.residual(probe).any():
                 gens.append(b)
-                ops.append(_right_mult_arrays(ptr, idx, val, L, b))
+                identity = _is_identity(ptr, idx, val, L, np.arange(L) * L + b)
+                ops.append(None if identity else _right_mult_arrays(ptr, idx, val, L, b))
                 pos.append(0)
                 basis.insert(probe)
                 words.append(probe)
@@ -122,6 +126,8 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
         while moved:
             moved = False
             for gi in range(len(gens)):
+                if ops[gi] is None:
+                    continue
                 rows, cols, vals = ops[gi]
                 while pos[gi] < len(words):
                     w = words[pos[gi]]
@@ -206,18 +212,19 @@ def _assoc_gen(ptr, idx, val, L, g, cap, flat):
     return False, np.vstack(found)
 
 
-def _is_identity_slab(ptr, idx, val, L, g) -> bool:
-    """Whether N_{gj}^k = delta_jk: each row (g, j) is the one entry (j, 1).
+def _is_identity(ptr, idx, val, L, pairs) -> bool:
+    """Whether the L rows ``pairs`` are the identity: row t is the one entry (t, 1).
 
-    Then both bracketings of (g, j, k) are N_{jk}, so the scan of g is
-    clean whatever the rest of the table holds.
+    For the rows (g, j) that is N_{gj}^k = delta_jk, and then both
+    bracketings of (g, j, k) are N_{jk}, so the associativity scan of g
+    is clean whatever the rest of the table holds. For the rows (j, g),
+    right multiplication by g fixes every vector.
     """
-    rows = ptr[g * L : (g + 1) * L + 1]
-    lo, hi = rows[0], rows[-1]
+    starts = ptr[pairs]
     return (
-        bool((np.diff(rows) == 1).all())
-        and np.array_equal(idx[lo:hi], np.arange(L))
-        and bool((val[lo:hi] == 1).all())
+        bool((ptr[pairs + 1] - starts == 1).all())
+        and np.array_equal(idx[starts], np.arange(L))
+        and bool((val[starts] == 1).all())
     )
 
 
@@ -248,7 +255,7 @@ def associativity_violations(
     for g in gens:
         if room <= 0:
             break
-        if _is_identity_slab(ptr, idx, val, L, g):
+        if _is_identity(ptr, idx, val, L, g * L + np.arange(L)):
             continue
         ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
         if not ok:
@@ -264,16 +271,54 @@ def associativity_violations(
 # ---------------------------------------------------------------------------
 #
 # The builder evaluates the closed form of Begin, Mathieu and Walton
-# (Mod. Phys. Lett. A 7, 1992) for every (j, k) at once, one first label
-# i at a time. For weights lam, mu and the conjugate nu of the output,
-# with S1, S2 the sums of first and second Dynkin labels:
+# (Mod. Phys. Lett. A 7, 1992) one first label i at a time. For weights
+# lam, mu and the conjugate nu of the output, with S1, S2 the sums of
+# first and second Dynkin labels:
 #   a = (2 S1 + S2)/3,  b = (S1 + 2 S2)/3,  zero unless 3 | 2 S1 + S2,
 #   k0min = max(lam1+lam2, mu1+mu2, nu1+nu2, a - min(lam1, mu1, nu1),
 #               b - min(lam2, mu2, nu2)),
 #   k0max = min(a, b),
 #   N = max(0, min(k0max, level) - k0min + 1).
-# The nonzeros of slab i, read row-major over the (j, k) grid, are already
-# in pair-major order, so the slabs concatenate into the final arrays.
+# The divisibility condition says the trialities (2 x1 + x2) mod 3 of
+# lam, mu and nu sum to 0 mod 3, so for a slab i and a row j the outputs
+# k that can hit form one triality class of the conjugate weights. The
+# grid of slab i therefore has a row per j holding that class in
+# ascending k, padded to the largest class with cells that cannot hit;
+# one such grid serves every lam of a triality. Its nonzeros, read
+# row-major, are in pair-major order, so the slabs concatenate into the
+# final arrays.
+
+
+def _su3_triality_grids(la, lb, level):
+    """Per triality s of lam: the (L, W) output grid and its lam-free terms.
+
+    Row j of grid s lists, ascending, the k whose conjugate weight has
+    triality -(s + triality of j) mod 3. Padded cells get a lower bound
+    past the level, so they never hit.
+    """
+    L = len(la)
+    tri_j = (2 * la + lb) % 3
+    tri_k = (2 * lb + la) % 3  # of the conjugate (lb[k], la[k])
+    classes = [np.flatnonzero(tri_k == c).astype(np.int32) for c in range(3)]
+    W = max(len(c) for c in classes)
+    m1, m2 = la[:, None], lb[:, None]
+    grids = []
+    for s in range(3):
+        want = (-(s + tri_j)) % 3
+        ks = np.zeros((L, W), dtype=np.int32)
+        pad = np.zeros((L, W), dtype=bool)
+        for c, cls in enumerate(classes):
+            ks[want == c, : len(cls)] = cls
+            pad[want == c, len(cls) :] = True
+        n1, n2 = lb[ks], la[ks]
+        # a and b less their lam terms (2 lam1 + lam2 - s)/3 and
+        # lam1 + lam2 - (2 lam1 + lam2 - s)/3, exact on the real cells
+        a = (2 * (m1 + n1) + (m2 + n2) + s) // 3
+        b = (m1 + n1) + (m2 + n2) - a
+        low = np.maximum(m1 + m2, n1 + n2)
+        low[pad] = level + 1
+        grids.append((ks.ravel(), a, b, low, np.minimum(m1, n1), np.minimum(m2, n2)))
+    return grids
 
 
 def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
@@ -281,36 +326,33 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
 
     ``la``/``lb`` are the Dynkin labels of the alcove weights in label
     order. Returns ``(ptr, idx, val)`` exactly as :func:`cube_to_csr`
-    returns them for the dense cube, without building the cube.
+    returns them for the dense cube, without building the cube, and
+    evaluates the rule only on the triality-matched third of each slab.
     """
     L = len(la)
     la = np.asarray(la, dtype=np.int32)
     lb = np.asarray(lb, dtype=np.int32)
-    # rows j carry mu = weight j, columns k carry nu = conj(weight k);
-    # everything that does not involve lam is formed once
-    m1, m2 = la[:, None], lb[:, None]
-    n1, n2 = lb[None, :], la[None, :]
-    t_mn = 2 * (m1 + n1) + (m2 + n2)  # 2 S1 + S2 without lam
-    s_mn = (m1 + n1) + (m2 + n2)  # S1 + S2 without lam
-    low_mn = np.maximum(m1 + m2, n1 + n2)
-    min1, min2 = np.minimum(m1, n1), np.minimum(m2, n2)
-    grid_k = np.tile(np.arange(L, dtype=np.int32), L)
+    grids = _su3_triality_grids(la, lb, level)
     counts = np.empty((L, L), dtype=np.int64)
     idx_parts, val_parts = [], []
     for i in range(L):
         l1, l2 = int(la[i]), int(lb[i])
-        t = t_mn + (2 * l1 + l2)
-        a = t // 3
-        b = s_mn + (l1 + l2) - a  # a + b = S1 + S2
+        s = (2 * l1 + l2) % 3
+        ks, a_mn, b_mn, low_mn, min1, min2 = grids[s]
+        shift = (2 * l1 + l2 - s) // 3
+        a = a_mn + shift
+        b = b_mn + (l1 + l2 - shift)
         low = np.maximum(low_mn, l1 + l2)
         np.maximum(low, a - np.minimum(min1, l1), out=low)
         np.maximum(low, b - np.minimum(min2, l2), out=low)
-        n = np.minimum(np.minimum(a, b), level) - low + 1
-        hit = (n > 0) & (3 * a == t)
+        n = np.minimum(a, b)
+        np.minimum(n, level, out=n)
+        n -= low
+        hit = n >= 0
         counts[i] = np.count_nonzero(hit, axis=1)
         at = np.flatnonzero(hit)  # row-major: ascending (j, k)
-        idx_parts.append(grid_k.take(at))
-        val_parts.append(n.ravel().take(at))
+        idx_parts.append(ks.take(at))
+        val_parts.append(n.ravel().take(at) + 1)
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(counts.ravel(), out=ptr[1:])
     idx = np.concatenate(idx_parts)

@@ -44,8 +44,7 @@ __all__ = [
 _INT64_LIMIT = 2**63
 
 # the most labels a ring may have: the pair-major ptr holds L**2 + 1 int64
-# entries (134 MB at the cap), and the symmetry check groups outputs by
-# 16-bit keys
+# entries (134 MB at the cap)
 LABEL_CAP = 4096
 
 # power iteration of fp_dimensions: the tolerance of its three checks on
@@ -464,9 +463,9 @@ def _invariant_under(
     The bijection sends ``x = (i, j, k)`` to ``(f0(x[s0]), f1(x[s1]),
     f2(x[s2]))`` for ``(s0, s1, s2) = slots``, where each ``f`` in
     ``maps`` is a label permutation as an int64 array, or None for the
-    identity. ``s0`` is 0 (the image's first label comes from the
-    source's first label, so the sources are whole first-label slices)
-    or 2 (from its output; the entries are grouped by output once).
+    identity. ``s0`` is 0 or 1: the image's first label comes from the
+    source's first or second label, so the sources of an image first
+    label ``t`` are the L rows ``(f0^-1(t), j)`` or ``(i, f0^-1(t))``.
 
     Works one block of image first labels at a time: the block's
     sources are scattered into a dense buffer of about
@@ -479,13 +478,9 @@ def _invariant_under(
     """
     L = ring.size
     ptr, idx, val = ring.csr()
-    if slots[0] == 2:
-        # a stable sort of 16-bit keys is a radix sort; LABEL_CAP < 2**16
-        order = np.argsort(idx.astype(np.uint16), kind="stable")
-        group = np.zeros(L + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=L), out=group[1:])
-        group_pair = np.repeat(np.arange(L * L, dtype=np.int32), np.diff(ptr))[order]
-    source = np.arange(L) if maps[0] is None else np.argsort(maps[0])
+    source = np.arange(L)
+    if maps[0] is not None:
+        source[maps[0]] = np.arange(L)  # the inverse of f0
     step = max(1, _SYM_BLOCK_CELLS // (L * L))
     buf = np.zeros(min(step, L) * L * L, dtype=np.int64)
     for t0 in range(0, L, step):
@@ -493,14 +488,13 @@ def _invariant_under(
         src = source[t0:t1]
         if slots[0] == 0:
             rows = (src[:, None] * L + np.arange(L)).ravel()
-            pos, span = _spans(ptr[rows], ptr[rows + 1])
-            pair = rows[span]
         else:
-            at, _ = _spans(group[src], group[src + 1])
-            pos, pair = order[at], group_pair[at]
+            rows = (np.arange(L)[:, None] * L + src).ravel()
+        pos, span = _spans(ptr[rows], ptr[rows + 1])
         lo, hi = ptr[t0 * L], ptr[t1 * L]
         if len(pos) != hi - lo:
             return False
+        pair = rows[span]
         x = (pair // L, pair % L, idx[pos])
         t = [x[s] if f is None else f[x[s]] for s, f in zip(slots, maps)]
         cells = ((t[0] - t0) * L + t[1]) * L + t[2]
@@ -559,10 +553,14 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
                     wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
         failures.append(AxiomFailure("dual-unit", tuple(sorted(wit)[:_WITNESS_CAP])))
 
-    # N[i,j,k] = N[i*,k,j] and N[i,j,k] = N[k,j*,i]
+    # N[i,j,k] = N[i*,k,j] and N[i,j,k] = N[k,j*,i]: invariance under
+    # s1 (i,j,k) -> (i*,k,j) and s2 (i,j,k) -> (k,j*,i). The dual is a
+    # bijection, so s1 is invertible and the bijections fixing the table
+    # form a group; it holds s1 and s2 exactly when it holds s1 and
+    # c = s2 s1, (i,j,k) -> (j,k*,i*), whose sources are whole rows
     if not (
         _invariant_under(ring, (0, 2, 1), (dual, None, None))
-        and _invariant_under(ring, (2, 1, 0), (None, dual, None))
+        and _invariant_under(ring, (1, 2, 0), (None, dual, dual))
     ):
         wit = []
         for i, j, k, v in ring.iter_entries():
@@ -609,6 +607,22 @@ def hom_dim(ring: FusionRing, x: FormalSum, y: FormalSum) -> int:
     return sum(a * ys.get(i, 0) for i, a in x.items())
 
 
+# stored constants fp_dimensions sums per block of first labels, roughly
+_FP_BLOCK_ENTRIES = 1 << 18
+
+
+def _first_label_blocks(ptr: np.ndarray, L: int, entries: int):
+    """Ranges ``(i0, i1)`` of first labels covering the ring in order, each
+    holding at most ``entries`` stored constants or else a single label."""
+    ends = ptr[::L]
+    i0 = 0
+    while i0 < L:
+        i1 = int(np.searchsorted(ends, ends[i0] + entries, side="right")) - 1
+        i1 = max(i1, i0 + 1)
+        yield i0, i1
+        i0 = i1
+
+
 def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """Frobenius-Perron dimensions by power iteration.
 
@@ -621,14 +635,17 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """
     L = ring.size
     ptr, idx, val = ring.csr()
-    # bincount adds its weights in input order, so M and rhs are bitwise
-    # the entry-by-entry sums
-    jk = np.repeat(np.arange(L * L, dtype=np.int64), np.diff(ptr))
-    jk %= L
-    jk *= L
-    jk += idx
-    M = np.bincount(jk, weights=val, minlength=L * L).reshape(L, L)
-    del jk
+    blocks = list(_first_label_blocks(ptr, L, _FP_BLOCK_ENTRIES))
+    # add.at and bincount add in input order, and each pair's row lies in
+    # one block, so M and rhs are bitwise the entry-by-entry sums
+    M = np.zeros(L * L, dtype=np.float64)
+    for i0, i1 in blocks:
+        lo, hi = ptr[i0 * L], ptr[i1 * L]
+        jk = np.repeat(np.tile(np.arange(L) * L, i1 - i0), np.diff(ptr[i0 * L : i1 * L + 1]))
+        jk += idx[lo:hi]
+        np.add.at(M, jk, val[lo:hi].astype(np.float64))
+        del jk  # before the next block's is made
+    M = M.reshape(L, L)
     v = np.ones(L, dtype=np.float64) / math.sqrt(L)
     for _ in range(FP_MAX_ITER):
         w = M @ v
@@ -647,9 +664,14 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
 
     if abs(d[ring.unit] - 1.0) > FP_TOLERANCE or np.min(d) < 1 - FP_TOLERANCE:
         raise NumericError("dimension vector failed positivity checks")
-    dk = d[idx]
-    dk *= val
-    rhs = np.bincount(np.repeat(np.arange(L * L), np.diff(ptr)), weights=dk, minlength=L * L)
+    rhs = np.empty(L * L, dtype=np.float64)
+    for i0, i1 in blocks:
+        lo, hi = ptr[i0 * L], ptr[i1 * L]
+        dk = d[idx[lo:hi]]
+        dk *= val[lo:hi]
+        rows = np.repeat(np.arange((i1 - i0) * L), np.diff(ptr[i0 * L : i1 * L + 1]))
+        rhs[i0 * L : i1 * L] = np.bincount(rows, weights=dk, minlength=(i1 - i0) * L)
+        del dk, rows
     lhs = np.outer(d, d).ravel()
     if np.max(np.abs(lhs - rhs)) > FP_TOLERANCE * max(1.0, float(np.max(lhs))):
         raise NumericError("dimensions do not satisfy the product equations")

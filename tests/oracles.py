@@ -212,6 +212,12 @@ def frobenius_right_dense(N, dual) -> bool:
     return bool(np.array_equal(N, N.transpose(2, 1, 0)[:, list(dual), :]))
 
 
+def frobenius_cycle_dense(N, dual) -> bool:
+    """``N[i,j,k] = N[j,k*,i*]`` on the dense cube."""
+    d = list(dual)
+    return bool(np.array_equal(N, N[:, d][:, :, d].transpose(2, 0, 1)))
+
+
 def equivariant_dense(N, perm) -> bool:
     """``N[p(i),j,p(k)] = N[i,j,k]`` on the dense cube."""
     p = list(perm)
@@ -533,6 +539,91 @@ def tree_canon(nv: int, edges) -> str:
         return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
 
     return min(code(c, -1) for c in layer)
+
+
+# ---------------------------------------------------------------------------
+# the alcove builder over the full (j, k) grid
+# ---------------------------------------------------------------------------
+
+def su3_csr_full_grid(la: np.ndarray, lb: np.ndarray, level: int):
+    """The package's closed-form builder as it ran before it kept to the
+    triality-matched cells: the rule and the divisibility test on every
+    (j, k) cell of each slab."""
+    L = len(la)
+    la = np.asarray(la, dtype=np.int32)
+    lb = np.asarray(lb, dtype=np.int32)
+    # rows j carry mu = weight j, columns k carry nu = conj(weight k);
+    # everything that does not involve lam is formed once
+    m1, m2 = la[:, None], lb[:, None]
+    n1, n2 = lb[None, :], la[None, :]
+    t_mn = 2 * (m1 + n1) + (m2 + n2)  # 2 S1 + S2 without lam
+    s_mn = (m1 + n1) + (m2 + n2)  # S1 + S2 without lam
+    low_mn = np.maximum(m1 + m2, n1 + n2)
+    min1, min2 = np.minimum(m1, n1), np.minimum(m2, n2)
+    grid_k = np.tile(np.arange(L, dtype=np.int32), L)
+    counts = np.empty((L, L), dtype=np.int64)
+    idx_parts, val_parts = [], []
+    for i in range(L):
+        l1, l2 = int(la[i]), int(lb[i])
+        t = t_mn + (2 * l1 + l2)
+        a = t // 3
+        b = s_mn + (l1 + l2) - a  # a + b = S1 + S2
+        low = np.maximum(low_mn, l1 + l2)
+        np.maximum(low, a - np.minimum(min1, l1), out=low)
+        np.maximum(low, b - np.minimum(min2, l2), out=low)
+        n = np.minimum(np.minimum(a, b), level) - low + 1
+        hit = (n > 0) & (3 * a == t)
+        counts[i] = np.count_nonzero(hit, axis=1)
+        at = np.flatnonzero(hit)  # row-major: ascending (j, k)
+        idx_parts.append(grid_k.take(at))
+        val_parts.append(n.ravel().take(at))
+    ptr = np.zeros(L * L + 1, dtype=np.int64)
+    np.cumsum(counts.ravel(), out=ptr[1:])
+    idx = np.concatenate(idx_parts)
+    val = np.concatenate(val_parts, dtype=np.int64)
+    return ptr, idx, val
+
+
+# ---------------------------------------------------------------------------
+# the generator search closing under every generator, the unit included
+# ---------------------------------------------------------------------------
+
+def generating_set_every_closure(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
+    """The package's generator search as it ran before it skipped the
+    closure under an identity right multiplication."""
+    from orbifusion.kernels import _SPAN_PRIME, _right_mult_arrays, _SpanBasis
+
+    basis = _SpanBasis(L)
+    gens: list[int] = []
+    ops = []
+    words: list[np.ndarray] = []
+    pos: list[int] = []
+    while basis.rank < L:
+        for b in range(L):
+            probe = np.zeros(L, dtype=np.int64)
+            probe[b] = 1
+            if basis.residual(probe).any():
+                gens.append(b)
+                ops.append(_right_mult_arrays(ptr, idx, val, L, b))
+                pos.append(0)
+                basis.insert(probe)
+                words.append(probe)
+                break
+        moved = True
+        while moved:
+            moved = False
+            for gi in range(len(gens)):
+                rows, cols, vals = ops[gi]
+                while pos[gi] < len(words):
+                    w = words[pos[gi]]
+                    pos[gi] += 1
+                    out = np.zeros(L, dtype=np.int64)
+                    np.add.at(out, cols, w[rows] * vals % _SPAN_PRIME)
+                    out %= _SPAN_PRIME
+                    if basis.insert(out):
+                        words.append(out)
+                        moved = True
+    return gens
 
 
 # ---------------------------------------------------------------------------

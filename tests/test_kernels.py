@@ -12,14 +12,16 @@ from orbifusion.kernels import (
     generating_set,
     su3_cube,
 )
-from orbifusion.su3 import _alcove_arrays
+from orbifusion.su3 import _alcove_arrays, admissible_weights
 
 from .oracles import (
     associativity_scan_every_generator,
     broken_z3_ring,
     dense_associator,
     dense_cube,
+    generating_set_every_closure,
     klein_ring,
+    su3_csr_full_grid,
     su3_ring,
 )
 
@@ -57,6 +59,17 @@ def test_cube_lanes_agree(level):
 def test_closed_form_builder_matches_the_dense_cube(level):
     _, L, la, lb, wflat, woff = _alcove_arrays(level)
     want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff))
+    for got, ref in zip(su3_ring(level).csr(), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("level", range(1, 25))
+def test_triality_cells_give_the_full_grid_arrays(level):
+    ws = admissible_weights(level)
+    la = np.array([a for a, _ in ws], dtype=np.int64)
+    lb = np.array([b for _, b in ws], dtype=np.int64)
+    want = su3_csr_full_grid(la, lb, level)
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
@@ -171,8 +184,9 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
 # ---------------------------------------------------------------------------
 
 def _unit_slab_mutations():
-    """Raw tables whose label-0 slab is not the identity, or whose label 0
-    is not the unit: the scan of label 0 must run and may report."""
+    """Raw tables whose label-0 slab or label-0 rows (j, 0) are not the
+    identity, or whose label 0 is not the unit: the scan of label 0, or
+    the closure under it, must run."""
     tables = []
     for ring in (su3_ring(3), klein_ring(), broken_z3_ring()):
         L = ring.size
@@ -185,6 +199,15 @@ def _unit_slab_mutations():
             redirected[0, j, j] = 0
             redirected[0, j, (j + 1) % L] += 1
             tables.append(("redirected", redirected))
+            # the rows (j, 0): right multiplication by label 0 is not
+            # the identity, so the generator search must close under it
+            bumped = cube.copy()
+            bumped[j, 0, j] += 1
+            tables.append(("right-bumped", bumped))
+            redirected = cube.copy()
+            redirected[j, 0, j] = 0
+            redirected[j, 0, (j + 1) % L] += 1
+            tables.append(("right-redirected", redirected))
         # the unit moved off label 0: swap labels 0 and 1 everywhere
         p = np.arange(L)
         p[[0, 1]] = [1, 0]
@@ -220,6 +243,42 @@ def test_skipping_the_identity_slab_changes_no_verdict_or_witness():
                 reported.add(name)
     # label 0 was scanned and reported in the tables built to need it
     assert {"bumped", "redirected", "relabeled"} <= reported
+
+
+def _generator_cases():
+    cases = [(name, csr, L) for name, csr, L in _scan_cases() if not name.startswith("su3_")]
+    for name in names():
+        if name.startswith("SU3"):
+            ring = build(name).ring
+            cases.append((name, ring.csr(), ring.size))
+    for level in range(1, 13):
+        cases.append((f"su3_{level}", su3_ring(level).csr(), su3_ring(level).size))
+    return cases
+
+
+def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
+    cases = _generator_cases()
+    closed: list[int] = []
+    real = kernels._right_mult_arrays
+
+    def spy(ptr, idx, val, L, g):
+        closed.append(g)
+        return real(ptr, idx, val, L, g)
+
+    monkeypatch.setattr(kernels, "_right_mult_arrays", spy)
+    closes_label_0 = {}
+    for name, (ptr, idx, val), L in cases:
+        closed.clear()
+        got = generating_set(ptr, idx, val, L)
+        assert got[0] == 0, name
+        closes_label_0.setdefault(name, set()).add(0 in closed)
+        assert got == generating_set_every_closure(ptr, idx, val, L), name
+    # the unit at label 0 is not closed under; label 0 with broken rows
+    # (j, 0), or a label 0 that is not the unit, is
+    for name in ("su3_12", "SU3_level_24", "Klein", "broken Z/3"):
+        assert closes_label_0[name] == {False}, name
+    for name in ("right-bumped", "right-redirected", "relabeled"):
+        assert closes_label_0[name] == {True}, name
 
 
 def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
