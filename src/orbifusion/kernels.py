@@ -235,6 +235,7 @@ def associativity_violations(
     L: int,
     *,
     cap: int = 20,
+    gens: list[int] | None = None,
 ):
     """Associativity scan, exhaustive through the generator reduction.
 
@@ -247,8 +248,12 @@ def associativity_violations(
     unit, which the catalog rings carry at label 0, the first generator)
     cannot give a witness and is not scanned. A clean scan means no
     quadruple anywhere violates associativity.
+
+    ``gens`` is :func:`generating_set` of the same arrays, for a caller
+    that needs the generators too; by default it is computed here.
     """
-    gens = generating_set(ptr, idx, val, L)
+    if gens is None:
+        gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)
     found: list[np.ndarray] = []
     room = cap

@@ -104,11 +104,12 @@ class SymmetryAction:
 
     ``perm[i]`` is the unique k with N_{alpha,i}^k = 1. The stored order
     is exact: perm**order is the identity and no smaller positive power
-    is. Construction goes through :func:`cyclic_action`, which also
-    verifies first-slot equivariance
-    N_{perm(i),j}^{perm(k)} = N_{ij}^k; that identity (a direct
-    consequence of associativity and invertibility) is the one the
-    merging and splitting rules rely on.
+    is. Construction goes through :func:`cyclic_action`, which makes
+    sure of first-slot equivariance N_{perm(i),j}^{perm(k)} = N_{ij}^k,
+    the identity the merging and splitting rules rely on. It is
+    associativity with x_alpha, (x_alpha x_i) x_j = x_alpha (x_i x_j),
+    read at x_perm(k), so a validated ring has it and any other ring is
+    checked for it.
     """
 
     ring: FusionRing = field(repr=False)
@@ -128,9 +129,14 @@ class SymmetryAction:
 def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     """Wrap left fusion by ``alpha`` as a validated SymmetryAction.
 
-    Raises an (A1) assumption error when alpha is not invertible. The
-    order is the exact multiplicative order of alpha, read off as the
-    cycle length of the unit.
+    Raises an (A1) assumption error when alpha is not invertible, or
+    when fusion by it fails first-slot equivariance. The order is the
+    exact multiplicative order of alpha, read off as the cycle length of
+    the unit. Equivariance follows from associativity once
+    :func:`left_permutation` has found a permutation, so it is scanned
+    for only on a ring that :func:`orbifusion.rings.validate_ring` has
+    not passed, such as a ring file read by the ``obstruction`` or
+    ``orbifold`` command.
     """
     a = ring.index(alpha)
     perm = left_permutation(ring, a)
@@ -147,7 +153,7 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
 
     # N[p(i),j,p(k)] = N[i,j,k]
     p = np.asarray(perm, dtype=np.int64)
-    if not _invariant_under(ring, (0, 1, 2), (p, None, p)):
+    if not ring._validated and not _invariant_under(ring, (0, 1, 2), (p, None, p)):
         raise AssumptionError(
             "A1", f"fusion by {alpha!r} fails first-slot equivariance"
         )

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, SchemaError, ValidationError
-from .kernels import associativity_violations
+from .kernels import associativity_violations, generating_set
 
 __all__ = [
     "FusionRing",
@@ -155,11 +155,15 @@ class FusionRing:
 
     Notes
     -----
-    Instances never mutate after ``__init__``; every operation on them
-    is a pure function, so sharing between threads is safe.
+    The pair-major arrays are read-only from construction on, and
+    :meth:`csr` hands out those arrays themselves. The one field set
+    later is ``_validated``, a memo that only :func:`validate_ring`
+    sets, and only when the ring passes;
+    :func:`orbifusion.orbifold.cyclic_action` reads it. Every operation
+    on a ring is a pure function, so sharing between threads is safe.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_ptr", "_idx", "_val", "_index")
+    __slots__ = ("labels", "unit", "dual", "_ptr", "_idx", "_val", "_index", "_validated")
 
     def __init__(
         self,
@@ -189,13 +193,18 @@ class FusionRing:
             ent = np.array([_checked_entry(t, L) for t in rows], dtype=object).reshape(-1, 4)
             ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
         keep = np.flatnonzero(n != 0)
-        self._ptr, self._idx, self._val = _pair_major(
-            L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep]
-        )
+        self._adopt(*_pair_major(L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep]))
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
         self._index = {lab: t for t, lab in enumerate(labels)}
+
+    def _adopt(self, ptr: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
+        """Take the pair-major arrays as they are, read-only, not yet validated."""
+        for a in (ptr, idx, val):
+            a.setflags(write=False)
+        self._ptr, self._idx, self._val = ptr, idx, val
+        self._validated = False
 
     @classmethod
     def from_labels(
@@ -255,7 +264,8 @@ class FusionRing:
         len(val)``; every index lies in ``[0, L)``; indices increase
         strictly within each row; and every stored constant is positive
         and obeys the bound of the main constructor. Validation and the
-        symmetry checks rely on the sorted rows.
+        symmetry checks rely on the sorted rows. The arrays adopted are
+        made read-only, the caller's own when no conversion copied them.
         """
         labels = tuple(labels)
         L = len(labels)
@@ -291,9 +301,7 @@ class FusionRing:
             if val.min() < 1:
                 raise SchemaError("stored structure constants must be positive")
             _check_constant_bound(L, int(val.max()))
-        self._ptr = ptr
-        self._idx = idx.astype(np.int32, copy=False)
-        self._val = val
+        self._adopt(ptr, idx.astype(np.int32, copy=False), val)
         self._index = {lab: t for t, lab in enumerate(labels)}
         return self
 
@@ -344,6 +352,7 @@ class FusionRing:
         return pairs // L, pairs % L, self._idx.astype(np.int64), self._val.copy()
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only pair-major arrays ``(ptr, idx, val)`` themselves."""
         return self._ptr, self._idx, self._val
 
     def __repr__(self):
@@ -507,13 +516,76 @@ def _invariant_under(
     return True
 
 
+def _slab_is_transposed(ptr, idx, val, L: int, g: int, h: int) -> bool:
+    """Whether ``N[h,j,k] = N[g,k,j]`` for all j, k: the slab of h is the
+    slab of g transposed. Work and memory are of the size of the slabs."""
+    a, b = ptr[g * L], ptr[(g + 1) * L]
+    c, d = ptr[h * L], ptr[(h + 1) * L]
+    if b - a != d - c:
+        return False
+    rows_g = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
+    rows_h = np.repeat(np.arange(L), np.diff(ptr[h * L : (h + 1) * L + 1]))
+    # slab h's rows ascend, so a stable sort by output lists it by (k, j)
+    order = np.argsort(idx[c:d], kind="stable")
+    return (
+        np.array_equal(idx[c:d][order], rows_g)
+        and np.array_equal(rows_h[order], idx[a:b])
+        and np.array_equal(val[c:d][order], val[a:b])
+    )
+
+
+# stored constants the Frobenius witness search reads per step
+_WITNESS_CHUNK = 1 << 16
+
+
+def _frobenius_witnesses(ring: FusionRing) -> tuple[tuple[int, ...], ...]:
+    """The first ``_WITNESS_CAP`` stored constants, in pair-major order,
+    that break a Frobenius relation, as ``(i, j, k, v, N[i*,k,j], N[k,j*,i])``.
+
+    The key ``(i * L + j) * L + k`` of the stored constants ascends, so
+    both lookups are binary searches over it, a chunk of constants at a
+    time, until the witnesses are found. Each chunk's queries are
+    searched in ascending order, which keeps the searches in cache.
+    """
+    L = ring.size
+    ptr, idx, val = ring.csr()
+    dual = np.asarray(ring.dual, dtype=np.int64)
+    key = np.repeat(np.arange(L * L, dtype=np.int64) * L, np.diff(ptr))
+    key += idx
+
+    def lookup(q):
+        order = np.argsort(q)
+        qs = q[order]
+        t = np.minimum(np.searchsorted(key, qs), len(key) - 1)
+        out = np.empty_like(q)
+        out[order] = np.where(key[t] == qs, val[t], 0)
+        return out
+
+    wit: list[tuple[int, ...]] = []
+    for lo in range(0, len(key), _WITNESS_CHUNK):
+        q = key[lo : lo + _WITNESS_CHUNK]
+        v = val[lo : lo + _WITNESS_CHUNK]
+        ij, k = np.divmod(q, L)
+        i, j = np.divmod(ij, L)
+        a = lookup((dual[i] * L + k) * L + j)
+        b = lookup((k * L + dual[j]) * L + i)
+        bad = np.flatnonzero((a != v) | (b != v))[: _WITNESS_CAP - len(wit)]
+        wit += map(tuple, np.stack([i, j, k, v, a, b], axis=1)[bad].tolist())
+        if len(wit) >= _WITNESS_CAP:
+            break
+    return tuple(wit)
+
+
 def validate_ring(ring: FusionRing) -> ValidationReport:
     """Check every fusion-ring axiom, exhaustively.
 
     Axioms, in reporting order: unit (left and right), duality
     involution, dual-unit pairing ``N[i,j,unit] = delta(j, dual i)``,
     Frobenius reciprocity, associativity. Witnesses are index tuples;
-    associativity witnesses are ``(i, j, k, l, lhs, rhs)``.
+    associativity witnesses are ``(i, j, k, l, lhs, rhs)``. A ring that
+    passes is marked as validated, which lets
+    :func:`orbifusion.orbifold.cyclic_action` skip the equivariance that
+    validation implies.
     """
     failures = []
     L = ring.size
@@ -553,29 +625,34 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
                     wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
         failures.append(AxiomFailure("dual-unit", tuple(sorted(wit)[:_WITNESS_CAP])))
 
-    # N[i,j,k] = N[i*,k,j] and N[i,j,k] = N[k,j*,i]: invariance under
-    # s1 (i,j,k) -> (i*,k,j) and s2 (i,j,k) -> (k,j*,i). The dual is a
-    # bijection, so s1 is invertible and the bijections fixing the table
-    # form a group; it holds s1 and s2 exactly when it holds s1 and
-    # c = s2 s1, (i,j,k) -> (j,k*,i*), whose sources are whole rows
-    if not (
-        _invariant_under(ring, (0, 2, 1), (dual, None, None))
-        and _invariant_under(ring, (1, 2, 0), (None, dual, dual))
-    ):
-        wit = []
-        for i, j, k, v in ring.iter_entries():
-            a = ring.n(ring.dual[i], k, j)
-            b = ring.n(k, ring.dual[j], i)
-            if a != v or b != v:
-                wit.append((i, j, k, v, a, b))
-                if len(wit) >= _WITNESS_CAP:
-                    break
-        failures.append(AxiomFailure("frobenius-reciprocity", tuple(wit)))
-
-    ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP)
+    # Frobenius reciprocity, N[i,j,k] = N[i*,k,j] and N[i,j,k] = N[k,j*,i],
+    # is decided after the associativity scan, which settles most of it.
+    # With the unit, the involution, the dual-unit pairing and
+    # associativity, the coefficient of the unit in (x_i x_j) x_k* =
+    # x_i (x_j x_k*) gives the 3-cycle N[i,j,k] = N[j,k*,i*]. The first
+    # relation says that the left multiplication L_i* is the transpose of
+    # L_i. The x whose transpose L_x^T is a left multiplication form a
+    # subalgebra, the words of the scan's generators span the ring, and
+    # L_i^T sends the unit to x_i*, so the first relation on the
+    # generators' slabs gives it on every label. The two relations give
+    # the second, as the bijections fixing a table form a group. On any
+    # other table both relations are checked over the whole table: the
+    # first (i,j,k) -> (i*,k,j) and the 3-cycle (i,j,k) -> (j,k*,i*),
+    # whose sources are whole rows
+    gens = generating_set(ptr, idx, val, L)
+    ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP, gens=gens)
+    if ok and not failures:
+        frobenius = all(_slab_is_transposed(ptr, idx, val, L, g, ring.dual[g]) for g in gens)
+    else:
+        frobenius = _invariant_under(ring, (0, 2, 1), (dual, None, None))
+        frobenius = frobenius and _invariant_under(ring, (1, 2, 0), (None, dual, dual))
+    if not frobenius:
+        failures.append(AxiomFailure("frobenius-reciprocity", _frobenius_witnesses(ring)))
     if not ok:
         failures.append(AxiomFailure("associativity", tuple(map(tuple, aw.tolist()))))
 
+    if not failures:
+        ring._validated = True
     return ValidationReport(tuple(failures))
 
 

@@ -249,17 +249,83 @@ def dual_unit_and_frobenius_sorted(ring):
         if not (np.array_equal(key, k2[o2]) and np.array_equal(vv, vv[o2])):
             frob_ok = False
     if not frob_ok:
-        wit = []
-        for i, j, k, v in zip(ii, jj, kk, vv):
-            i, j, k, v = int(i), int(j), int(k), int(v)
-            a = ring.n(ring.dual[i], k, j)
-            b = ring.n(k, ring.dual[j], i)
-            if a != v or b != v:
-                wit.append((i, j, k, v, a, b))
-                if len(wit) >= 20:
-                    break
-        failures.append(("frobenius-reciprocity", tuple(wit)))
+        failures.append(("frobenius-reciprocity", frobenius_witnesses_walk(ring)))
     return failures
+
+
+def frobenius_witnesses_walk(ring):
+    """The Frobenius witnesses as validate_ring found them before it
+    searched in chunks: a walk over the stored constants in pair-major
+    order, two lookups each, until 20 are found. The lookups read a
+    dict of the entries, not the pair-major arrays the search reads."""
+    N = {(i, j, k): v for i, j, k, v in ring.iter_entries()}
+    wit = []
+    for (i, j, k), v in N.items():
+        a = N.get((ring.dual[i], k, j), 0)
+        b = N.get((k, ring.dual[j], i), 0)
+        if a != v or b != v:
+            wit.append((i, j, k, v, a, b))
+            if len(wit) >= 20:
+                break
+    return tuple(wit)
+
+
+def validate_ring_two_scans(ring):
+    """``validate_ring`` as it ran before a passed associativity scan
+    settled Frobenius reciprocity: both relations are scanned over the
+    whole table on every ring, before the associativity scan."""
+    from orbifusion.kernels import associativity_violations
+    from orbifusion.rings import AxiomFailure, ValidationReport, _invariant_under
+
+    failures = []
+    L = ring.size
+    e = ring.unit
+
+    wit = []
+    for j in range(L):
+        ks, vs = ring.row(e, j)
+        if not (len(ks) == 1 and ks[0] == j and vs[0] == 1):
+            wit.append((e, j))
+        ks, vs = ring.row(j, e)
+        if not (len(ks) == 1 and ks[0] == j and vs[0] == 1):
+            wit.append((j, e))
+        if len(wit) >= 20:
+            break
+    if wit:
+        failures.append(AxiomFailure("unit", tuple(wit[:20])))
+
+    wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i]
+    if ring.dual[e] != e:
+        wit.append((e,))
+    if wit:
+        failures.append(AxiomFailure("duality-involution", tuple(wit[:20])))
+
+    ptr, idx, val = ring.csr()
+    dual = np.asarray(ring.dual, dtype=np.int64)
+    at = np.flatnonzero(idx == e)
+    pairs = np.searchsorted(ptr, at, side="right") - 1
+    if not (np.array_equal(pairs, np.arange(L) * L + dual) and np.all(val[at] == 1)):
+        seen = {(int(p) // L, int(p) % L): int(v) for p, v in zip(pairs, val[at])}
+        wit = []
+        for i in range(L):
+            want = {(i, ring.dual[i]): 1}
+            got = {key: v for key, v in seen.items() if key[0] == i}
+            if got != want:
+                for key in set(got) | set(want):
+                    wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))
+        failures.append(AxiomFailure("dual-unit", tuple(sorted(wit)[:20])))
+
+    if not (
+        _invariant_under(ring, (0, 2, 1), (dual, None, None))
+        and _invariant_under(ring, (1, 2, 0), (None, dual, dual))
+    ):
+        failures.append(AxiomFailure("frobenius-reciprocity", frobenius_witnesses_walk(ring)))
+
+    ok, aw = associativity_violations(ptr, idx, val, L, cap=20)
+    if not ok:
+        failures.append(AxiomFailure("associativity", tuple(map(tuple, aw.tolist()))))
+
+    return ValidationReport(tuple(failures))
 
 
 def fp_dimensions_add_at(ring):

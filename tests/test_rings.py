@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -20,7 +21,8 @@ from orbifusion import (
     validate_ring,
 )
 from orbifusion.catalog import su2_even_ring
-from orbifusion import rings
+from orbifusion import rings, su3
+from orbifusion.fileio import dump_ring, parse_ring
 from orbifusion.rings import LABEL_CAP, classify_by_orders
 
 from .oracles import broken_z3_ring, cyclic_ring, dense_associator, klein_ring
@@ -217,6 +219,29 @@ def test_from_csr_adopts_well_formed_arrays():
     again = FusionRing.from_csr(ring.labels, ring.unit, ring.dual, ptr, idx, val)
     for a, b in zip(again.csr(), ring.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _rings_by_constructor():
+    ring, (ptr, idx, val) = _su3_level2_csr()
+    return {
+        "__init__": tiny_ring(),
+        "from_entries": FusionRing.from_entries(ring.labels, ring.unit, ring.dual, *ring.entry_arrays()),
+        "from_csr": FusionRing.from_csr(ring.labels, ring.unit, ring.dual, ptr, idx, val),
+        "su3_ring": su3.su3_ring(2),
+        "parse_ring": parse_ring(json.loads(dump_ring(ring))),
+    }
+
+
+def test_the_arrays_a_ring_hands_out_are_read_only():
+    # validate_ring's record of a pass stays true only while the table
+    # cannot change under it
+    for ring in _rings_by_constructor().values():
+        for a in ring.csr():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        ks, _ = ring.row(0, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            ks[:] = 0
 
 
 def _first_long_row(ptr):

@@ -6,7 +6,10 @@ the first-slot equivariance of a cyclic action and the dual-unit check
 read the pair-major arrays one block of first labels at a time. Here
 their verdicts are held to the dense cube, their witnesses to the
 entry-array and argsort check they replace, and ``fp_dimensions`` to
-the ``np.add.at`` scatter, bit for bit.
+the ``np.add.at`` scatter, bit for bit. ``validate_ring``, which
+settles Frobenius reciprocity from the generators' slabs once the other
+axioms pass, is held to the two-scan validation it replaces, and its
+chunked witness search to the walk over every stored constant.
 """
 
 import functools
@@ -22,7 +25,7 @@ from hypothesis import given, strategies as st
 
 from orbifusion import AssumptionError, FusionRing, cyclic_action, fp_dimensions, validate_ring
 import orbifusion
-from orbifusion import rings
+from orbifusion import orbifold, rings
 from orbifusion.catalog import build, names, su2_even_ring
 from orbifusion.rings import _invariant_under, left_permutation
 from .oracles import (
@@ -35,7 +38,9 @@ from .oracles import (
     frobenius_cycle_dense,
     frobenius_left_dense,
     frobenius_right_dense,
+    frobenius_witnesses_walk,
     klein_ring,
+    validate_ring_two_scans,
 )
 
 # the dense cube of a catalog ring stays small up to here; the larger
@@ -300,8 +305,16 @@ def test_non_involutive_dual_is_reported_by_every_axiom_it_breaks():
     assert validate_ring(ring).failures[0].witnesses == ((1,), (2,), (3,))
 
 
+def _unvalidated(ring):
+    """A copy of the ring, sharing its arrays, that no validation has passed."""
+    return FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *ring.csr())
+
+
 def test_cyclic_action_refuses_exactly_the_non_equivariant_tables(block):
+    # on copies: another test may have validated the cached rings, and
+    # cyclic_action does not scan a validated ring
     for name, ring, base in _CASES:
+        ring = _unvalidated(ring)
         N = dense_cube(ring)
         for a in range(ring.size):
             perm = left_permutation(ring, a)
@@ -319,6 +332,214 @@ def test_cyclic_action_refuses_exactly_the_non_equivariant_tables(block):
                     continue
                 raise
             assert equivariant_dense(N, perm), (name, a)
+
+
+def _refuse(*args):
+    raise AssertionError("_invariant_under was called")
+
+
+def _premises_hold(report):
+    axioms = {f.axiom for f in report.failures}
+    return not axioms & {"unit", "duality-involution", "dual-unit", "associativity"}
+
+
+def test_validation_is_the_two_scan_oracle(block, monkeypatch):
+    scans = []
+    scan = rings._invariant_under
+    monkeypatch.setattr(rings, "_invariant_under", lambda *a: scans.append(a) or scan(*a))
+    for name, ring, _ in _CASES:
+        want = validate_ring_two_scans(ring)
+        del scans[:]
+        assert validate_ring(ring) == want, name
+        # a ring meeting the premises has its Frobenius verdict from the
+        # generators' slabs; any other ring is scanned as before
+        assert bool(scans) != _premises_hold(want), name
+
+
+def _sigma1_only_table():
+    """Unit, involutive dual, dual-unit pairing and associativity all hold,
+    the 3-cycle holds, and N[a,b,a] = 2 while N[a*,a,b] = N[b,a,b] = 0."""
+    N = {
+        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (1, 1, 2): 1, (1, 2, 0): 1,
+        (1, 2, 1): 2, (2, 0, 2): 1, (2, 1, 0): 1, (2, 1, 1): 2, (2, 2, 1): 1, (2, 2, 2): 2,
+    }
+    return FusionRing(["e", "a", "b"], 0, (0, 2, 1), N)
+
+
+_SIGMA1_ONLY = "frobenius-reciprocity: (1, 2, 1, 2, 0, 0), (2, 1, 1, 2, 0, 0), (2, 2, 2, 2, 0, 0)"
+
+
+def test_a_table_meeting_every_premise_can_still_fail_the_first_relation(monkeypatch):
+    ring = _sigma1_only_table()
+    N = dense_cube(ring)
+    assert frobenius_cycle_dense(N, ring.dual) and not frobenius_left_dense(N, ring.dual)
+    assert str(validate_ring_two_scans(ring)) == _SIGMA1_ONLY
+    monkeypatch.setattr(rings, "_invariant_under", _refuse)
+    assert str(validate_ring(ring)) == _SIGMA1_ONLY
+    assert not ring._validated
+
+
+def _involution(rng, L):
+    """A random involution of the labels that fixes the unit 0."""
+    dual = list(range(L))
+    rest = rng.sample(range(1, L), L - 1)
+    while len(rest) >= 2:
+        a, b = rest.pop(), rest.pop()
+        if rng.random() < 0.5:
+            dual[a], dual[b] = b, a
+    return dual
+
+
+def _commutative_premise_table(rng, L):
+    """Unit 0, an involutive dual, the dual-unit pairing and commutative
+    random constants 0..2 on the other cells: associativity may fail."""
+    dual = _involution(rng, L)
+    N = {}
+    for j in range(L):
+        N[0, j, j] = N[j, 0, j] = 1
+    for i in range(1, L):
+        N[i, dual[i], 0] = 1
+        for j in range(i, L):
+            for k in range(1, L):
+                c = rng.choice((0, 0, 1, 2))
+                if c:
+                    N[i, j, k] = N[j, i, k] = c
+    return N, dual, 0
+
+
+def _tensor(a, b):
+    """The product of two based rings on the labels (x, y) -> x * Lb + y."""
+    (Na, da, _), (Nb, db, _) = a, b
+    Lb = len(db)
+    N = {
+        (i * Lb + j, k * Lb + m, p * Lb + q): u * v
+        for (i, k, p), u in Na.items()
+        for (j, m, q), v in Nb.items()
+    }
+    return N, [x * Lb + y for x in da for y in db], 0
+
+
+def _relabel(table, rng):
+    N, dual, unit = table
+    q = rng.sample(range(len(dual)), len(dual))
+    moved = [0] * len(dual)
+    for i, d in enumerate(dual):
+        moved[q[i]] = q[d]
+    return FusionRing(
+        [f"x{t}" for t in range(len(dual))], q[unit], moved,
+        {(q[i], q[j], q[k]): v for (i, j, k), v in N.items()},
+    )
+
+
+def _premise_tables(seed, count):
+    """Tables on 2-4 labels built to meet the unit, duality and dual-unit
+    axioms, randomly relabelled: commutative draws on 2 and 3 labels,
+    products of two 2-label draws, and the table above."""
+    rng = random.Random(seed)
+    fixed = _sigma1_only_table()
+    sigma1 = ({(i, j, k): v for i, j, k, v in fixed.iter_entries()}, list(fixed.dual), 0)
+    for t in range(count):
+        kind = t % 4
+        if kind < 2:
+            table = _commutative_premise_table(rng, 2 + kind)
+        elif kind == 2:
+            table = _tensor(_commutative_premise_table(rng, 2), _commutative_premise_table(rng, 2))
+        else:
+            table = sigma1
+        yield _relabel(table, rng)
+
+
+def test_validation_is_the_two_scan_oracle_on_tables_meeting_the_premises(monkeypatch):
+    # random tables break the first relation alone too rarely to rely on
+    # (2 in 66,514 that met the premises), so the fixed table is mixed in
+    scans = []
+    scan = rings._invariant_under
+    monkeypatch.setattr(rings, "_invariant_under", lambda *a: scans.append(a) or scan(*a))
+    met = failed = 0
+    for t, ring in enumerate(_premise_tables(1111, 400)):
+        want = validate_ring_two_scans(ring)
+        del scans[:]
+        assert validate_ring(ring) == want, t
+        assert bool(scans) != _premises_hold(want), t
+        met += _premises_hold(want)
+        failed += _premises_hold(want) and not want.passed
+    assert met >= 200 and failed >= 100
+
+
+def _witness_rings():
+    out = {name: ring for name, ring, _ in _CASES}
+    level15 = su3_ring(15)
+    entries = list(level15.iter_entries())
+    i, j, k, v = entries[-1]
+    entries[-1] = (i, j, k, v + 1)
+    out["SU3_level_15/last bumped"] = _rebuild(level15, entries)
+    out["sigma1 only"] = _sigma1_only_table()
+    return out
+
+
+@functools.cache
+def _walked_witnesses():
+    # the catalog's alcove entries are the cached rings of the su3 cases,
+    # so each distinct ring is walked once
+    walked, out = {}, {}
+    for name, ring in _witness_rings().items():
+        if id(ring) not in walked:
+            walked[id(ring)] = frobenius_witnesses_walk(ring)
+        out[name] = walked[id(ring)]
+    return out
+
+
+def test_the_witness_search_is_the_walk(monkeypatch):
+    want = _walked_witnesses()
+    calls = []
+    n = FusionRing.n
+    monkeypatch.setattr(FusionRing, "n", lambda *a: calls.append(a) or n(*a))
+    for name, ring in _witness_rings().items():
+        assert rings._frobenius_witnesses(ring) == want[name], name
+        if ring.nnz < 2000:
+            # chunks of one constant, and chunks that end inside a witness run
+            for chunk in (1, 7):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(rings, "_WITNESS_CHUNK", chunk)
+                    assert rings._frobenius_witnesses(ring) == want[name], (name, chunk)
+    assert not calls
+    assert want["SU3_level_15/last bumped"] and want["sigma1 only"]
+    assert max(len(w) for w in want.values()) == 20
+
+
+def test_validated_rings_skip_the_equivariance_scan(monkeypatch):
+    rings_ = [build("E6affine").ring, cyclic_ring(4), su2_even_ring(10), su3_ring(6)]
+    for ring in rings_:
+        ring = _unvalidated(ring)
+        assert validate_ring(ring).passed and ring._validated
+    monkeypatch.setattr(orbifold, "_invariant_under", _refuse)
+    for ring, alpha in zip(rings_, ("alpha", "g1", "rho10", "6,0")):
+        ring = _unvalidated(ring)
+        validate_ring(ring)
+        assert cyclic_action(ring, alpha).order > 1
+
+
+def test_an_unvalidated_broken_table_still_fails_equivariance():
+    # a table that left_permutation accepts, whose action breaks
+    # equivariance: validation fails, so cyclic_action scans it
+    refused = 0
+    for name, ring, _ in _CASES:
+        if "/" not in name:
+            continue
+        for a in range(ring.size):
+            perm = left_permutation(ring, a)
+            if perm is None or ring.n(a, ring.dual[a], ring.unit) != 1:
+                continue
+            if equivariant_dense(dense_cube(ring), perm):
+                continue
+            fresh = _unvalidated(ring)
+            for validated_first in (False, True):
+                if validated_first:
+                    assert not validate_ring(fresh).passed and not fresh._validated
+                with pytest.raises(AssumptionError, match="fails first-slot equivariance"):
+                    cyclic_action(fresh, ring.labels[a])
+            refused += 1
+    assert refused
 
 
 def _dimension_rings():
@@ -377,7 +598,7 @@ def test_action_and_dimensions_allocate_in_proportion_to_the_ring():
     # with four entry arrays and an argsort, cyclic_action allocated 5.2
     # times the ring's own array bytes at this level and fp_dimensions 3.9;
     # summing over the whole ring at once, fp_dimensions allocated 1.39
-    ring = su3_ring(18)
+    ring = _unvalidated(su3_ring(18))  # so that cyclic_action scans
     own = sum(a.nbytes for a in ring.csr())
     assert _extra_allocation(lambda: cyclic_action(ring, "18,0")) < 2 * own
     assert _extra_allocation(lambda: fp_dimensions(ring)) < 0.75 * own
