@@ -24,6 +24,7 @@ from .errors import InputError, OrbifusionError
 from .graphs import (
     BipartiteGraph,
     DynkinClass,
+    _chain,
     fold_graph,
     induced_graph_symmetry,
     pf_norm,
@@ -97,12 +98,7 @@ def su2_even_ring(level: int) -> FusionRing:
 
 def chain_graph(length: int) -> BipartiteGraph:
     """Principal-graph chain rho0 - rho1 - ... - rho<length-1>."""
-    labels = [f"rho{k}" for k in range(length)]
-    edges = []
-    for i in range(length - 1):
-        e, o = (labels[i], labels[i + 1]) if i % 2 == 0 else (labels[i + 1], labels[i])
-        edges.append((e, o, 1))
-    return BipartiteGraph.from_edges(labels[0::2], labels[1::2], edges)
+    return _chain([f"rho{k}" for k in range(length)])
 
 
 def _near_group_ring(order: int, m: int) -> FusionRing:

@@ -2,11 +2,15 @@
 
 The graph-level shadow of the ring construction: a part-preserving
 symmetry of exact order n is folded by merging free vertex orbits and
-splitting fixed vertices into n copies. The fold rule is the unique
-dimension-consistent one: multiplicity between two merged classes sums
-the representative's edges into the other orbit, and each split copy
-inherits the representative-to-fixed multiplicity unchanged. Norm
-preservation under folding is checked by the callers, not assumed.
+splitting fixed vertices into n copies. The fold reads each edge
+(e, o, m) once. If e is the least member of a free orbit, m adds to the
+edge from e's class to o's class, or goes to the edge to each copy of
+o when o is fixed. If e is fixed and o is the least member of a free
+orbit, m goes to the edge from each copy of e to o's class. Every other
+edge is an image of one of these under the symmetry and adds nothing;
+an edge between two fixed vertices is refused. This is the unique
+dimension-consistent rule. Norm preservation under folding is checked
+by the callers, not assumed.
 
 Recognition of the classical and affine two-letter shapes goes through
 a structural classifier (degree and leg-length analysis); the generated
@@ -139,16 +143,20 @@ class BipartiteGraph:
         return all(seen)
 
 
+def _chain(labels: list[str]) -> BipartiteGraph:
+    """The chain labels[0] - labels[1] - ..., with labels[0] even."""
+    edges = [
+        (labels[i], labels[i + 1], 1) if i % 2 == 0 else (labels[i + 1], labels[i], 1)
+        for i in range(len(labels) - 1)
+    ]
+    return BipartiteGraph.from_edges(even=labels[0::2], odd=labels[1::2], edges=edges)
+
+
 def path_graph(m: int) -> BipartiteGraph:
     """Chain of m vertices v0 - v1 - ... with v0 even."""
     if m < 2:
         raise InputError("a path needs at least 2 vertices")
-    labels = [f"v{i}" for i in range(m)]
-    edges = [
-        (labels[i], labels[i + 1], 1) if i % 2 == 0 else (labels[i + 1], labels[i], 1)
-        for i in range(m - 1)
-    ]
-    return BipartiteGraph.from_edges(even=labels[0::2], odd=labels[1::2], edges=edges)
+    return _chain([f"v{i}" for i in range(m)])
 
 
 # the power iteration's work grows about as the cube of the vertex count:
@@ -265,67 +273,43 @@ def fold_graph(sym: GraphSymmetry) -> BipartiteGraph:
     if n == 1:
         return g
 
-    plans = {}
-    for part_name, part in (("even", g.even), ("odd", g.odd)):
-        entries = []  # (kind, members, output labels)
-        owner: dict[str, tuple[int, str]] = {}
+    # each vertex's orbit, as its output labels: [least member] for a
+    # free orbit, the n pieces for a fixed vertex
+    out: dict[str, list[str]] = {}
+    parts = []
+    for part in (g.even, g.odd):
+        labels = []
         for orbit in cycles(part, sym.vperm):
             if len(orbit) == n:
-                rep = min(orbit)
-                entries.append(("merged", orbit, [rep]))
-                for v in orbit:
-                    owner[v] = (len(entries) - 1, rep)
+                pieces = [min(orbit)]
             elif len(orbit) == 1:
-                f = orbit[0]
-                entries.append(("fixed", orbit, [f"{f}#{k}" for k in range(n)]))
-                owner[f] = (len(entries) - 1, f)
+                pieces = [f"{orbit[0]}#{k}" for k in range(n)]
             else:
                 raise UnsupportedStructureError(
                     f"vertex orbit {orbit} has size {len(orbit)}, strictly between 1 and {n}"
                 )
-        plans[part_name] = (entries, owner)
+            labels += pieces
+            for v in orbit:
+                out[v] = pieces
+        parts.append(labels)
 
-    eentries, eowner = plans["even"]
-    oentries, oowner = plans["odd"]
-    for (e, o), m in g.mult.items():
-        if eentries[eowner[g.even[e]][0]][0] == "fixed" and oentries[oowner[g.odd[o]][0]][0] == "fixed":
+    edges = [(g.even[e], g.odd[o], m) for (e, o), m in g.mult.items()]
+    for a, b, _ in edges:
+        if len(out[a]) > 1 and len(out[b]) > 1:
             raise UnsupportedStructureError(
-                f"fixed vertices {g.even[e]!r} and {g.odd[o]!r} are adjacent; "
+                f"fixed vertices {a!r} and {b!r} are adjacent; "
                 "the edge rule between two split families is not determined"
             )
 
-    def rep_of(entry):
-        return min(entry[1])
-
     medges: dict[tuple[str, str], int] = {}
-    mlookup = {
-        (g.even[e], g.odd[o]): m for (e, o), m in g.mult.items()
-    }
-    for ee in eentries:
-        for oe in oentries:
-            if ee[0] == "merged" and oe[0] == "merged":
-                m = sum(mlookup.get((rep_of(ee), b), 0) for b in oe[1])
-                if m:
-                    medges[(ee[2][0], oe[2][0])] = m
-            elif ee[0] == "merged" and oe[0] == "fixed":
-                m = mlookup.get((rep_of(ee), oe[1][0]), 0)
-                if m:
-                    for piece in oe[2]:
-                        medges[(ee[2][0], piece)] = m
-            elif ee[0] == "fixed" and oe[0] == "merged":
-                m = mlookup.get((ee[1][0], rep_of(oe)), 0)
-                if m:
-                    for piece in ee[2]:
-                        medges[(piece, oe[2][0])] = m
-            # fixed-fixed pairs carry no edge (checked above)
-
-    new_even = [lab for ee in eentries for lab in ee[2]]
-    new_odd = [lab for oe in oentries for lab in oe[2]]
-    return BipartiteGraph.from_edges(
-        even=new_even,
-        odd=new_odd,
-        edges=[(e, o, m) for (e, o), m in medges.items()],
-    )
+    for a, b, m in edges:
+        if out[a] == [a]:  # the least member of a merged even class
+            for piece in out[b]:
+                medges[a, piece] = medges.get((a, piece), 0) + m
+        elif len(out[a]) > 1 and out[b] == [b]:  # fixed, to the least of a merged odd class
+            for piece in out[a]:
+                medges[piece, b] = m
+    return BipartiteGraph.from_edges(*parts, [(a, b, m) for (a, b), m in medges.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +542,13 @@ def induced_graph_symmetry(
     ``even_map`` identifies every even vertex with a ring label. The
     odd extension is forced edge-by-edge: an odd vertex can only map to
     a vertex whose column matches its own under the even permutation.
-    Vertices with a single compatible image are assigned first and the
-    constraint propagated; if several images remain for some vertex the
-    matching is reported ambiguous rather than chosen.
+    Two odd vertices with equal columns have the same candidates, and
+    two with different columns share none, so assigning one vertex
+    takes a candidate only from vertices of its own column. One pass in
+    vertex order therefore settles everything: a vertex with a single
+    untaken candidate gets it, the first vertex left with none raises
+    ``InputError``, and otherwise the first with several is reported
+    ambiguous rather than chosen.
     """
     if set(even_map.keys()) != set(graph.even):
         raise InputError("even_map must cover exactly the even vertices")
@@ -590,29 +578,25 @@ def induced_graph_symmetry(
         images.setdefault(col.tobytes(), []).append(t)
     compatible = [images.get(col.tobytes(), []) for col in M.T]
 
-    no = len(graph.odd)
     assigned: dict[int, int] = {}
     taken: set[int] = set()
-    while len(assigned) < no:
-        progress = False
-        for o in range(no):
-            if o in assigned:
-                continue
-            cands = [t for t in compatible[o] if t not in taken]
-            if not cands:
-                raise InputError(
-                    f"odd vertex {graph.odd[o]!r} has no image compatible with the action"
-                )
-            if len(cands) == 1:
-                assigned[o] = cands[0]
-                taken.add(cands[0])
-                progress = True
-        if not progress:
-            stuck = next(o for o in range(no) if o not in assigned)
-            raise AmbiguousMatchingError(
-                f"odd vertex {graph.odd[stuck]!r} has several compatible images; "
-                "supply the vertex permutation explicitly"
+    ambiguous = None
+    for o, cands in enumerate(compatible):
+        untaken = [t for t in cands if t not in taken]
+        if not untaken:
+            raise InputError(
+                f"odd vertex {graph.odd[o]!r} has no image compatible with the action"
             )
+        if len(untaken) == 1:
+            assigned[o] = untaken[0]
+            taken.add(untaken[0])
+        elif ambiguous is None:
+            ambiguous = o
+    if ambiguous is not None:
+        raise AmbiguousMatchingError(
+            f"odd vertex {graph.odd[ambiguous]!r} has several compatible images; "
+            "supply the vertex permutation explicitly"
+        )
 
     vperm = dict(evperm)
     for o, t in assigned.items():

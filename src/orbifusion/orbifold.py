@@ -491,8 +491,9 @@ def orbifold_sectors(
     The obstruction must be supplied explicitly: use the trivial value
     when the gcd test certifies it, a recorded value otherwise; a
     nontrivial value the gcd test contradicts is refused. Orbits
-    of size strictly between 1 and n are refused; order 1 degenerates
-    to a copy of the input (every label a singleton class).
+    of size strictly between 1 and n are refused. Order 1 needs no
+    assumptions and runs the same rule: every orbit is free, so every
+    label is a singleton class.
     """
     action = inp.action
     ring = action.ring
@@ -510,26 +511,7 @@ def orbifold_sectors(
     if dims is None:
         dims = fp_dimensions(ring)
 
-    if n == 1:
-        merged = tuple(
-            MergedClass(members=(lab,), representative=lab, dimension=dims[i])
-            for i, lab in enumerate(ring.labels)
-        )
-        dual_perm = {lab: lab for lab in ring.labels}
-        sectors = OrbifoldSectors(
-            ring=ring,
-            n=1,
-            obstruction=obstruction,
-            merged=merged,
-            split=(),
-            dual_perm=dual_perm,
-            conjugacy=None,
-            dims=dims,
-        )
-        return replace(sectors, conjugacy=conjugacy_assignment(sectors))
-
-    _require(inp, "A1", "A3")
-    rho = inp.rho if inp.rho is not None else _rho_candidates(action)[0]
+    rho = _require(inp, "A1", "A3").rho if n > 1 else None
 
     l = obstruction.l
     p = n // l
@@ -550,7 +532,7 @@ def orbifold_sectors(
                     source=lab,
                     pieces=tuple(f"{lab}#{k}" for k in range(p)),
                     dimension=l * dims[f] / n,
-                    extrapolated=f != rho,
+                    extrapolated=lab != rho,
                 )
             )
         else:

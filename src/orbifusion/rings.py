@@ -259,27 +259,24 @@ class FusionRing:
     ) -> "FusionRing":
         """Adopt prebuilt pair-major arrays (bulk constructors).
 
-        The arrays are checked, in time linear in their length: ``ptr``
-        starts at 0, never decreases and ends at ``len(idx) ==
-        len(val)``; every index lies in ``[0, L)``; indices increase
-        strictly within each row; and every stored constant is positive
-        and obeys the bound of the main constructor. Validation and the
+        The labels, unit and dual get the main constructor's checks,
+        with its messages. The arrays are checked, in time linear in
+        their length: ``ptr`` starts at 0, never decreases and ends at
+        ``len(idx) == len(val)``; every index lies in ``[0, L)``;
+        indices increase strictly within each row; and every stored
+        constant is positive and obeys the bound of the main
+        constructor. Validation and the
         symmetry checks rely on the sorted rows. The arrays adopted are
         made read-only, the caller's own when no conversion copied them.
         """
-        labels = tuple(labels)
+        labels, dual = _checked_header(labels, unit, dual)
         L = len(labels)
-        _check_label_count(L)
-        self = cls.__new__(cls)
-        if len(set(labels)) != L:
-            raise SchemaError("duplicate labels")
         if len(ptr) != L * L + 1:
             raise SchemaError("ptr length mismatch")
+        self = cls.__new__(cls)
         self.labels = labels
         self.unit = int(unit)
-        self.dual = tuple(int(d) for d in dual)
-        if sorted(self.dual) != list(range(L)):
-            raise SchemaError("dual must be a bijection on label indices")
+        self.dual = dual
         try:
             ptr = np.asarray(ptr, dtype=np.int64)
             idx = np.asarray(idx)

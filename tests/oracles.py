@@ -779,3 +779,179 @@ def induced_graph_symmetry_pairwise(ring, action, graph, even_map):
     for o, t in assigned.items():
         vperm[graph.odd[o]] = graph.odd[t]
     return validate_symmetry(graph, vperm, action.order)
+
+
+# ---------------------------------------------------------------------------
+# the quotient step as it was written before it read each edge once
+# ---------------------------------------------------------------------------
+
+def fold_graph_class_pairs(sym):
+    """The fold as the package wrote it before it read each edge once:
+    plan every orbit, then sum over every pair of (even class, odd class)."""
+    from orbifusion.errors import UnsupportedStructureError
+    from orbifusion.graphs import BipartiteGraph
+    from orbifusion.orbifold import cycles
+
+    g = sym.graph
+    n = sym.order
+    if n == 1:
+        return g
+
+    plans = {}
+    for part_name, part in (("even", g.even), ("odd", g.odd)):
+        entries = []  # (kind, members, output labels)
+        owner: dict[str, tuple[int, str]] = {}
+        for orbit in cycles(part, sym.vperm):
+            if len(orbit) == n:
+                rep = min(orbit)
+                entries.append(("merged", orbit, [rep]))
+                for v in orbit:
+                    owner[v] = (len(entries) - 1, rep)
+            elif len(orbit) == 1:
+                f = orbit[0]
+                entries.append(("fixed", orbit, [f"{f}#{k}" for k in range(n)]))
+                owner[f] = (len(entries) - 1, f)
+            else:
+                raise UnsupportedStructureError(
+                    f"vertex orbit {orbit} has size {len(orbit)}, strictly between 1 and {n}"
+                )
+        plans[part_name] = (entries, owner)
+
+    eentries, eowner = plans["even"]
+    oentries, oowner = plans["odd"]
+    for (e, o), m in g.mult.items():
+        if eentries[eowner[g.even[e]][0]][0] == "fixed" and oentries[oowner[g.odd[o]][0]][0] == "fixed":
+            raise UnsupportedStructureError(
+                f"fixed vertices {g.even[e]!r} and {g.odd[o]!r} are adjacent; "
+                "the edge rule between two split families is not determined"
+            )
+
+    def rep_of(entry):
+        return min(entry[1])
+
+    medges: dict[tuple[str, str], int] = {}
+    mlookup = {(g.even[e], g.odd[o]): m for (e, o), m in g.mult.items()}
+    for ee in eentries:
+        for oe in oentries:
+            if ee[0] == "merged" and oe[0] == "merged":
+                m = sum(mlookup.get((rep_of(ee), b), 0) for b in oe[1])
+                if m:
+                    medges[(ee[2][0], oe[2][0])] = m
+            elif ee[0] == "merged" and oe[0] == "fixed":
+                m = mlookup.get((rep_of(ee), oe[1][0]), 0)
+                if m:
+                    for piece in oe[2]:
+                        medges[(ee[2][0], piece)] = m
+            elif ee[0] == "fixed" and oe[0] == "merged":
+                m = mlookup.get((ee[1][0], rep_of(oe)), 0)
+                if m:
+                    for piece in ee[2]:
+                        medges[(piece, oe[2][0])] = m
+
+    new_even = [lab for ee in eentries for lab in ee[2]]
+    new_odd = [lab for oe in oentries for lab in oe[2]]
+    return BipartiteGraph.from_edges(
+        even=new_even,
+        odd=new_odd,
+        edges=[(e, o, m) for (e, o), m in medges.items()],
+    )
+
+
+def orbifold_sectors_two_branches(inp, obstruction, dims=None):
+    """The sectors as the package built them before order 1 ran the
+    general rule: a copy of the ring for n = 1, and a second scan for
+    rho when none was given."""
+    from dataclasses import replace
+
+    from orbifusion.errors import InputError, UnsupportedStructureError
+    from orbifusion.orbifold import (
+        MergedClass,
+        OrbifoldSectors,
+        SplitFamily,
+        _require,
+        _rho_candidates,
+        conjugacy_assignment,
+    )
+    from orbifusion.rings import fp_dimensions
+
+    action = inp.action
+    ring = action.ring
+    n = action.order
+    if obstruction.n != n:
+        raise InputError(
+            f"obstruction modulus {obstruction.n} does not match the action order {n}"
+        )
+    m = inp.assumptions.m
+    if m is not None and math.gcd(m, n) == 1 and not obstruction.is_trivial:
+        raise InputError(
+            f"obstruction {obstruction.describe()} contradicts the gcd test: "
+            f"gcd({m}, {n}) = 1 certifies the trivial value"
+        )
+    if dims is None:
+        dims = fp_dimensions(ring)
+
+    if n == 1:
+        merged = tuple(
+            MergedClass(members=(lab,), representative=lab, dimension=dims[i])
+            for i, lab in enumerate(ring.labels)
+        )
+        sectors = OrbifoldSectors(
+            ring=ring,
+            n=1,
+            obstruction=obstruction,
+            merged=merged,
+            split=(),
+            dual_perm={lab: lab for lab in ring.labels},
+            conjugacy=None,
+            dims=dims,
+        )
+        return replace(sectors, conjugacy=conjugacy_assignment(sectors))
+
+    _require(inp, "A1", "A3")
+    rho = inp.rho if inp.rho is not None else _rho_candidates(action)[0]
+
+    l = obstruction.l
+    p = n // l
+    merged: list = []
+    split: list = []
+    for orbit in action.orbits():
+        if len(orbit) == n:
+            members = tuple(ring.labels[i] for i in orbit)
+            merged.append(
+                MergedClass(members=members, representative=min(members), dimension=dims[orbit[0]])
+            )
+        elif len(orbit) == 1:
+            f = orbit[0]
+            lab = ring.labels[f]
+            split.append(
+                SplitFamily(
+                    source=lab,
+                    pieces=tuple(f"{lab}#{k}" for k in range(p)),
+                    dimension=l * dims[f] / n,
+                    extrapolated=f != rho,
+                )
+            )
+        else:
+            raise UnsupportedStructureError(
+                f"orbit {tuple(ring.labels[i] for i in orbit)} has size {len(orbit)}, "
+                f"strictly between 1 and {n}; only free orbits and fixed labels are handled"
+            )
+
+    dual_perm = {c.representative: c.representative for c in merged}
+    for fam in split:
+        for k, piece in enumerate(fam.pieces):
+            dual_perm[piece] = fam.pieces[(k + 1) % p]
+
+    sectors = OrbifoldSectors(
+        ring=ring,
+        n=n,
+        obstruction=obstruction,
+        merged=tuple(merged),
+        split=tuple(split),
+        dual_perm=dual_perm,
+        conjugacy=None,
+        dims=dims,
+    )
+    if p == n:
+        sectors = replace(sectors, conjugacy=conjugacy_assignment(sectors))
+    return sectors

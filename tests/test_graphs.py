@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -36,6 +37,7 @@ from orbifusion.graphs import (
 
 from .oracles import (
     cyclic_ring,
+    fold_graph_class_pairs,
     induced_graph_symmetry_pairwise,
     pf_norm_dense,
     pf_norm_loop,
@@ -46,6 +48,20 @@ from .oracles import (
 
 # the paper's application: A_{4n-3} chains folded to D_{2n}
 D2N_SIZES = tuple(range(2, 31)) + (40, 50)
+
+
+@functools.cache
+def _d2n_case(n):
+    """(ring, action, graph, even_map) of the A_{4n-3} chain, built once per session."""
+    level = 4 * n - 4
+    ring = su2_even_ring(level)
+    graph = chain_graph(4 * n - 3)
+    return ring, cyclic_action(ring, f"rho{level}"), graph, {v: v for v in graph.even}
+
+
+@functools.cache
+def _d2n_symmetry(n):
+    return induced_graph_symmetry(*_d2n_case(n))
 
 
 def _tee_graph():
@@ -113,6 +129,18 @@ def test_path_graph_shape():
         path_graph(1)
 
 
+def test_chain_graph_is_the_path_with_rho_labels():
+    for m in range(2, 41):
+        chain = chain_graph(m)
+        rename = {f"rho{k}": f"v{k}" for k in range(m)}
+        assert [rename[v] for v in chain.even] == list(path_graph(m).even)
+        assert [rename[v] for v in chain.odd] == list(path_graph(m).odd)
+        assert chain.mult == path_graph(m).mult
+    for m in (0, 1):
+        with pytest.raises(SchemaError, match="both vertex parts must be nonempty"):
+            chain_graph(m)
+
+
 # ---------------------------------------------------------------------------
 # the norm
 # ---------------------------------------------------------------------------
@@ -152,12 +180,7 @@ def test_norm_agrees_with_dense_eigenvalues_on_templates():
 
 
 def _folded_chain(n):
-    level = 4 * n - 4
-    ring = su2_even_ring(level)
-    graph = chain_graph(4 * n - 3)
-    action = cyclic_action(ring, f"rho{level}")
-    sym = induced_graph_symmetry(ring, action, graph, {v: v for v in graph.even})
-    return fold_graph(sym)
+    return fold_graph(_d2n_symmetry(n))
 
 
 def test_norm_is_bitwise_the_plain_power_iteration():
@@ -354,7 +377,8 @@ def test_adjacent_fixed_vertices_are_refused():
     assert "fixed vertices 'c' and 'm' are adjacent" in str(err.value)
 
 
-def test_intermediate_vertex_orbit_is_refused():
+def _intermediate_orbit_case():
+    """An order-4 symmetry that swaps f0 and f1: (graph, vperm, order)."""
     even = ["e0", "e1", "e2", "e3", "f0", "f1"]
     odd = ["o0", "o1", "o2", "o3"]
     edges = [(f"e{i}", f"o{i}", 1) for i in range(4)]
@@ -363,7 +387,11 @@ def test_intermediate_vertex_orbit_is_refused():
     vperm = {f"e{i}": f"e{(i + 1) % 4}" for i in range(4)}
     vperm.update({f"o{i}": f"o{(i + 1) % 4}" for i in range(4)})
     vperm.update({"f0": "f1", "f1": "f0"})
-    sym = validate_symmetry(g, vperm, 4)
+    return g, vperm, 4
+
+
+def test_intermediate_vertex_orbit_is_refused():
+    sym = validate_symmetry(*_intermediate_orbit_case())
     with pytest.raises(UnsupportedStructureError) as err:
         fold_graph(sym)
     assert "strictly between 1 and 4" in str(err.value)
@@ -538,7 +566,8 @@ def test_symmetric_columns_are_reported_ambiguous():
 
 
 def test_induced_assignment_propagates_forced_choices():
-    # o0 and o1 share a column pattern only until o2 is pinned first
+    # every odd vertex has one candidate from the start: o0 and o1 can
+    # only swap, and o2, adjacent to both even vertices, only stays
     ring = cyclic_ring(2)
     g = BipartiteGraph.from_edges(
         ["g0", "g1"],
@@ -604,17 +633,21 @@ def _hand_cases():
     ]
 
 
-def _relabeled(graph, even_map, rng):
-    """The same graph with fresh vertex names and both parts reordered."""
+def _renamed(graph, rng):
+    """The same graph with fresh vertex names, both parts and the edges
+    reordered; and the map from old names to new."""
     names = {v: f"u{t}" for t, v in enumerate(rng.sample(graph.even + graph.odd, graph.size))}
     even = [names[v] for v in rng.sample(graph.even, len(graph.even))]
     odd = [names[v] for v in rng.sample(graph.odd, len(graph.odd))]
     edges = [(names[e], names[o], m) for e, o, m in graph.edges()]
     rng.shuffle(edges)
-    return (
-        BipartiteGraph.from_edges(even, odd, edges),
-        {names[v]: lab for v, lab in even_map.items()},
-    )
+    return BipartiteGraph.from_edges(even, odd, edges), names
+
+
+def _relabeled(graph, even_map, rng):
+    """The same graph with fresh vertex names and both parts reordered."""
+    graph, names = _renamed(graph, rng)
+    return graph, {names[v]: lab for v, lab in even_map.items()}
 
 
 def test_column_buckets_agree_with_pairwise_matching_on_hand_graphs():
@@ -645,14 +678,118 @@ def test_column_buckets_agree_with_pairwise_matching_on_catalog_and_d2n():
         if entry.graph is not None:
             action = cyclic_action(entry.ring, entry.alpha)
             cases.append((entry.ring, action, entry.graph, entry.even_map or {}))
-    for n in D2N_SIZES:
-        level = 4 * n - 4
-        ring = su2_even_ring(level)
-        graph = chain_graph(4 * n - 3)
-        action = cyclic_action(ring, f"rho{level}")
-        cases.append((ring, action, graph, {v: v for v in graph.even}))
+    cases += [_d2n_case(n) for n in D2N_SIZES]
     assert len(cases) > len(D2N_SIZES)
     for case in cases:
         got = _outcome(induced_graph_symmetry, *case)
         assert isinstance(got, dict)
         assert got == _outcome(induced_graph_symmetry_pairwise, *case)
+
+
+# ---------------------------------------------------------------------------
+# the fold, one edge at a time, against the sum over pairs of classes
+# ---------------------------------------------------------------------------
+
+def _fold_outcome(fold, sym):
+    try:
+        g = fold(sym)
+    except OrbifusionError as err:
+        return type(err), str(err)
+    return g.even, g.odd, g.edges()
+
+
+def _entry_symmetry(entry):
+    action = cyclic_action(entry.ring, entry.alpha)
+    return induced_graph_symmetry(entry.ring, action, entry.graph, entry.even_map)
+
+
+def _catalog_symmetries():
+    entries = (build(name) for name in names() if not name.startswith("SU3"))
+    return [_entry_symmetry(entry) for entry in entries if entry.graph is not None]
+
+
+def test_fold_is_the_class_pair_sum_on_d2n_and_the_catalog():
+    syms = [_d2n_symmetry(n) for n in D2N_SIZES] + _catalog_symmetries()
+    outcomes = [_fold_outcome(fold_graph, sym) for sym in syms]
+    assert outcomes == [_fold_outcome(fold_graph_class_pairs, sym) for sym in syms]
+    # every chain folds; the E6 graph has adjacent fixed vertices
+    refused = [got for got in outcomes if not isinstance(got[0], tuple)]
+    assert len(refused) == 1 and "'rho' and 'm1' are adjacent" in refused[0][1]
+
+
+def _hand_symmetries():
+    """(graph, vperm, order) of the folding tests above, refusals included."""
+    out = []
+    for length in (5, 9, 13):
+        flip = {f"rho{k}": f"rho{length - 1 - k}" for k in range(length)}
+        out.append((chain_graph(length), flip, 2))
+    out.append((_tee_graph(), {"c": "c", "m": "m", "l": "r", "r": "l"}, 2))
+    out.append(_intermediate_orbit_case())
+    out.append((path_graph(3), {v: v for v in ("v0", "v1", "v2")}, 1))
+    for sym in (_entry_symmetry(build("E6affine")), induced_graph_symmetry(*_hand_cases()[2])):
+        out.append((sym.graph, sym.vperm, sym.order))
+    return out
+
+
+def test_fold_is_the_class_pair_sum_on_relabeled_hand_graphs():
+    cases = _hand_symmetries()
+    kinds = [_fold_outcome(fold_graph, validate_symmetry(*case))[0] for case in cases]
+    assert kinds.count(UnsupportedStructureError) == 2
+    rng = random.Random(12)
+    for seed in range(50):
+        for graph, vperm, order in cases:
+            if seed:
+                graph, names = _renamed(graph, rng)
+                vperm = {names[v]: names[w] for v, w in vperm.items()}
+            sym = validate_symmetry(graph, vperm, order)
+            assert _fold_outcome(fold_graph, sym) == _fold_outcome(
+                fold_graph_class_pairs, sym
+            ), (seed, graph)
+
+
+def _random_symmetric_graph(rng):
+    """A graph with a part-preserving symmetry of order 2, 3, 4 or 6.
+
+    Each part is a few vertex orbits, mostly free or fixed, now and then
+    of intermediate size; edges are added an orbit at a time. Vertex
+    names are shuffled so the least member of an orbit can sit anywhere
+    in it.
+    """
+    n = rng.choice((2, 3, 4, 6))
+    sizes = [1, n, n] + [d for d in range(2, n) if n % d == 0]
+    pool = [f"x{t}" for t in rng.sample(range(100), 100)]
+    parts, vperm = [], {}
+    for _ in range(2):
+        orbits = [[pool.pop() for _ in range(rng.choice(sizes))] for _ in range(rng.randint(1, 4))]
+        if all(len(orbit) < n for orbit in orbits):
+            orbits.append([pool.pop() for _ in range(n)])
+        for orbit in orbits:
+            for i, v in enumerate(orbit):
+                vperm[v] = orbit[(i + 1) % len(orbit)]
+        parts.append(orbits)
+    mult: dict[tuple[str, str], int] = {}
+    for _ in range(rng.randint(1, 5)):
+        a, b = rng.choice(parts[0]), rng.choice(parts[1])
+        shift, m = rng.randrange(len(b)), rng.randint(1, 3)
+        for i in range(math.lcm(len(a), len(b))):
+            key = (a[i % len(a)], b[(i + shift) % len(b)])
+            mult[key] = mult.get(key, 0) + m
+    even, odd = ([v for orbit in part for v in orbit] for part in parts)
+    rng.shuffle(even)
+    rng.shuffle(odd)
+    edges = [(e, o, m) for (e, o), m in mult.items()]
+    rng.shuffle(edges)
+    return validate_symmetry(BipartiteGraph.from_edges(even, odd, edges), vperm, n)
+
+
+def test_fold_is_the_class_pair_sum_on_random_symmetric_graphs():
+    rng = random.Random(2015)
+    kinds = {}
+    for _ in range(600):
+        sym = _random_symmetric_graph(rng)
+        got = _fold_outcome(fold_graph, sym)
+        assert got == _fold_outcome(fold_graph_class_pairs, sym), (sym.vperm, sym.graph.edges())
+        kind = "folded" if isinstance(got[0], tuple) else got[1].split(" ", 2)[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # folds, adjacent fixed vertices and intermediate orbits all occur
+    assert set(kinds) == {"folded", "vertices", "orbit"} and min(kinds.values()) >= 50, kinds

@@ -8,6 +8,7 @@ from orbifusion import (
     InputError,
     ObstructionValue,
     OrbifoldInput,
+    OrbifusionError,
     UnsupportedStructureError,
     Verdict,
     check_assumptions,
@@ -18,11 +19,12 @@ from orbifusion import (
     obstruction_bound,
     orbifold_sectors,
 )
-from orbifusion.catalog import _near_group_ring, build, su2_even_ring
+from orbifusion.catalog import _near_group_ring, build, names, su2_even_ring
 from orbifusion.orbifold import ConjugacyOutcome, ObstructionVerdict
+from orbifusion.rings import invertibles
 from orbifusion.su3 import weight_label
 
-from .oracles import cyclic_ring, klein_ring, su3_ring
+from .oracles import cyclic_ring, klein_ring, orbifold_sectors_two_branches, su3_ring
 
 
 def _mixed_z4_ring():
@@ -380,3 +382,41 @@ def test_conjugacy_assignment_matches_sectors_field():
     entry, inp, sectors = _sectors("E6affine")
     again = conjugacy_assignment(sectors)
     assert again == sectors.conjugacy
+
+
+# ---------------------------------------------------------------------------
+# one rule for every order, against the two-branch construction
+# ---------------------------------------------------------------------------
+
+def _sectors_outcome(fn, inp, obstruction, dims):
+    try:
+        return fn(inp, obstruction, dims)
+    except OrbifusionError as err:
+        return type(err), str(err)
+
+
+def test_one_rule_sectors_are_the_two_branch_construction():
+    small = [name for name in names() if not name.startswith("SU3") or name.endswith(("_3", "_6", "_9"))]
+    rings = [build(name).ring for name in small]
+    rings += [cyclic_ring(n) for n in (2, 3, 4, 6)]
+    rings += [klein_ring(), _mixed_z4_ring(), _near_group_ring(3, 2)]
+    runs = {"order one": 0, "built": 0, "refused": 0}
+    for ring in rings:
+        dims = fp_dimensions(ring)
+        for alpha in invertibles(ring):  # the unit among them, of order 1
+            action = cyclic_action(ring, alpha)
+            fixed = [lab for i, lab in enumerate(ring.labels) if action.perm[i] == i]
+            # rho scanned, every fixed label given, and one label the action moves
+            rhos = [None] + fixed + [lab for lab in ring.labels if lab not in fixed][:1]
+            for rho in rhos:
+                inp = OrbifoldInput.make(action, rho, True)
+                for j in range(action.order):
+                    obstruction = ObstructionValue(j, action.order)
+                    got = _sectors_outcome(orbifold_sectors, inp, obstruction, dims)
+                    assert got == _sectors_outcome(
+                        orbifold_sectors_two_branches, inp, obstruction, dims
+                    ), (ring.labels, alpha, rho, j)
+                    if action.order == 1:
+                        runs["order one"] += 1
+                    runs["refused" if isinstance(got, tuple) else "built"] += 1
+    assert min(runs.values()) >= 20, runs

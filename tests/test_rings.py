@@ -319,6 +319,29 @@ def test_from_csr_rejects_malformed_arrays(breakage):
         FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *breakage(*arrays))
 
 
+@pytest.mark.parametrize(
+    "labels, unit, message",
+    [
+        (["a"], 5, "unit index 5 out of range"),
+        (["a"], -1, "unit index -1 out of range"),
+        ([], 0, "a fusion ring needs at least one label"),
+    ],
+)
+def test_from_csr_checks_the_header_as_the_constructor_does(labels, unit, message):
+    L = len(labels)
+    dual = list(range(L))
+    ptr = np.zeros(L * L + 1, dtype=np.int64)
+    ptr[1:] = np.arange(1, L * L + 1)
+    idx, val = np.zeros(L * L, dtype=np.int32), np.ones(L * L, dtype=np.int64)
+    for build in (
+        lambda: FusionRing(labels, unit, dual, []),
+        lambda: FusionRing.from_csr(labels, unit, dual, ptr, idx, val),
+    ):
+        with pytest.raises(SchemaError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_zero_count_is_dropped():
     ring = tiny_ring(
         triples=[

@@ -1,21 +1,27 @@
-"""The benchmark's traced names exist in the package.
+"""The benchmark's traced and called names exist in the package.
 
 ``perfbench/spans.py`` rebinds each ``(module, attr)`` of its
 ``TARGETS`` with ``getattr`` and no default, so a name moved out of the
-package would crash every traced run rather than read 0.
+package would crash every traced run rather than read 0. The workloads
+of ``perfbench/workloads.py`` call the package through module
+attributes (``catalog.run``, ``rings.FusionRing.from_labels``), so a
+name that stopped resolving would fail their operations.
 """
 
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
-_SPANS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(_PERFBENCH, "spans.py")
+    )
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return [(modname, attr) for modname, attr, *_ in spans.TARGETS]
@@ -24,3 +30,36 @@ def _targets():
 @pytest.mark.parametrize("modname, attr", _targets())
 def test_every_traced_name_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr))
+
+
+def _workload_calls():
+    with open(os.path.join(_PERFBENCH, "workloads.py"), encoding="utf-8") as f:
+        text = f.read()
+    chains = re.findall(
+        r"(?<![\w.])((?:catalog|fileio|graphs|orbifold|rings|su3)(?:\.[A-Za-z_]\w*)+)", text
+    )
+    return sorted(set(chains))
+
+
+def test_the_workloads_read_the_names_that_matter():
+    calls = _workload_calls()
+    for chain in (
+        "catalog.chain_graph",
+        "graphs.fold_graph",
+        "graphs.induced_graph_symmetry",
+        "orbifold.orbifold_sectors",
+        "su3.su3_ring",
+        "rings.FusionRing.from_labels",
+        "orbifold.OrbifoldInput.make",
+        "graphs.BipartiteGraph.from_edges",
+    ):
+        assert chain in calls
+
+
+@pytest.mark.parametrize("chain", _workload_calls())
+def test_every_name_the_workloads_call_resolves(chain):
+    modname, *attrs = chain.split(".")
+    obj = importlib.import_module(f"orbifusion.{modname}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
