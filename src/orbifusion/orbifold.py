@@ -37,7 +37,7 @@ from .errors import (
     InputError,
     UnsupportedStructureError,
 )
-from .rings import DimensionTable, FusionRing, _invariant_under, fp_dimensions, left_permutation
+from .rings import DimensionTable, FusionRing, _slab_is_moved, fp_dimensions, left_permutation
 
 __all__ = [
     "Verdict",
@@ -109,7 +109,7 @@ class SymmetryAction:
     the identity the merging and splitting rules rely on. It is
     associativity with x_alpha, (x_alpha x_i) x_j = x_alpha (x_i x_j),
     read at x_perm(k), so a validated ring has it and any other ring is
-    checked for it.
+    checked for it, one slab of first label at a time.
     """
 
     ring: FusionRing = field(repr=False)
@@ -133,10 +133,13 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     when fusion by it fails first-slot equivariance. The order is the
     exact multiplicative order of alpha, read off as the cycle length of
     the unit. Equivariance follows from associativity once
-    :func:`left_permutation` has found a permutation, so it is scanned
-    for only on a ring that :func:`orbifusion.rings.validate_ring` has
-    not passed, such as a ring file read by the ``obstruction`` or
-    ``orbifold`` command.
+    :func:`left_permutation` has found a permutation, so it is checked
+    only on a ring that :func:`orbifusion.rings.validate_ring` has not
+    passed, such as a ring file read by the ``obstruction`` or
+    ``orbifold`` command: the slab of each first label ``perm[i]`` must
+    be the slab of ``i`` with its outputs renamed by ``perm``, the
+    comparison validation makes of the generators' slabs and their
+    duals'.
     """
     a = ring.index(alpha)
     perm = left_permutation(ring, a)
@@ -151,12 +154,17 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
         # against a corrupted ring slipping past validation
         raise AssumptionError("A1", f"fusion by {alpha!r} is not a cyclic action")
 
-    # N[p(i),j,p(k)] = N[i,j,k]
-    p = np.asarray(perm, dtype=np.int64)
-    if not ring._validated and not _invariant_under(ring, (0, 1, 2), (p, None, p)):
-        raise AssumptionError(
-            "A1", f"fusion by {alpha!r} fails first-slot equivariance"
-        )
+    # N[p(i),j,p(k)] = N[i,j,k]: slab p(i) is slab i with its outputs renamed
+    if not ring._validated:
+        p = np.asarray(perm, dtype=np.int64)
+        ptr, idx, val = ring.csr()
+        if not all(
+            _slab_is_moved(ptr, idx, val, ring.size, i, perm[i], rename=p)
+            for i in range(ring.size)
+        ):
+            raise AssumptionError(
+                "A1", f"fusion by {alpha!r} fails first-slot equivariance"
+            )
     return SymmetryAction(ring=ring, alpha=a, order=order, perm=perm)
 
 

@@ -450,84 +450,27 @@ class ValidationReport:
 _WITNESS_CAP = 20
 
 
-# cells of the dense buffer _invariant_under fills per block of first labels
-_SYM_BLOCK_CELLS = 1 << 18
-
-
-def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated ``arange(a, b)`` of every span, and the span of each element."""
-    n = stops - starts
-    span = np.repeat(np.arange(len(n)), n)
-    return np.arange(int(n.sum())) + np.repeat(starts - (np.cumsum(n) - n), n), span
-
-
-def _invariant_under(
-    ring: FusionRing, slots: tuple[int, int, int], maps: tuple[np.ndarray | None, ...]
-) -> bool:
-    """Whether moving every stored constant by an index bijection gives back the table.
-
-    The bijection sends ``x = (i, j, k)`` to ``(f0(x[s0]), f1(x[s1]),
-    f2(x[s2]))`` for ``(s0, s1, s2) = slots``, where each ``f`` in
-    ``maps`` is a label permutation as an int64 array, or None for the
-    identity. ``s0`` is 0 or 1: the image's first label comes from the
-    source's first or second label, so the sources of an image first
-    label ``t`` are the L rows ``(f0^-1(t), j)`` or ``(i, f0^-1(t))``.
-
-    Works one block of image first labels at a time: the block's
-    sources are scattered into a dense buffer of about
-    ``_SYM_BLOCK_CELLS`` cells, the buffer is read back at the block's
-    stored positions, and the cells written are cleared again. When
-    every stored constant reads back its own value the tables are
-    equal: the images are as many as the stored constants, distinct,
-    and every stored constant is positive. A block whose number of
-    images differs from its number of stored constants fails at once.
-    """
-    L = ring.size
-    ptr, idx, val = ring.csr()
-    source = np.arange(L)
-    if maps[0] is not None:
-        source[maps[0]] = np.arange(L)  # the inverse of f0
-    step = max(1, _SYM_BLOCK_CELLS // (L * L))
-    buf = np.zeros(min(step, L) * L * L, dtype=np.int64)
-    for t0 in range(0, L, step):
-        t1 = min(t0 + step, L)
-        src = source[t0:t1]
-        if slots[0] == 0:
-            rows = (src[:, None] * L + np.arange(L)).ravel()
-        else:
-            rows = (np.arange(L)[:, None] * L + src).ravel()
-        pos, span = _spans(ptr[rows], ptr[rows + 1])
-        lo, hi = ptr[t0 * L], ptr[t1 * L]
-        if len(pos) != hi - lo:
-            return False
-        pair = rows[span]
-        x = (pair // L, pair % L, idx[pos])
-        t = [x[s] if f is None else f[x[s]] for s, f in zip(slots, maps)]
-        cells = ((t[0] - t0) * L + t[1]) * L + t[2]
-        buf[cells] = val[pos]
-        here = np.repeat(np.arange((t1 - t0) * L), np.diff(ptr[t0 * L : t1 * L + 1]))
-        same = np.array_equal(buf[here * L + idx[lo:hi]], val[lo:hi])
-        buf[cells] = 0
-        if not same:
-            return False
-    return True
-
-
-def _slab_is_transposed(ptr, idx, val, L: int, g: int, h: int) -> bool:
-    """Whether ``N[h,j,k] = N[g,k,j]`` for all j, k: the slab of h is the
-    slab of g transposed. Work and memory are of the size of the slabs."""
+def _slab_is_moved(ptr, idx, val, L: int, g: int, h: int, rename=None) -> bool:
+    """Whether slab h is slab g moved: ``N[h,k,j] = N[g,j,k]`` for all j, k
+    (the transpose) when ``rename`` is None, else ``N[h,j,rename[k]] =
+    N[g,j,k]`` (the outputs renamed by the label permutation ``rename``).
+    Work and memory are of the size of the slabs."""
     a, b = ptr[g * L], ptr[(g + 1) * L]
     c, d = ptr[h * L], ptr[(h + 1) * L]
     if b - a != d - c:
         return False
     rows_g = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
     rows_h = np.repeat(np.arange(L), np.diff(ptr[h * L : (h + 1) * L + 1]))
-    # slab h's rows ascend, so a stable sort by output lists it by (k, j)
-    order = np.argsort(idx[c:d], kind="stable")
-    return (
-        np.array_equal(idx[c:d][order], rows_g)
-        and np.array_equal(rows_h[order], idx[a:b])
-        and np.array_equal(val[c:d][order], val[a:b])
+    # the key j * L + k of each moved constant; slab h's own keys ascend
+    if rename is None:
+        moved = idx[a:b] * L + rows_g
+    else:
+        moved = rows_g * L + rename[idx[a:b]]
+    # the moved keys are distinct, and the sorted rows of slab g leave
+    # them in runs, which a stable sort merges faster than quicksort
+    order = np.argsort(moved, kind="stable")
+    return np.array_equal(moved[order], rows_h * L + idx[c:d]) and np.array_equal(
+        val[a:b][order], val[c:d]
     )
 
 
@@ -633,18 +576,19 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     # L_i^T sends the unit to x_i*, so the first relation on the
     # generators' slabs gives it on every label. The two relations give
     # the second, as the bijections fixing a table form a group. On any
-    # other table both relations are checked over the whole table: the
-    # first (i,j,k) -> (i*,k,j) and the 3-cycle (i,j,k) -> (j,k*,i*),
-    # whose sources are whole rows
+    # other table the witness search decides: both relations move the
+    # triples by a bijection, as the dual is one, and a bijection that
+    # sends every stored constant to a stored constant of the same value
+    # maps the support onto itself, so no witness means both hold
     gens = generating_set(ptr, idx, val, L)
     ok, aw = associativity_violations(ptr, idx, val, L, cap=_WITNESS_CAP, gens=gens)
-    if ok and not failures:
-        frobenius = all(_slab_is_transposed(ptr, idx, val, L, g, ring.dual[g]) for g in gens)
+    clean = ok and not failures
+    if clean and all(_slab_is_moved(ptr, idx, val, L, g, ring.dual[g]) for g in gens):
+        wit = ()
     else:
-        frobenius = _invariant_under(ring, (0, 2, 1), (dual, None, None))
-        frobenius = frobenius and _invariant_under(ring, (1, 2, 0), (None, dual, dual))
-    if not frobenius:
-        failures.append(AxiomFailure("frobenius-reciprocity", _frobenius_witnesses(ring)))
+        wit = _frobenius_witnesses(ring)
+    if wit:
+        failures.append(AxiomFailure("frobenius-reciprocity", wit))
     if not ok:
         failures.append(AxiomFailure("associativity", tuple(map(tuple, aw.tolist()))))
 
@@ -726,17 +670,22 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
         lam = float(v @ w)
         if np.max(np.abs(w - lam * v)) <= 1e-12 * max(1.0, lam):
             break
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise NumericError("power iteration collapsed to zero")
-        v = w / nw
+        v = w / np.linalg.norm(w)
     else:
         raise NumericError("power iteration did not converge; is the ring validated?")
     if v[ring.unit] <= 0:
         v = -v
+    # each gate is written to fail on NaN: a unit component of 0 would
+    # divide to NaN and infinity, and a NaN passes ``err > tol``
+    if not v[ring.unit] > 0:
+        raise NumericError("dimension vector failed positivity checks")
     d = v / v[ring.unit]
 
-    if abs(d[ring.unit] - 1.0) > FP_TOLERANCE or np.min(d) < 1 - FP_TOLERANCE:
+    if not (
+        abs(d[ring.unit] - 1.0) <= FP_TOLERANCE
+        and np.all(np.isfinite(d))
+        and np.min(d) >= 1 - FP_TOLERANCE
+    ):
         raise NumericError("dimension vector failed positivity checks")
     rhs = np.empty(L * L, dtype=np.float64)
     for i0, i1 in blocks:
@@ -747,10 +696,10 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
         rhs[i0 * L : i1 * L] = np.bincount(rows, weights=dk, minlength=(i1 - i0) * L)
         del dk, rows
     lhs = np.outer(d, d).ravel()
-    if np.max(np.abs(lhs - rhs)) > FP_TOLERANCE * max(1.0, float(np.max(lhs))):
+    if not np.max(np.abs(lhs - rhs)) <= FP_TOLERANCE * max(1.0, float(np.max(lhs))):
         raise NumericError("dimensions do not satisfy the product equations")
     for i in range(L):
-        if abs(d[i] - d[ring.dual[i]]) > FP_TOLERANCE:
+        if not abs(d[i] - d[ring.dual[i]]) <= FP_TOLERANCE:
             raise NumericError("dimensions are not duality invariant")
     return DimensionTable(tuple(float(x) for x in d))
 

@@ -270,12 +270,80 @@ def frobenius_witnesses_walk(ring):
     return tuple(wit)
 
 
+# ---------------------------------------------------------------------------
+# the dense-buffer symmetry scanner that validate_ring and cyclic_action
+# ran before the witness search and the slab comparison took its work
+# ---------------------------------------------------------------------------
+
+# cells of the dense buffer _invariant_under fills per block of first labels
+_SYM_BLOCK_CELLS = 1 << 18
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated ``arange(a, b)`` of every span, and the span of each element."""
+    n = stops - starts
+    span = np.repeat(np.arange(len(n)), n)
+    return np.arange(int(n.sum())) + np.repeat(starts - (np.cumsum(n) - n), n), span
+
+
+def _invariant_under(
+    ring: FusionRing, slots: tuple[int, int, int], maps: tuple[np.ndarray | None, ...]
+) -> bool:
+    """Whether moving every stored constant by an index bijection gives back the table.
+
+    The bijection sends ``x = (i, j, k)`` to ``(f0(x[s0]), f1(x[s1]),
+    f2(x[s2]))`` for ``(s0, s1, s2) = slots``, where each ``f`` in
+    ``maps`` is a label permutation as an int64 array, or None for the
+    identity. ``s0`` is 0 or 1: the image's first label comes from the
+    source's first or second label, so the sources of an image first
+    label ``t`` are the L rows ``(f0^-1(t), j)`` or ``(i, f0^-1(t))``.
+
+    Works one block of image first labels at a time: the block's
+    sources are scattered into a dense buffer of about
+    ``_SYM_BLOCK_CELLS`` cells, the buffer is read back at the block's
+    stored positions, and the cells written are cleared again. When
+    every stored constant reads back its own value the tables are
+    equal: the images are as many as the stored constants, distinct,
+    and every stored constant is positive. A block whose number of
+    images differs from its number of stored constants fails at once.
+    """
+    L = ring.size
+    ptr, idx, val = ring.csr()
+    source = np.arange(L)
+    if maps[0] is not None:
+        source[maps[0]] = np.arange(L)  # the inverse of f0
+    step = max(1, _SYM_BLOCK_CELLS // (L * L))
+    buf = np.zeros(min(step, L) * L * L, dtype=np.int64)
+    for t0 in range(0, L, step):
+        t1 = min(t0 + step, L)
+        src = source[t0:t1]
+        if slots[0] == 0:
+            rows = (src[:, None] * L + np.arange(L)).ravel()
+        else:
+            rows = (np.arange(L)[:, None] * L + src).ravel()
+        pos, span = _spans(ptr[rows], ptr[rows + 1])
+        lo, hi = ptr[t0 * L], ptr[t1 * L]
+        if len(pos) != hi - lo:
+            return False
+        pair = rows[span]
+        x = (pair // L, pair % L, idx[pos])
+        t = [x[s] if f is None else f[x[s]] for s, f in zip(slots, maps)]
+        cells = ((t[0] - t0) * L + t[1]) * L + t[2]
+        buf[cells] = val[pos]
+        here = np.repeat(np.arange((t1 - t0) * L), np.diff(ptr[t0 * L : t1 * L + 1]))
+        same = np.array_equal(buf[here * L + idx[lo:hi]], val[lo:hi])
+        buf[cells] = 0
+        if not same:
+            return False
+    return True
+
+
 def validate_ring_two_scans(ring):
     """``validate_ring`` as it ran before a passed associativity scan
     settled Frobenius reciprocity: both relations are scanned over the
     whole table on every ring, before the associativity scan."""
     from orbifusion.kernels import associativity_violations
-    from orbifusion.rings import AxiomFailure, ValidationReport, _invariant_under
+    from orbifusion.rings import AxiomFailure, ValidationReport
 
     failures = []
     L = ring.size

@@ -156,21 +156,27 @@ def test_every_run_ends_in_a_known_exit_code_with_one_line_on_failure(data):
             with open(path, "wb") as fh:
                 fh.write(_document(data, doc))
             fill[name] = path
-        argv = [part.format(**fill) for part in command]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
+        run_and_check([part.format(**fill) for part in command])
+
+
+def run_and_check(argv):
+    """Run ``main`` on ``argv`` under the invariant above; its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert not caught, (argv, [str(w.message) for w in caught])
-    if code == 1 and command[0] == "validate" and not err:
+    if code == 1 and argv[0] == "validate" and not err:
         # failed axioms are validate's report, and it goes to stdout
         assert "FAIL " in out or '"passed": false' in out, (argv, out)
     elif code:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     assert "Traceback" not in err
+    return code, out, err

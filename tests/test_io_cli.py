@@ -30,6 +30,7 @@ from orbifusion.fileio import (
 )
 
 from .oracles import broken_z3_ring, cyclic_ring
+from .test_cli_fuzz import _COMMANDS, _PERM, run_and_check
 
 
 def _ring_doc():
@@ -344,6 +345,45 @@ def test_cli_dims(e6affine_files, capsys):
     assert capsys.readouterr().out == (
         "id: 1\nalpha: 1\nalpha2: 1\nrho: 3\nglobal: 12\n"
     )
+
+
+def _degenerate_rings():
+    """Tables whose Perron-Frobenius vector has a unit component of 0,
+    with a label to try as alpha."""
+    lone = {
+        "format": "orbifusion/1",
+        "labels": ["a", "b"],
+        "unit": "a",
+        "dual": {"a": "a", "b": "b"},
+        "N": [["b", "b", "b", 1]],
+    }
+    # E6affine with no row whose second label is the unit
+    e6affine = json.loads(dump_ring(build("E6affine").ring))
+    e6affine["N"] = [row for row in e6affine["N"] if row[1] != "id"]
+    return [(lone, "b"), (e6affine, "alpha")]
+
+
+def test_ring_commands_end_cleanly_on_degenerate_tables(tmp_path):
+    # dividing by the zero unit component would give NaN and infinity,
+    # which --json cannot write, and numpy warnings on stderr
+    graph = _write(tmp_path, "e6affine.graph", dump_graph(build("E6affine").graph))
+    perm = _write(tmp_path, "flip.perm", dump_json(_PERM))
+    for doc, alpha in _degenerate_rings():
+        request = {"format": "orbifusion/1", "ring": doc, "alpha": alpha, "loi_trivial": True}
+        fill = {
+            "ring": _write(tmp_path, "ring.json", dump_json(doc)),
+            "request": _write(tmp_path, "request.json", dump_json(request)),
+            "alpha": alpha,
+            "graph": graph,
+            "perm": perm,
+        }
+        for command in _COMMANDS:
+            if "{ring}" in command or "{request}" in command:
+                argv = [part.format(**fill) for part in command]
+                code, out, err = run_and_check(argv)
+                if command[0] == "dims":
+                    assert (code, out) == (1, ""), argv
+                    assert err == "error: dimension vector failed positivity checks\n", argv
 
 
 def test_cli_obstruction_report_is_exact(e6_ring_file, capsys):

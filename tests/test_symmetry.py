@@ -1,15 +1,16 @@
-"""The block-wise symmetry check against dense-cube oracles.
+"""The table symmetries against dense-cube oracles.
 
-Frobenius reciprocity (the relation N[i,j,k] = N[i*,k,j] and the
-3-cycle N[i,j,k] = N[j,k*,i*], which with it gives the other relation),
-the first-slot equivariance of a cyclic action and the dual-unit check
-read the pair-major arrays one block of first labels at a time. Here
-their verdicts are held to the dense cube, their witnesses to the
-entry-array and argsort check they replace, and ``fp_dimensions`` to
-the ``np.add.at`` scatter, bit for bit. ``validate_ring``, which
-settles Frobenius reciprocity from the generators' slabs once the other
-axioms pass, is held to the two-scan validation it replaces, and its
-chunked witness search to the walk over every stored constant.
+Frobenius reciprocity (the relations N[i,j,k] = N[i*,k,j] and
+N[i,j,k] = N[k,j*,i]) is decided by the chunked witness search, or, on
+a table that meets every other axiom, by comparing each generator's
+slab with its dual's slab transposed. The first-slot equivariance of a
+cyclic action compares slab p(i) with slab i, its outputs renamed.
+Here those verdicts are held to the dense cube and to the dense-buffer
+scanner of ``tests.oracles`` that they replace, their witnesses to the
+entry-array and argsort check, and ``fp_dimensions`` to the
+``np.add.at`` scatter, bit for bit. ``validate_ring`` is held to the
+two-scan validation, and its witness search to the walk over every
+stored constant.
 """
 
 import functools
@@ -27,8 +28,10 @@ from orbifusion import AssumptionError, FusionRing, cyclic_action, fp_dimensions
 import orbifusion
 from orbifusion import orbifold, rings
 from orbifusion.catalog import build, names, su2_even_ring
-from orbifusion.rings import _invariant_under, left_permutation
+from orbifusion.rings import left_permutation
+from . import oracles
 from .oracles import (
+    _invariant_under,
     su3_ring,
     cyclic_ring,
     dense_cube,
@@ -187,8 +190,12 @@ def _perms(base, rng):
 
 @pytest.fixture(params=["default", "one-label"])
 def block(request, monkeypatch):
+    # the scanner one first label per block, and the witness search in
+    # chunks that end inside witness runs; chunks of one constant would
+    # add about 10 s to the suite, and the walk test below runs them
     if request.param == "one-label":
-        monkeypatch.setattr(rings, "_SYM_BLOCK_CELLS", 1)
+        monkeypatch.setattr(oracles, "_SYM_BLOCK_CELLS", 1)
+        monkeypatch.setattr(rings, "_WITNESS_CHUNK", 7)
     return request.param
 
 
@@ -205,11 +212,22 @@ def test_the_cases_break_each_relation_somewhere():
 
 
 def _frobenius_block_verdicts(ring):
-    """The first relation and the 3-cycle, as validate_ring checks them."""
+    """The first relation and the 3-cycle, as the dense-buffer scanner
+    checked them."""
     dual = np.asarray(ring.dual, dtype=np.int64)
     return (
         _invariant_under(ring, (0, 2, 1), (dual, None, None)),
         _invariant_under(ring, (1, 2, 0), (None, dual, dual)),
+    )
+
+
+def _slab_equivariant(ring, perm):
+    """N[p(i),j,p(k)] = N[i,j,k], slab by slab, as cyclic_action checks it."""
+    ptr, idx, val = ring.csr()
+    p = np.asarray(perm, dtype=np.int64)
+    return all(
+        rings._slab_is_moved(ptr, idx, val, ring.size, i, perm[i], rename=p)
+        for i in range(ring.size)
     )
 
 
@@ -218,15 +236,15 @@ def test_frobenius_and_equivariance_match_the_dense_cube(block):
     for name, ring, base in _CASES:
         N = dense_cube(ring)
         left, cycle = _frobenius_block_verdicts(ring)
+        both = frobenius_left_dense(N, ring.dual) and frobenius_right_dense(N, ring.dual)
         assert left == frobenius_left_dense(N, ring.dual), name
         assert cycle == frobenius_cycle_dense(N, ring.dual), name
-        assert (left and cycle) == (
-            frobenius_left_dense(N, ring.dual) and frobenius_right_dense(N, ring.dual)
-        ), name
+        assert (left and cycle) == both, name
         for perm in _perms(base, rng):
             p = np.asarray(perm, dtype=np.int64)
-            got = _invariant_under(ring, (0, 1, 2), (p, None, p))
-            assert got == equivariant_dense(N, perm), (name, perm)
+            want = equivariant_dense(N, perm)
+            assert _invariant_under(ring, (0, 1, 2), (p, None, p)) == want, (name, perm)
+            assert _slab_equivariant(ring, perm) == want, (name, perm)
 
 
 def _frobenius_symmetrized(N, dual):
@@ -274,13 +292,16 @@ def test_frobenius_verdicts_on_random_tables(table, block_size):
     L = len(dual)
     entries = [(int(i), int(j), int(k), int(N[i, j, k])) for i, j, k in np.argwhere(N)]
     ring = FusionRing([f"x{t}" for t in range(L)], 0, dual, entries)
-    cells = 1 if block_size == "one-label" else rings._SYM_BLOCK_CELLS
+    chunk = 1 if block_size == "one-label" else rings._WITNESS_CHUNK
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rings, "_SYM_BLOCK_CELLS", cells)
-        left, cycle = _frobenius_block_verdicts(ring)
+        mp.setattr(rings, "_WITNESS_CHUNK", chunk)
+        no_witness = rings._frobenius_witnesses(ring) == ()
+    left, cycle = _frobenius_block_verdicts(ring)
+    both = frobenius_left_dense(N, dual) and frobenius_right_dense(N, dual)
     assert left == frobenius_left_dense(N, dual)
     assert cycle == frobenius_cycle_dense(N, dual)
-    assert (left and cycle) == (frobenius_left_dense(N, dual) and frobenius_right_dense(N, dual))
+    assert (left and cycle) == both
+    assert no_witness == both
 
 
 @functools.cache
@@ -335,7 +356,7 @@ def test_cyclic_action_refuses_exactly_the_non_equivariant_tables(block):
 
 
 def _refuse(*args):
-    raise AssertionError("_invariant_under was called")
+    raise AssertionError("the equivariance comparison was called")
 
 
 def _premises_hold(report):
@@ -343,17 +364,29 @@ def _premises_hold(report):
     return not axioms & {"unit", "duality-involution", "dual-unit", "associativity"}
 
 
+def _counting_searches(monkeypatch):
+    searches = []
+    search = rings._frobenius_witnesses
+    monkeypatch.setattr(
+        rings, "_frobenius_witnesses", lambda ring: searches.append(ring) or search(ring)
+    )
+    return searches
+
+
+@functools.cache
+def _two_scan_report(case: int):
+    return validate_ring_two_scans(_CASES[case][1])
+
+
 def test_validation_is_the_two_scan_oracle(block, monkeypatch):
-    scans = []
-    scan = rings._invariant_under
-    monkeypatch.setattr(rings, "_invariant_under", lambda *a: scans.append(a) or scan(*a))
-    for name, ring, _ in _CASES:
-        want = validate_ring_two_scans(ring)
-        del scans[:]
+    searches = _counting_searches(monkeypatch)
+    for case, (name, ring, _) in enumerate(_CASES):
+        want = _two_scan_report(case)
+        del searches[:]
         assert validate_ring(ring) == want, name
-        # a ring meeting the premises has its Frobenius verdict from the
-        # generators' slabs; any other ring is scanned as before
-        assert bool(scans) != _premises_hold(want), name
+        # a clean ring has its Frobenius verdict from the generators'
+        # slabs; the witness search decides every other table
+        assert bool(searches) != want.passed, name
 
 
 def _sigma1_only_table():
@@ -374,8 +407,17 @@ def test_a_table_meeting_every_premise_can_still_fail_the_first_relation(monkeyp
     N = dense_cube(ring)
     assert frobenius_cycle_dense(N, ring.dual) and not frobenius_left_dense(N, ring.dual)
     assert str(validate_ring_two_scans(ring)) == _SIGMA1_ONLY
-    monkeypatch.setattr(rings, "_invariant_under", _refuse)
+    # the generators' slab comparison finds the failure
+    compared = []
+    compare = rings._slab_is_moved
+
+    def recording(*args, **kwargs):
+        compared.append(compare(*args, **kwargs))
+        return compared[-1]
+
+    monkeypatch.setattr(rings, "_slab_is_moved", recording)
     assert str(validate_ring(ring)) == _SIGMA1_ONLY
+    assert compared and not all(compared)
     assert not ring._validated
 
 
@@ -452,15 +494,13 @@ def _premise_tables(seed, count):
 def test_validation_is_the_two_scan_oracle_on_tables_meeting_the_premises(monkeypatch):
     # random tables break the first relation alone too rarely to rely on
     # (2 in 66,514 that met the premises), so the fixed table is mixed in
-    scans = []
-    scan = rings._invariant_under
-    monkeypatch.setattr(rings, "_invariant_under", lambda *a: scans.append(a) or scan(*a))
+    searches = _counting_searches(monkeypatch)
     met = failed = 0
     for t, ring in enumerate(_premise_tables(1111, 400)):
         want = validate_ring_two_scans(ring)
-        del scans[:]
+        del searches[:]
         assert validate_ring(ring) == want, t
-        assert bool(scans) != _premises_hold(want), t
+        assert bool(searches) != want.passed, t
         met += _premises_hold(want)
         failed += _premises_hold(want) and not want.passed
     assert met >= 200 and failed >= 100
@@ -507,12 +547,53 @@ def test_the_witness_search_is_the_walk(monkeypatch):
     assert max(len(w) for w in want.values()) == 20
 
 
+def _frobenius_orbit(ring, cell):
+    """The cells that (i,j,k) -> (i*,k,j) and (i,j,k) -> (k,j*,i) reach from ``cell``."""
+    d = ring.dual
+    orbit, todo = {cell}, [cell]
+    while todo:
+        i, j, k = todo.pop()
+        for image in ((d[i], k, j), (k, d[j], i)):
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _raised(ring, cells):
+    """A copy of the ring with the stored constant of each cell one larger."""
+    ptr, idx, val = ring.csr()
+    val = val.copy()
+    L = ring.size
+    for i, j, k in cells:
+        lo, hi = ptr[i * L + j], ptr[i * L + j + 1]
+        val[lo + np.searchsorted(idx[lo:hi], k)] += 1
+    return FusionRing.from_csr(ring.labels, ring.unit, ring.dual, ptr, idx, val)
+
+
+@pytest.mark.parametrize("orbit", [False, True], ids=["one raised", "orbit raised"])
+def test_validation_is_the_two_scan_oracle_on_raised_level_15_tables(orbit, monkeypatch):
+    # a constant raised with its whole orbit keeps both relations and
+    # breaks associativity, so the full witness search must confirm them
+    ring = su3_ring(15)
+    ptr, idx, _ = ring.csr()
+    pair = int(np.searchsorted(ptr, ring.nnz - 1, side="right")) - 1
+    cell = (pair // ring.size, pair % ring.size, int(idx[-1]))
+    raised = _raised(ring, _frobenius_orbit(ring, cell) if orbit else [cell])
+    searches = _counting_searches(monkeypatch)
+    want = validate_ring_two_scans(raised)
+    assert validate_ring(raised) == want
+    axioms = [f.axiom for f in want.failures]
+    assert axioms == (["associativity"] if orbit else ["frobenius-reciprocity", "associativity"])
+    assert len(searches) == 1
+
+
 def test_validated_rings_skip_the_equivariance_scan(monkeypatch):
     rings_ = [build("E6affine").ring, cyclic_ring(4), su2_even_ring(10), su3_ring(6)]
     for ring in rings_:
         ring = _unvalidated(ring)
         assert validate_ring(ring).passed and ring._validated
-    monkeypatch.setattr(orbifold, "_invariant_under", _refuse)
+    monkeypatch.setattr(orbifold, "_slab_is_moved", _refuse)
     for ring, alpha in zip(rings_, ("alpha", "g1", "rho10", "6,0")):
         ring = _unvalidated(ring)
         validate_ring(ring)
@@ -521,7 +602,7 @@ def test_validated_rings_skip_the_equivariance_scan(monkeypatch):
 
 def test_an_unvalidated_broken_table_still_fails_equivariance():
     # a table that left_permutation accepts, whose action breaks
-    # equivariance: validation fails, so cyclic_action scans it
+    # equivariance: validation fails, so cyclic_action checks it
     refused = 0
     for name, ring, _ in _CASES:
         if "/" not in name:
@@ -598,7 +679,7 @@ def test_action_and_dimensions_allocate_in_proportion_to_the_ring():
     # with four entry arrays and an argsort, cyclic_action allocated 5.2
     # times the ring's own array bytes at this level and fp_dimensions 3.9;
     # summing over the whole ring at once, fp_dimensions allocated 1.39
-    ring = _unvalidated(su3_ring(18))  # so that cyclic_action scans
+    ring = _unvalidated(su3_ring(18))  # so that cyclic_action checks equivariance
     own = sum(a.nbytes for a in ring.csr())
     assert _extra_allocation(lambda: cyclic_action(ring, "18,0")) < 2 * own
     assert _extra_allocation(lambda: fp_dimensions(ring)) < 0.75 * own
