@@ -59,7 +59,7 @@ from .orbifold import (
     obstruction_bound,
     orbifold_sectors,
 )
-from .rings import fp_dimensions, validate_ring
+from .rings import fp_dimensions, require_valid, validate_ring
 from .su3 import kac_walton, obstruction_m, parse_weight, weight_label
 
 __all__ = ["main"]
@@ -135,6 +135,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_obstruction(args) -> int:
     ring = load_ring(args.ring)
+    require_valid(ring)
     action = cyclic_action(ring, args.alpha)
     inp = OrbifoldInput.make(action, args.rho, loi_trivial_attested=False)
     bound = obstruction_bound(inp)

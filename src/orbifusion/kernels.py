@@ -13,9 +13,11 @@ in memory of order the number of nonzeros.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
 
-The associativity scan compares the two bracketings as sparse products
-over blocks of rows, so its memory stays bounded by the block size
-rather than by the ring.
+The associativity scan compares the two bracketings over blocks of rows,
+so its memory stays bounded by the block size rather than by the ring.
+A ring whose cube L**3 fits the budget ``_DENSE_CELLS`` is compared on
+a dense int64 copy of the table with numpy alone; a larger one through
+scipy's sparse products, the only use of scipy in the package.
 """
 
 from __future__ import annotations
@@ -143,6 +145,13 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
 
 _ASSOC_BLOCK = 2_000_000  # product entries per block of j rows, roughly
 
+# A ring whose cube L**3 has at most _DENSE_CELLS cells (L <= 101, an
+# int64 copy of 8 MB) is scanned densely, well inside the sizes where
+# that beats importing scipy in time and memory (README, "The kernels").
+# The dense buffer holds _DENSE_BLOCK cells per block of j rows.
+_DENSE_CELLS = 2**20
+_DENSE_BLOCK = 2**17
+
 
 def _flat_matrix(ptr, idx, val, L):
     """The table as an (L, L*L) matrix: flat[m, k*L + l] = N_{mk}^l."""
@@ -212,6 +221,49 @@ def _assoc_gen(ptr, idx, val, L, g, cap, flat):
     return False, np.vstack(found)
 
 
+def _cube(ptr, idx, val, L):
+    """The table as a dense int64 array: cube[i, j, k] = N_{ij}^k."""
+    cube = np.zeros(L**3, dtype=np.int64)
+    cube[np.repeat(np.arange(L * L, dtype=np.int64) * L, np.diff(ptr)) + idx] = val
+    return cube.reshape(L, L, L)
+
+
+def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
+    # The same comparison as _assoc_gen on a dense (j, k, l) buffer per
+    # block of j rows. Each nonzero N_{gx}^y = a of the generator's slab
+    # is a term of both sides: of the left, (x_g x_j) x_k, as a times
+    # slab y added to row j = x, and of the right, x_g (x_j x_k), as a
+    # times the column m = x of the block, N_{jk}^m, subtracted from
+    # column l = y. A nonzero cell is a witness, in ascending (j, k, l).
+    lo, hi = ptr[g * L], ptr[(g + 1) * L]
+    rows = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
+    terms = list(zip(rows.tolist(), idx[lo:hi].tolist(), val[lo:hi].tolist()))
+    nb = max(1, _DENSE_BLOCK // (L * L))
+    found: list[np.ndarray] = []
+    room = cap
+    for j0 in range(0, L, nb):
+        if room <= 0:
+            break
+        j1 = min(j0 + nb, L)
+        diff = np.zeros((j1 - j0, L, L), dtype=np.int64)
+        block = cube[j0:j1]
+        for x, y, a in terms:
+            if j0 <= x < j1:
+                diff[x - j0] += cube[y] if a == 1 else a * cube[y]
+            diff[:, :, y] -= block[:, :, x] if a == 1 else a * block[:, :, x]
+        bad = np.flatnonzero(diff)[:room]
+        if bad.size:
+            j, k, l = np.unravel_index(bad, diff.shape)
+            j += j0
+            left = (cube[g, j] * cube[:, k, l].T).sum(axis=1)
+            wit = np.stack([np.full_like(j, g), j, k, l, left, left - diff.ravel()[bad]], axis=1)
+            found.append(wit.astype(np.int64, copy=False))
+            room -= len(wit)
+    if not found:
+        return True, np.zeros((0, 6), dtype=np.int64)
+    return False, np.vstack(found)
+
+
 def _is_identity(ptr, idx, val, L, pairs) -> bool:
     """Whether the L rows ``pairs`` are the identity: row t is the one entry (t, 1).
 
@@ -251,10 +303,15 @@ def associativity_violations(
 
     ``gens`` is :func:`generating_set` of the same arrays, for a caller
     that needs the generators too; by default it is computed here.
+    Rings with at most ``_DENSE_CELLS`` cells in their cube are scanned
+    densely, larger ones as sparse products; both report the same.
     """
     if gens is None:
         gens = generating_set(ptr, idx, val, L)
-    flat = _flat_matrix(ptr, idx, val, L)
+    if L**3 <= _DENSE_CELLS:
+        table, scan = _cube(ptr, idx, val, L), _assoc_gen_dense
+    else:
+        table, scan = _flat_matrix(ptr, idx, val, L), _assoc_gen
     found: list[np.ndarray] = []
     room = cap
     for g in gens:
@@ -262,7 +319,7 @@ def associativity_violations(
             break
         if _is_identity(ptr, idx, val, L, g * L + np.arange(L)):
             continue
-        ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
+        ok, wit = scan(ptr, idx, val, L, g, room, table)
         if not ok:
             found.append(wit)
             room -= len(wit)

@@ -18,8 +18,12 @@ catalog.su3_ring = su3_ring
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Import scipy and fill the tests' ring cache once, outside any timed assertion."""
-    from orbifusion import validate_ring
+    """Run both associativity scans once, outside any timed assertion: the
+    sparse one imports scipy. Fills the tests' ring cache at level 3."""
+    from orbifusion import kernels, validate_ring
 
-    validate_ring(su3_ring(3))
+    ring = su3_ring(3)
+    validate_ring(ring)
+    ptr, idx, val = ring.csr()
+    kernels._assoc_gen(ptr, idx, val, ring.size, 1, 20, kernels._flat_matrix(ptr, idx, val, ring.size))
     yield

@@ -761,12 +761,19 @@ def generating_set_every_closure(ptr: np.ndarray, idx: np.ndarray, val: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# the associativity scan over every generator, the unit included
+# the associativity scan as sparse products, over every generator or
+# past the identity slabs
 # ---------------------------------------------------------------------------
 
 def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
     """The package's scan as it ran before it skipped identity slabs."""
-    from orbifusion.kernels import _assoc_gen, _flat_matrix, generating_set
+    return associativity_scan_sparse(ptr, idx, val, L, cap, skip_identity=False)
+
+
+def associativity_scan_sparse(ptr, idx, val, L: int, cap: int = 20, *, skip_identity=True):
+    """The package's scan as it ran before it scanned small rings densely:
+    sparse products on every ring, whatever its size."""
+    from orbifusion.kernels import _assoc_gen, _flat_matrix, _is_identity, generating_set
 
     gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)
@@ -775,6 +782,8 @@ def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
     for g in gens:
         if room <= 0:
             break
+        if skip_identity and _is_identity(ptr, idx, val, L, g * L + np.arange(L)):
+            continue
         ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
         if not ok:
             found.append(wit)

@@ -11,6 +11,7 @@ from orbifusion import (
     ObstructionValue,
     SchemaError,
     path_graph,
+    validate_ring,
 )
 from orbifusion.catalog import build
 from orbifusion.cli import main
@@ -396,6 +397,28 @@ def test_cli_obstruction_report_is_exact(e6_ring_file, capsys):
         "gcd(m, n) = 2\n"
         "verdict: Inconclusive\n"
     )
+
+
+@pytest.mark.parametrize(
+    "case, alpha",
+    [
+        ("E6affine/bump", "alpha"),
+        ("su3_6/non_involutive_dual", "6,0"),
+        ("su3_9/non_involutive_dual", "9,0"),
+    ],
+)
+def test_cli_obstruction_refuses_a_ring_that_fails_validation(tmp_path, capsys, case, alpha):
+    # the bumped E6affine table has N[rho, id, rho] raised; the gcd test
+    # certified it "Trivial" with exit 0 before the ring was validated
+    from .test_symmetry import _CASES
+
+    ring = next(r for name, r, _ in _CASES if name == case)
+    report = validate_ring(ring)
+    assert case != "E6affine/bump" or str(report).startswith("unit: (3, 0);")
+    path = _write(tmp_path, "broken.ring", dump_ring(ring))
+    for json_flag in ([], ["--json"]):
+        assert main(["obstruction", path, "--alpha", alpha] + json_flag) == 1
+        assert capsys.readouterr() == ("", f"error: ring fails validation: {report}\n")
 
 
 def test_cli_orbifold_full_pipeline(e6affine_files, tmp_path, capsys):

@@ -1,11 +1,16 @@
 import functools
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import orbifusion
 from orbifusion import FusionRing, kernels, su3, validate_ring
-from orbifusion.catalog import _near_group_ring, build, names
+from orbifusion.catalog import _near_group_ring, build, names, su2_even_ring
 from orbifusion.kernels import (
     associativity_violations,
     cube_to_csr,
@@ -16,6 +21,7 @@ from orbifusion.su3 import _alcove_arrays, admissible_weights
 
 from .oracles import (
     associativity_scan_every_generator,
+    associativity_scan_sparse,
     broken_z3_ring,
     dense_associator,
     dense_cube,
@@ -169,14 +175,18 @@ def _mutated_level6_cases():
 @pytest.mark.parametrize("block", [1, 500, 1_000_000])
 def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, block):
     # 1 and 500 split the level-6 scan into many blocks, a million
-    # covers it in one as the default does; witnesses must not change
+    # covers it in one as the default does; witnesses must not change,
+    # densely (level 6 is below the cut) or as sparse products
     monkeypatch.setattr(kernels, "_ASSOC_BLOCK", block)
-    for mutated, want in _mutated_level6_cases():
-        ptr, idx, val = mutated.csr()
-        for cap in (1, 5, 20):
-            ok, wit = associativity_violations(ptr, idx, val, mutated.size, cap=cap)
-            assert not ok
-            assert np.array_equal(wit, want[:cap])
+    monkeypatch.setattr(kernels, "_DENSE_BLOCK", block)
+    for cells in (kernels._DENSE_CELLS, 0):
+        monkeypatch.setattr(kernels, "_DENSE_CELLS", cells)
+        for mutated, want in _mutated_level6_cases():
+            ptr, idx, val = mutated.csr()
+            for cap in (1, 5, 20):
+                ok, wit = associativity_violations(ptr, idx, val, mutated.size, cap=cap)
+                assert not ok
+                assert np.array_equal(wit, want[:cap])
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +292,181 @@ def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
 
 
 def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
-    ring = su3_ring(6)
-    ptr, idx, val = ring.csr()
-    assert generating_set(ptr, idx, val, ring.size)[0] == ring.unit == 0
-    scanned = []
-    real = kernels._assoc_gen
+    scanned = {}
 
-    def spy(ptr, idx, val, L, g, cap, flat):
-        scanned.append(g)
-        return real(ptr, idx, val, L, g, cap, flat)
+    def spy(name):
+        real = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "_assoc_gen", spy)
-    ok, wit = associativity_violations(ptr, idx, val, ring.size)
-    assert ok and len(wit) == 0
-    assert scanned and ring.unit not in scanned
+        def scan(ptr, idx, val, L, g, cap, table):
+            scanned.setdefault(name, []).append(g)
+            return real(ptr, idx, val, L, g, cap, table)
+
+        return scan
+
+    for name in ("_assoc_gen", "_assoc_gen_dense"):
+        monkeypatch.setattr(kernels, name, spy(name))
+    # level 6 (28 labels) is scanned densely, level 15 (136) as sparse products
+    for level, path in ((6, "_assoc_gen_dense"), (15, "_assoc_gen")):
+        ring = su3_ring(level)
+        ptr, idx, val = ring.csr()
+        assert generating_set(ptr, idx, val, ring.size)[0] == ring.unit == 0
+        scanned.clear()
+        ok, wit = associativity_violations(ptr, idx, val, ring.size)
+        assert ok and len(wit) == 0
+        assert list(scanned) == [path]
+        assert scanned[path] and ring.unit not in scanned[path]
+
+
+# ---------------------------------------------------------------------------
+# the dense scan below the size cut, held to the sparse products
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _tables(group):
+    """Raw tables by name: the symmetry tests' clean and mutated rings, or
+    rings on both sides of the cut at 101 labels, clean and with one
+    seeded constant raised."""
+    if group == "cases":
+        from .test_symmetry import _CASES
+
+        return {name: ring.csr() + (ring.size,) for name, ring, _ in _CASES}
+    tables = {}
+    for name, make in (
+        ("su2 L=99", lambda: su2_even_ring(196)),
+        ("su2 L=101", lambda: su2_even_ring(200)),
+        ("su2 L=102", lambda: su2_even_ring(202)),
+        ("su3 L=91", lambda: su3_ring(12)),
+        ("su3 L=105", lambda: su3_ring(13)),
+    ):
+        ring = make()
+        ptr, idx, val = ring.csr()
+        tables[name] = (ptr, idx, val, ring.size)
+        for seed in (0, 1):
+            bumped = val.copy()
+            bumped[random.Random(seed).randrange(len(val))] += 1
+            tables[f"{name} bumped #{seed}"] = (ptr, idx, bumped, ring.size)
+    return tables
+
+
+@functools.cache
+def _sparse_witnesses(group, name):
+    """Every witness of the table as the sparse products find them, once
+    per session; a cap keeps a prefix of this list."""
+    ptr, idx, val, L = _tables(group)[name]
+    return associativity_scan_sparse(ptr, idx, val, L, cap=10**9)
+
+
+@functools.cache
+def _generators(group, name):
+    ptr, idx, val, L = _tables(group)[name]
+    return generating_set(ptr, idx, val, L)
+
+
+def _hold_to_the_sparse_products(group, caps):
+    failing = []
+    for name, (ptr, idx, val, L) in _tables(group).items():
+        want_ok, want = _sparse_witnesses(group, name)
+        gens = _generators(group, name)
+        for cap in caps(want):
+            ok, wit = associativity_violations(ptr, idx, val, L, cap=cap, gens=gens)
+            assert ok == want_ok, (name, cap)
+            assert wit.dtype == np.int64 and np.array_equal(wit, want[:cap]), (name, cap)
+        if not want_ok:
+            failing.append(want)
+    return failing
+
+
+def _cut_caps(want):
+    """1, one past the whole list, the first cap that ends the list inside
+    a run of witnesses of one (generator, j) row, and the first that ends
+    it inside the witnesses of a later generator."""
+    rows = list(map(tuple, want[:, :2].tolist()))
+    pairs = list(zip(rows, rows[1:]))
+    in_row = next((t + 1 for t, (a, b) in enumerate(pairs) if a == b), 1)
+    across = next((t + 2 for t, (a, b) in enumerate(pairs) if a[0] != b[0]), 1)
+    return sorted({1, len(rows) + 1, in_row, across})
+
+
+@pytest.mark.parametrize("block", [1, 2_000, kernels._DENSE_BLOCK])
+def test_dense_scan_matches_the_sparse_products_on_every_case(monkeypatch, block):
+    # blocks of one j row, of 2,000 cells and of the default 2^17 cells
+    # (one block up to 50 labels); the caps cut the scan inside a run of
+    # witnesses of one row block and between generators
+    monkeypatch.setattr(kernels, "_DENSE_BLOCK", block)
+    assert all(L**3 <= kernels._DENSE_CELLS for *_, L in _tables("cases").values())
+    failing = _hold_to_the_sparse_products("cases", _cut_caps)
+    rows = [list(map(tuple, want[:, :2].tolist())) for want in failing]
+    assert any(r[t - 1] == r[t] for r in rows for t in range(1, len(r)))
+    assert any(len({g for g, _ in r}) > 1 for r in rows)
+
+
+@pytest.mark.parametrize("cells", ["default", "raised"])
+def test_dense_scan_matches_the_sparse_products_around_the_cut(monkeypatch, cells):
+    # by default the rings up to 101 labels are scanned densely and the
+    # larger ones as sparse products; raised, every one of them densely
+    if cells == "raised":
+        monkeypatch.setattr(kernels, "_DENSE_CELLS", 2**21)
+    failing = _hold_to_the_sparse_products("edge", lambda want: (1, 7, 20) if len(want) else (20,))
+    assert len(failing) == 10
+
+
+_SCIPY_PROBE = """
+import sys
+from orbifusion import catalog, graphs, orbifold, rings
+from orbifusion.cli import main
+
+
+def scipy_loaded(step):
+    print("scipy after", step, any(name.partition(".")[0] == "scipy" for name in sys.modules))
+
+
+assert main(["validate", sys.argv[1]]) == 0
+scipy_loaded("validate")
+assert main(["catalog", "run", "A5"]) == 0
+scipy_loaded("catalog")
+n = 50  # the D_2n pipeline on the A_197 chain, 99 labels
+level = 4 * n - 4
+ring = catalog.su2_even_ring(level)
+graph = catalog.chain_graph(4 * n - 3)
+assert rings.validate_ring(ring).passed
+dims = rings.fp_dimensions(ring)
+action = orbifold.cyclic_action(ring, f"rho{level}")
+inp = orbifold.OrbifoldInput.make(action, f"rho{2 * n - 2}", True)
+assert orbifold.check_assumptions(inp).passed
+sectors = orbifold.orbifold_sectors(inp, orbifold.ObstructionValue(0, action.order), dims)
+assert orbifold.global_dim_check(ring, sectors).passed
+sym = graphs.induced_graph_symmetry(ring, action, graph, {v: v for v in graph.even})
+folded = graphs.fold_graph(sym)
+assert str(graphs.recognize(folded)) == f"D_{2 * n}"
+graphs.pf_norm(graph), graphs.pf_norm(folded)
+scipy_loaded("d2n")
+assert rings.validate_ring(catalog.su3_ring(15)).passed
+scipy_loaded("level 15")
+"""
+
+
+def test_only_the_scan_above_the_cut_imports_scipy(tmp_path):
+    # importing scipy.sparse costs 0.13-0.25 s and about 21 MB a process
+    from orbifusion.fileio import dump_ring
+
+    ring_file = tmp_path / "e6affine.ring"
+    ring_file.write_text(dump_ring(build("E6affine").ring), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(ring_file)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line.startswith("scipy after")] == [
+        "scipy after validate False",
+        "scipy after catalog False",
+        "scipy after d2n False",
+        "scipy after level 15 True",
+    ]
 
 
 def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
