@@ -2,9 +2,10 @@
 
 Each entry packages a ring (sometimes a principal graph with it), the
 acting label, the designated fixed label, and every value the pipeline
-is expected to produce: the self-coupling count m, the gcd verdict, the
-sector shape, the folded graph class. ``run`` executes the whole
-pipeline against an entry and reports one pass/fail line per claim.
+is expected to produce: the self-coupling count m (which fixes the
+expected gcd verdict), the sector shape, the folded graph class.
+``run`` executes the whole pipeline against an entry and reports one
+pass/fail line per claim.
 
 A small registry records obstruction values that the gcd test cannot
 certify. Recorded values are inputs, not computations: the one
@@ -33,8 +34,8 @@ from .graphs import (
 from .orbifold import (
     ConjugacyOutcome,
     ObstructionValue,
+    ObstructionVerdict,
     OrbifoldInput,
-    Verdict,
     cyclic_action,
     global_dim_check,
     obstruction_bound,
@@ -170,26 +171,12 @@ class CatalogEntry:
     graph: BipartiteGraph | None = field(default=None, repr=False)
     even_map: dict[str, str] | None = field(default=None, repr=False)
     expected_m: int | None = None
-    expected_verdict: Verdict | None = None
     expected_fold: DynkinClass | None = None
     expected_sectors: tuple[int, int] | None = None  # (merged classes, split pieces)
     expected_rho_dim: float | None = None
     expected_group: str | None = None
     expect_a3: bool = True
     notes: str = ""
-
-    def __post_init__(self) -> None:
-        if self.expected_m is not None and self.expected_verdict is not None:
-            want = (
-                Verdict.TRIVIAL
-                if math.gcd(self.expected_m, self.n) == 1
-                else Verdict.INCONCLUSIVE
-            )
-            if self.expected_verdict is not want:
-                raise InputError(
-                    f"entry {self.name}: expected verdict contradicts gcd"
-                    f"({self.expected_m}, {self.n})"
-                )
 
 
 def _chain_entry(n: int) -> CatalogEntry:
@@ -204,7 +191,6 @@ def _chain_entry(n: int) -> CatalogEntry:
         graph=chain_graph(4 * n - 3),
         even_map={f"rho{k}": f"rho{k}" for k in range(0, level + 1, 2)},
         expected_m=1,
-        expected_verdict=Verdict.TRIVIAL,
         expected_fold=DynkinClass("D", 2 * n),
         expected_sectors=(n - 1, 2),
         notes=(
@@ -242,7 +228,6 @@ def _su3_entry(k: int) -> CatalogEntry:
         rho=weight_label((k, k)),
         n=3,
         expected_m=m,
-        expected_verdict=Verdict.TRIVIAL if m % 3 != 0 else Verdict.INCONCLUSIVE,
         # one fixed weight; the other (level+1)(level+2)/2 - 1 fall in free orbits
         expected_sectors=(((level + 1) * (level + 2) // 2 - 1) // 3, 3),
         notes=(
@@ -269,7 +254,6 @@ def _entries() -> dict[str, Callable[[], CatalogEntry]]:
         graph=_e6_graph(),
         even_map={"id": "id", "alpha": "alpha", "rho": "rho"},
         expected_m=2,
-        expected_verdict=Verdict.INCONCLUSIVE,
         expected_sectors=(1, 1),
         expected_rho_dim=1.0 + math.sqrt(3.0),
         notes=(
@@ -288,7 +272,6 @@ def _entries() -> dict[str, Callable[[], CatalogEntry]]:
         graph=_e6_affine_graph(),
         even_map={lab: lab for lab in ("id", "alpha", "alpha2", "rho")},
         expected_m=2,
-        expected_verdict=Verdict.TRIVIAL,
         expected_fold=DynkinClass("D_affine", 4),
         expected_sectors=(1, 3),
         expected_rho_dim=3.0,
@@ -467,7 +450,8 @@ def run(name: str) -> OutcomeReport:
         )
         add(
             "gcd verdict",
-            entry.expected_verdict is None or verdict.verdict is entry.expected_verdict,
+            entry.expected_m is None
+            or ObstructionVerdict(entry.expected_m, entry.n).verdict is verdict.verdict,
             f"gcd({verdict.m}, {verdict.n}) -> {verdict.verdict.value}",
         )
 
@@ -489,8 +473,8 @@ def run(name: str) -> OutcomeReport:
                 + (f"; {branch}" if branch else "; neither branch holds"),
             )
 
-        if verdict.verdict is Verdict.TRIVIAL:
-            value = ObstructionValue(0, entry.n)
+        value = verdict.certified
+        if value is not None:
             add("obstruction value", True, "1, certified by the gcd test")
         else:
             value = known_obstruction(entry.name)

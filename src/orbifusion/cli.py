@@ -15,7 +15,6 @@ exit with 3 instead.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -53,7 +52,6 @@ from .graphs import (
 from .orbifold import (
     ObstructionValue,
     OrbifoldInput,
-    Verdict,
     cyclic_action,
     global_dim_check,
     obstruction_bound,
@@ -140,13 +138,12 @@ def _cmd_obstruction(args) -> int:
     inp = OrbifoldInput.make(action, args.rho, loi_trivial_attested=False)
     bound = obstruction_bound(inp)
     rep = inp.assumptions
-    g = math.gcd(bound.m, bound.n)
     lines = [
         f"alpha: {args.alpha}, order {action.order}",
         f"rho: {rep.rho}",
         f"m = {bound.m}",
         f"n = {bound.n}",
-        f"gcd(m, n) = {g}",
+        f"gcd(m, n) = {bound.gcd}",
         f"verdict: {bound.verdict.value}",
     ]
     doc = {
@@ -155,7 +152,7 @@ def _cmd_obstruction(args) -> int:
         "rho": rep.rho,
         "m": bound.m,
         "n": bound.n,
-        "gcd": g,
+        "gcd": bound.gcd,
         "verdict": bound.verdict.value,
     }
     _emit(args, lines, doc)
@@ -204,12 +201,12 @@ def _cmd_orbifold(args) -> int:
     if explicit is not None:
         value = explicit
         source = "supplied"
-    elif bound.verdict is Verdict.TRIVIAL:
-        value = ObstructionValue(0, action.order)
+    elif bound.certified is not None:
+        value = bound.certified
         source = "certified by the gcd test"
     else:
         raise ObstructionRequiredError(
-            f"gcd({bound.m}, {bound.n}) = {math.gcd(bound.m, bound.n)} does not "
+            f"gcd({bound.m}, {bound.n}) = {bound.gcd} does not "
             "certify triviality; pass --obstruction j/n or record the value in "
             "the request document"
         )

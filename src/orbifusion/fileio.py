@@ -48,8 +48,6 @@ from .graphs import BipartiteGraph
 from .orbifold import ObstructionValue
 from .rings import (
     FusionRing,
-    _check_constant_bound,
-    _checked_header,
     _dual_indices,
     _label_index,
 )
@@ -166,7 +164,7 @@ def parse_ring(doc: dict) -> FusionRing:
     order = {lab: t for t, lab in enumerate(labels)}
     columns = _n_columns(rows, order)
     if columns is None:
-        _raise_row_fault(labels, unit, dual, rows, order)
+        _raise_row_fault(labels, unit, dual, rows)
     dual_ix = _dual_indices(labels, dual, order)
     return FusionRing.from_entries(labels, _label_index(order, unit), dual_ix, *columns)
 
@@ -197,15 +195,13 @@ def _n_columns(rows: list, order: dict[str, int]):
 
 
 def _raise_row_fault(
-    labels: list[str], unit: str, dual: dict[str, str], rows: list, order: dict[str, int]
+    labels: list[str], unit: str, dual: dict[str, str], rows: list
 ) -> NoReturn:
     """Raise the first error of a reading of ``N`` row by row.
 
-    The order is: each row's shape, labels, count type and count sign,
-    row after row; the header's labels and dual; each row's labels
-    against the label list; the unit; then, for a count past int64, the
-    checks of :class:`FusionRing` on the header, repeated triples and
-    the constant bound.
+    Each row's shape, labels, count type and count sign are checked row
+    after row; the rows then go to :meth:`FusionRing.from_labels`, whose
+    checks come in its own order.
     """
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4):
@@ -215,14 +211,7 @@ def _raise_row_fault(
         n = _count(row[3], "N count")
         if n < 1:
             raise SchemaError(f"N count must be >= 1, got {n} at {row[:3]}")
-    dual_ix = _dual_indices(labels, dual, order)
-    for row in rows:
-        for x in row[:3]:
-            _label_index(order, x)
-    _checked_header(labels, _label_index(order, unit), dual_ix)
-    if len({tuple(row[:3]) for row in rows}) < len(rows):
-        raise SchemaError("duplicate (i, j, k) entry")
-    _check_constant_bound(len(labels), max(row[3] for row in rows))
+    FusionRing.from_labels(labels, unit, dual, map(tuple, rows))
     raise AssertionError("the N columns were refused, yet every row check passed")
 
 

@@ -367,34 +367,34 @@ class ObstructionValue:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    """Result of the gcd test on m = N_{rho,rho}^{rho}.
+    """The gcd test on m = N_{rho,rho}^{rho} for an action of order n.
 
-    Trivial exactly when gcd(m, n) = 1; Inconclusive otherwise, which
-    asserts nothing about the actual value.
+    Trivial exactly when gcd(m, n) = 1, and then ``certified`` is the
+    trivial value; Inconclusive otherwise, which asserts nothing about
+    the actual value. Every verdict in the package is read from here.
     """
 
     m: int
     n: int
-    verdict: Verdict
 
-    def __post_init__(self) -> None:
-        want = Verdict.TRIVIAL if math.gcd(self.m, self.n) == 1 else Verdict.INCONCLUSIVE
-        if self.verdict is not want:
-            raise InputError(
-                f"verdict {self.verdict.value} is inconsistent with gcd({self.m}, {self.n})"
-            )
+    @property
+    def gcd(self) -> int:
+        return math.gcd(self.m, self.n)
 
-    @classmethod
-    def from_counts(cls, m: int, n: int) -> "ObstructionVerdict":
-        v = Verdict.TRIVIAL if math.gcd(m, n) == 1 else Verdict.INCONCLUSIVE
-        return cls(m=m, n=n, verdict=v)
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.TRIVIAL if self.gcd == 1 else Verdict.INCONCLUSIVE
+
+    @property
+    def certified(self) -> ObstructionValue | None:
+        return ObstructionValue(0, self.n) if self.verdict is Verdict.TRIVIAL else None
 
 
 def obstruction_bound(inp: OrbifoldInput) -> ObstructionVerdict:
     """Run the gcd test. Requires (A1) and (A3)."""
     report = _require(inp, "A1", "A3")
     assert report.m is not None
-    return ObstructionVerdict.from_counts(report.m, inp.action.order)
+    return ObstructionVerdict(report.m, inp.action.order)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,8 @@ def orbifold_sectors(
             f"obstruction modulus {obstruction.n} does not match the action order {n}"
         )
     m = inp.assumptions.m
-    if m is not None and math.gcd(m, n) == 1 and not obstruction.is_trivial:
+    certified = None if m is None else ObstructionVerdict(m, n).certified
+    if certified is not None and obstruction != certified:
         raise InputError(
             f"obstruction {obstruction.describe()} contradicts the gcd test: "
             f"gcd({m}, {n}) = 1 certifies the trivial value"

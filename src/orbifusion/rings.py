@@ -555,11 +555,13 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     at = np.flatnonzero(idx == e)
     pairs = np.searchsorted(ptr, at, side="right") - 1
     if not (np.array_equal(pairs, np.arange(L) * L + dual) and np.all(val[at] == 1)):
-        seen = {(int(p) // L, int(p) % L): int(v) for p, v in zip(pairs, val[at])}
+        by_first: dict[int, dict[tuple[int, int], int]] = {}
+        for p, v in zip(pairs.tolist(), val[at].tolist()):
+            by_first.setdefault(p // L, {})[(p // L, p % L)] = v
         wit = []
         for i in range(L):
             want = {(i, ring.dual[i]): 1}
-            got = {key: v for key, v in seen.items() if key[0] == i}
+            got = by_first.get(i, {})
             if got != want:
                 for key in set(got) | set(want):
                     wit.append((key[0], key[1], e, got.get(key, 0), want.get(key, 0)))

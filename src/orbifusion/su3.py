@@ -1,14 +1,13 @@
-"""Level-truncated SU(3) fusion and its numeric cross-check.
+"""Level-truncated SU(3) fusion.
 
 The full ring at a level comes from the closed-form su(3)_k fusion rule
 of Begin, Mathieu and Walton, evaluated in bulk by
 :func:`orbifusion.kernels.su3_csr`. Single products go the long way as
 an independent check: the classical tensor product is computed from
-cached Gelfand-Tsetlin weight systems (Racah-Speiser with the finite
-Weyl fold), and the level truncation folds each classical summand into
-the alcove at height ``level + 3`` with signs. A third check evaluates
-characters at the standard special elements and sums them against the
-squared vacuum weights, which must land on integers.
+cached Gelfand-Tsetlin weight systems (Racah-Speiser), and the level
+truncation folds each classical summand into the alcove at height
+``level + 3`` with signs. One fold serves both steps: the dominant
+chamber is the alcove of infinite height.
 
 Weights are Dynkin label pairs ``(a, b)``; as ring labels they are the
 strings ``"a,b"``. Admissible weights at a level are ordered by
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernels import su3_csr
-from .orbifold import Verdict
+from .orbifold import ObstructionVerdict
 from .rings import FusionRing
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "weight_system",
     "classical_lr",
     "kac_walton",
-    "verlinde",
-    "verlinde_table",
     "simple_current",
     "obstruction_m",
     "SimpleCurrentObstruction",
@@ -103,23 +100,13 @@ def weight_system(a: int, b: int) -> dict[tuple[int, int], int]:
     return acc
 
 
-def _finite_fold(x: int, y: int) -> tuple[int, int, int]:
-    """Reflect a shifted weight into the dominant chamber, with sign."""
-    s = 1
-    for _ in range(200):
-        if x == 0 or y == 0 or x + y == 0:
-            return 0, 0, 0
-        if x < 0:
-            x, y, s = -x, x + y, -s
-        elif y < 0:
-            x, y, s = x + y, -y, -s
-        else:
-            return x, y, s
-    raise NumericError("chamber fold failed to terminate")
+def _affine_fold(x: int, y: int, h: float) -> tuple[int, int, int]:
+    """Reflect a shifted weight into the alcove at height h, with sign.
 
-
-def _affine_fold(x: int, y: int, h: int) -> tuple[int, int, int]:
-    """Reflect a shifted weight into the alcove at height h, with sign."""
+    With h = inf this is the finite Weyl fold into the dominant chamber:
+    its third wall x + y = 0 needs no test, since a weight on it has a
+    negative coordinate whose reflection lands on a wall x = 0 or y = 0.
+    """
     s = 1
     for _ in range(1000):
         if x == 0 or y == 0 or x + y == h:
@@ -149,7 +136,7 @@ def classical_lr(lam: tuple[int, int], mu: tuple[int, int]) -> dict[tuple[int, i
         lam, mu = mu, lam
     out: dict[tuple[int, int], int] = {}
     for (wa, wb), m in weight_system(*mu).items():
-        x, y, s = _finite_fold(lam[0] + wa + 1, lam[1] + wb + 1)
+        x, y, s = _affine_fold(lam[0] + wa + 1, lam[1] + wb + 1, math.inf)
         if s:
             key = (x - 1, y - 1)
             out[key] = out.get(key, 0) + s * m
@@ -193,73 +180,6 @@ def kac_walton(
 
 
 # ---------------------------------------------------------------------------
-# numeric cross-check
-# ---------------------------------------------------------------------------
-
-_S3 = (
-    ((0, 1, 2), 1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-    ((1, 0, 2), -1),
-)
-
-
-@lru_cache(maxsize=None)
-def _character_data(level: int):
-    """Character values chi[w, s] and vacuum weights rho[s].
-
-    Built from the antisymmetrized exponential determinant in centered
-    shifted coordinates. Overall normalizations cancel in the ratios and
-    in rho, which is normalized to sum to one.
-    """
-    ws = admissible_weights(level)
-    h = level + 3
-    coords = np.empty((len(ws), 3), dtype=np.float64)
-    for t, (a, b) in enumerate(ws):
-        l1, l2, l3 = a + b + 2, b + 1, 0
-        mean = (l1 + l2 + l3) / 3.0
-        coords[t] = (l1 - mean, l2 - mean, l3 - mean)
-    M = np.zeros((len(ws), len(ws)), dtype=np.complex128)
-    for perm, sign in _S3:
-        M += sign * np.exp(-2j * np.pi / h * (coords @ coords[:, perm].T))
-    chi = M / M[0]
-    rho = np.abs(M[0]) ** 2
-    rho /= rho.sum()
-    return chi, rho
-
-
-def _gate_integer(value: complex, what: str) -> int:
-    nearest = round(value.real)
-    if abs(value.real - nearest) > 1e-6 or abs(value.imag) > 1e-6:
-        raise NumericError(f"{what} is not integral within 1e-6: {value!r}")
-    return int(nearest)
-
-
-def verlinde(
-    lam: tuple[int, int], mu: tuple[int, int], nu: tuple[int, int], level: int
-) -> int:
-    """Fusion coefficient from the character sum, gated on integrality."""
-    for w in (lam, mu, nu):
-        _check_admissible(w, level)
-    chi, rho = _character_data(level)
-    a, b, c = _windex(*lam), _windex(*mu), _windex(*nu)
-    value = np.sum(chi[a] * chi[b] * np.conj(chi[c]) * rho)
-    return _gate_integer(value, f"character sum for {lam} x {mu} -> {nu}")
-
-
-def verlinde_table(level: int) -> np.ndarray:
-    """All coefficients at once, as an integer cube indexed like the ring."""
-    chi, rho = _character_data(level)
-    cube = np.einsum("as,bs,cs,s->abc", chi, chi, np.conj(chi), rho)
-    resid = np.max(np.abs(cube - np.round(cube.real)))
-    if resid > 1e-6:
-        raise NumericError(f"character table residue {resid:.3g} exceeds 1e-6")
-    return np.round(cube.real).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
 # the order-3 symmetry and the fixed-point count
 # ---------------------------------------------------------------------------
 
@@ -273,18 +193,11 @@ def simple_current(level: int) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class SimpleCurrentObstruction:
-    """The self-coupling count of the fixed weight at level 3k."""
+class SimpleCurrentObstruction(ObstructionVerdict):
+    """The gcd test on the self-coupling count of the fixed weight at level 3k."""
 
     k: int
     level: int
-    m: int
-    n: int
-    verdict: Verdict
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(self.m, self.n)
 
 
 def obstruction_m(k: int) -> SimpleCurrentObstruction:
@@ -299,37 +212,12 @@ def obstruction_m(k: int) -> SimpleCurrentObstruction:
     level = 3 * k
     rho = (k, k)
     m = kac_walton(rho, rho, level).get(rho, 0)
-    verdict = Verdict.TRIVIAL if math.gcd(m, 3) == 1 else Verdict.INCONCLUSIVE
-    return SimpleCurrentObstruction(k=k, level=level, m=m, n=3, verdict=verdict)
+    return SimpleCurrentObstruction(m=m, n=3, k=k, level=level)
 
 
 # ---------------------------------------------------------------------------
 # the full ring
 # ---------------------------------------------------------------------------
-
-def _alcove_arrays(level: int):
-    """Label order and flattened weight systems for the dense reference.
-
-    The tests use this to rebuild every table through
-    :func:`orbifusion.kernels.su3_cube` and compare it with
-    :func:`su3_ring`.
-    """
-    ws = admissible_weights(level)
-    L = len(ws)
-    la = np.array([a for a, _ in ws], dtype=np.int64)
-    lb = np.array([b for _, b in ws], dtype=np.int64)
-    systems = [weight_system(a, b) for a, b in ws]
-    woff = np.zeros(L + 1, dtype=np.int64)
-    for t, sys in enumerate(systems):
-        woff[t + 1] = woff[t] + len(sys)
-    wflat = np.empty((int(woff[-1]), 3), dtype=np.int64)
-    pos = 0
-    for sys in systems:
-        for (wa, wb), m in sys.items():
-            wflat[pos] = (wa, wb, m)
-            pos += 1
-    return ws, L, la, lb, wflat, woff
-
 
 def su3_ring(level: int) -> FusionRing:
     """Fusion ring over every admissible weight at the level.

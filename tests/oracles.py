@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from orbifusion import su3
-from orbifusion.errors import SchemaError
+from orbifusion.errors import NumericError, SchemaError
 from orbifusion.fileio import SCHEMA, _expect_format, _expect_keys, _string, _string_list
 from orbifusion.rings import FusionRing
 
@@ -153,6 +153,73 @@ def classical_fusion(w1: tuple[int, int], w2: tuple[int, int]) -> dict:
             if c:
                 out[(a, b)] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# characters: the Verlinde sum behind every alcove table
+# ---------------------------------------------------------------------------
+
+_S3 = (
+    ((0, 1, 2), 1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((0, 2, 1), -1),
+    ((2, 1, 0), -1),
+    ((1, 0, 2), -1),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _character_data(level: int):
+    """Character values chi[w, s] and vacuum weights rho[s].
+
+    Built from the antisymmetrized exponential determinant in centered
+    shifted coordinates. Overall normalizations cancel in the ratios and
+    in rho, which is normalized to sum to one.
+    """
+    ws = su3.admissible_weights(level)
+    h = level + 3
+    coords = np.empty((len(ws), 3), dtype=np.float64)
+    for t, (a, b) in enumerate(ws):
+        l1, l2, l3 = a + b + 2, b + 1, 0
+        mean = (l1 + l2 + l3) / 3.0
+        coords[t] = (l1 - mean, l2 - mean, l3 - mean)
+    M = np.zeros((len(ws), len(ws)), dtype=np.complex128)
+    for perm, sign in _S3:
+        M += sign * np.exp(-2j * np.pi / h * (coords @ coords[:, perm].T))
+    chi = M / M[0]
+    rho = np.abs(M[0]) ** 2
+    rho /= rho.sum()
+    return chi, rho
+
+
+def _gate_integer(value: complex, what: str) -> int:
+    nearest = round(value.real)
+    if abs(value.real - nearest) > 1e-6 or abs(value.imag) > 1e-6:
+        raise NumericError(f"{what} is not integral within 1e-6: {value!r}")
+    return int(nearest)
+
+
+def verlinde(
+    lam: tuple[int, int], mu: tuple[int, int], nu: tuple[int, int], level: int
+) -> int:
+    """Fusion coefficient from the character sum, gated on integrality."""
+    for w in (lam, mu, nu):
+        su3._check_admissible(w, level)
+    chi, rho = _character_data(level)
+    a, b, c = su3._windex(*lam), su3._windex(*mu), su3._windex(*nu)
+    value = np.sum(chi[a] * chi[b] * np.conj(chi[c]) * rho)
+    return _gate_integer(value, f"character sum for {lam} x {mu} -> {nu}")
+
+
+def verlinde_table(level: int) -> np.ndarray:
+    """All coefficients at once, as an integer cube indexed like the ring."""
+    chi, rho = _character_data(level)
+    cube = np.einsum("as,bs,cs,s->abc", chi, chi, np.conj(chi), rho)
+    resid = np.max(np.abs(cube - np.round(cube.real)))
+    if resid > 1e-6:
+        raise NumericError(f"character table residue {resid:.3g} exceeds 1e-6")
+    return np.round(cube.real).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +745,30 @@ def tree_canon(nv: int, edges) -> str:
 # ---------------------------------------------------------------------------
 # the alcove builder over the full (j, k) grid
 # ---------------------------------------------------------------------------
+
+def alcove_arrays(level: int):
+    """Label order and flattened weight systems for the dense reference.
+
+    The tests use this to rebuild every table through
+    :func:`orbifusion.kernels.su3_cube` and compare it with
+    :func:`orbifusion.su3.su3_ring`.
+    """
+    ws = su3.admissible_weights(level)
+    L = len(ws)
+    la = np.array([a for a, _ in ws], dtype=np.int64)
+    lb = np.array([b for _, b in ws], dtype=np.int64)
+    systems = [su3.weight_system(a, b) for a, b in ws]
+    woff = np.zeros(L + 1, dtype=np.int64)
+    for t, sys in enumerate(systems):
+        woff[t + 1] = woff[t] + len(sys)
+    wflat = np.empty((int(woff[-1]), 3), dtype=np.int64)
+    pos = 0
+    for sys in systems:
+        for (wa, wb), m in sys.items():
+            wflat[pos] = (wa, wb, m)
+            pos += 1
+    return ws, L, la, lb, wflat, woff
+
 
 def su3_csr_full_grid(la: np.ndarray, lb: np.ndarray, level: int):
     """The package's closed-form builder as it ran before it kept to the

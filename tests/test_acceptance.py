@@ -28,7 +28,6 @@ from orbifusion import (
     recognize,
     simple_current,
     validate_ring,
-    verlinde_table,
     weight_label,
 )
 from orbifusion.catalog import REGISTRY, build, known_obstruction, names
@@ -36,9 +35,9 @@ from orbifusion.cli import main as cli_main
 from orbifusion.fileio import dump_graph, dump_ring
 from orbifusion.graphs import template
 from orbifusion.rings import FormalSum, classify_by_orders
-from orbifusion.su3 import admissible_weights, verlinde
+from orbifusion.su3 import admissible_weights
 
-from .oracles import dense_associator, su3_ring
+from .oracles import dense_associator, su3_ring, verlinde, verlinde_table
 
 
 @pytest.fixture

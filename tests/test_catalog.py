@@ -16,7 +16,6 @@ from orbifusion import (
 )
 from orbifusion.catalog import (
     REGISTRY,
-    CatalogEntry,
     _near_group_ring,
     build,
     known_obstruction,
@@ -25,7 +24,7 @@ from orbifusion.catalog import (
     su2_even_ring,
 )
 
-from .oracles import klein_ring, su2_even_ring_from_labels
+from .oracles import su2_even_ring_from_labels
 
 
 def test_names_cover_every_family():
@@ -56,7 +55,6 @@ def test_chain_entries_are_consistent():
         entry = build(f"A{4 * n - 3}")
         assert entry.n == 2
         assert entry.expected_m == 1
-        assert entry.expected_verdict is Verdict.TRIVIAL
         assert entry.expected_fold == DynkinClass("D", 2 * n)
         assert entry.graph is not None
         assert entry.graph.size == 4 * n - 3
@@ -66,19 +64,6 @@ def test_failure_entries_expect_no_scan_hit():
     entry = build("A7_failure")
     assert entry.rho is None
     assert not entry.expect_a3
-
-
-def test_contradictory_expectations_refused_at_build_time():
-    with pytest.raises(InputError):
-        CatalogEntry(
-            name="bogus",
-            ring=klein_ring(),
-            alpha="a",
-            rho=None,
-            n=2,
-            expected_m=2,
-            expected_verdict=Verdict.TRIVIAL,
-        )
 
 
 def test_near_group_builder_bounds():

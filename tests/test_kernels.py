@@ -17,9 +17,10 @@ from orbifusion.kernels import (
     generating_set,
     su3_cube,
 )
-from orbifusion.su3 import _alcove_arrays, admissible_weights
+from orbifusion.su3 import admissible_weights
 
 from .oracles import (
+    alcove_arrays,
     associativity_scan_every_generator,
     associativity_scan_sparse,
     broken_z3_ring,
@@ -55,7 +56,7 @@ def _mutated_su3_csr(level, i, j, k, delta):
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 8])
 def test_cube_lanes_agree(level):
-    _, L, la, lb, wflat, woff = _alcove_arrays(level)
+    _, L, la, lb, wflat, woff = alcove_arrays(level)
     a = su3_cube(L, level + 3, la, lb, wflat, woff)
     assert a.shape == (L, L, L)
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
@@ -63,7 +64,7 @@ def test_cube_lanes_agree(level):
 
 @pytest.mark.parametrize("level", range(1, 13))
 def test_closed_form_builder_matches_the_dense_cube(level):
-    _, L, la, lb, wflat, woff = _alcove_arrays(level)
+    _, L, la, lb, wflat, woff = alcove_arrays(level)
     want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff))
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype

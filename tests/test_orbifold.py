@@ -182,10 +182,15 @@ def test_obstruction_value_invariants():
 
 
 def test_verdict_from_counts_is_the_gcd_rule():
-    assert ObstructionVerdict.from_counts(1, 2).verdict is Verdict.TRIVIAL
-    assert ObstructionVerdict.from_counts(2, 2).verdict is Verdict.INCONCLUSIVE
-    assert ObstructionVerdict.from_counts(4, 3).verdict is Verdict.TRIVIAL
-    assert ObstructionVerdict.from_counts(6, 3).verdict is Verdict.INCONCLUSIVE
+    for m, n, g in ((1, 2, 1), (2, 2, 2), (4, 3, 1), (6, 3, 3)):
+        bound = ObstructionVerdict(m, n)
+        assert bound.gcd == g
+        if g == 1:
+            assert bound.verdict is Verdict.TRIVIAL
+            assert bound.certified == ObstructionValue(0, n)
+        else:
+            assert bound.verdict is Verdict.INCONCLUSIVE
+            assert bound.certified is None
 
 
 def test_bound_requires_working_assumptions():

@@ -16,7 +16,6 @@ from orbifusion import (
     parse_weight,
     simple_current,
     validate_ring,
-    verlinde_table,
     weight_label,
 )
 from orbifusion import su3
@@ -24,11 +23,10 @@ from orbifusion.su3 import (
     LEVEL_CAP,
     classical_lr,
     dim3,
-    verlinde,
     weight_system,
 )
 
-from .oracles import classical_fusion, su3_ring
+from .oracles import classical_fusion, su3_ring, verlinde, verlinde_table
 
 _small = st.integers(min_value=0, max_value=4)
 

@@ -1,19 +1,24 @@
-"""The benchmark's traced and called names exist in the package.
+"""The benchmark's traced and called names, and every export, exist.
 
 ``perfbench/spans.py`` rebinds each ``(module, attr)`` of its
 ``TARGETS`` with ``getattr`` and no default, so a name moved out of the
 package would crash every traced run rather than read 0. The workloads
 of ``perfbench/workloads.py`` call the package through module
 attributes (``catalog.run``, ``rings.FusionRing.from_labels``), so a
-name that stopped resolving would fail their operations.
+name that stopped resolving would fail their operations. Every name a
+module lists in ``__all__`` resolves too, so a moved or deleted
+function cannot stay exported.
 """
 
 import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 
 import pytest
+
+import orbifusion
 
 _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
@@ -63,3 +68,19 @@ def test_every_name_the_workloads_call_resolves(chain):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def _exporting_modules():
+    names = ["orbifusion"] + [
+        f"orbifusion.{m.name}" for m in pkgutil.iter_modules(orbifusion.__path__)
+    ]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
+@pytest.mark.parametrize("modname", _exporting_modules())
+def test_every_exported_name_resolves(modname):
+    module = importlib.import_module(modname)
+    exported = module.__all__
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        assert hasattr(module, name), name
