@@ -58,7 +58,7 @@ from .orbifold import (
     orbifold_sectors,
 )
 from .rings import fp_dimensions, require_valid, validate_ring
-from .su3 import kac_walton, obstruction_m, parse_weight, weight_label
+from .su3 import fusion_product, obstruction_m, parse_weight, weight_label
 
 __all__ = ["main"]
 
@@ -379,10 +379,8 @@ def _cmd_graph_fold(args) -> int:
 def _cmd_su3_fuse(args) -> int:
     x = parse_weight(args.x)
     y = parse_weight(args.y)
-    product = kac_walton(x, y, args.level)
-    order = sorted(product, key=lambda w: (w[0] + w[1], w[0]))
-    lines = [f"{weight_label(w)}: {product[w]}" for w in order]
-    doc = {weight_label(w): product[w] for w in order}
+    doc = {weight_label(w): m for w, m in fusion_product(x, y, args.level).items()}
+    lines = [f"{lab}: {m}" for lab, m in doc.items()]
     _emit(args, lines, doc)
     return 0
 

@@ -9,7 +9,8 @@ hand-built rings and the bulk SU(3) builder.
 The bulk SU(3) builder :func:`su3_csr` evaluates the closed-form
 su(3)_k fusion rule one slab of first labels at a time, on the
 triality-matched cells only, and writes the pair-major arrays directly,
-in memory of order the number of nonzeros.
+in memory of order the number of nonzeros. :func:`su3_row` evaluates
+the same slab body on a single row, for one product.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
 
@@ -49,6 +50,7 @@ class _SpanBasis:
     def __init__(self, L: int):
         self.rows = np.zeros((0, L), dtype=np.int64)
         self.pivots = np.zeros(0, dtype=np.int64)
+        self.row_of = np.full(L, -1, dtype=np.int64)  # pivot -> its row
 
     @property
     def rank(self) -> int:
@@ -62,6 +64,12 @@ class _SpanBasis:
             if coeff.any():
                 out = (out - coeff @ self.rows[lo:hi]) % _SPAN_PRIME
         return out
+
+    def spans_unit_vector(self, b: int) -> bool:
+        """Whether e_b is in the span: the rows are fully reduced, so
+        exactly when b is a pivot whose row is e_b."""
+        r = self.row_of[b]
+        return r >= 0 and np.count_nonzero(self.rows[r]) == 1
 
     def insert(self, vec: np.ndarray) -> bool:
         """Adjoin vec; False when it is already in the span."""
@@ -79,6 +87,7 @@ class _SpanBasis:
                 self.rows[hit] = (
                     self.rows[hit] - coeff[hit, None] * row[None, :]
                 ) % _SPAN_PRIME
+        self.row_of[piv] = self.rank
         self.rows = np.vstack([self.rows, row[None, :]])
         self.pivots = np.append(self.pivots, piv)
         return True
@@ -105,25 +114,26 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     every generator chosen so far. Deterministic, and independent of any
     axiom the table may fail, since only the raw constants are read. A
     generator whose right multiplication is the identity (the unit) maps
-    every word to itself and is not closed under.
+    every word to itself and is not closed under. The span only grows,
+    so the search for the next generator resumes after the last one.
     """
     basis = _SpanBasis(L)
     gens: list[int] = []
     ops = []
     words: list[np.ndarray] = []
     pos: list[int] = []
+    b = 0
     while basis.rank < L:
-        for b in range(L):
-            probe = np.zeros(L, dtype=np.int64)
-            probe[b] = 1
-            if basis.residual(probe).any():
-                gens.append(b)
-                identity = _is_identity(ptr, idx, val, L, np.arange(L) * L + b)
-                ops.append(None if identity else _right_mult_arrays(ptr, idx, val, L, b))
-                pos.append(0)
-                basis.insert(probe)
-                words.append(probe)
-                break
+        while basis.spans_unit_vector(b):
+            b += 1
+        gens.append(b)
+        identity = _is_identity(ptr, idx, val, L, np.arange(L) * L + b)
+        ops.append(None if identity else _right_mult_arrays(ptr, idx, val, L, b))
+        pos.append(0)
+        probe = np.zeros(L, dtype=np.int64)
+        probe[b] = 1
+        basis.insert(probe)
+        words.append(probe)
         moved = True
         while moved:
             moved = False
@@ -351,24 +361,24 @@ def associativity_violations(
 # final arrays.
 
 
-def _su3_triality_grids(la, lb, level):
-    """Per triality s of lam: the (L, W) output grid and its lam-free terms.
+def _su3_triality_grids(la, lb, level, rows):
+    """Per triality s of lam: the (R, W) output grid and its lam-free terms.
 
-    Row j of grid s lists, ascending, the k whose conjugate weight has
-    triality -(s + triality of j) mod 3. Padded cells get a lower bound
-    past the level, so they never hit.
+    The grid has a row for each j in ``rows`` (a slice or a list of
+    labels): row j of grid s lists, ascending, the k whose conjugate
+    weight has triality -(s + triality of j) mod 3. Padded cells get a
+    lower bound past the level, so they never hit.
     """
-    L = len(la)
-    tri_j = (2 * la + lb) % 3
+    tri_j = ((2 * la + lb) % 3)[rows]
     tri_k = (2 * lb + la) % 3  # of the conjugate (lb[k], la[k])
     classes = [np.flatnonzero(tri_k == c).astype(np.int32) for c in range(3)]
     W = max(len(c) for c in classes)
-    m1, m2 = la[:, None], lb[:, None]
+    m1, m2 = la[rows, None], lb[rows, None]
     grids = []
     for s in range(3):
         want = (-(s + tri_j)) % 3
-        ks = np.zeros((L, W), dtype=np.int32)
-        pad = np.zeros((L, W), dtype=bool)
+        ks = np.zeros((len(tri_j), W), dtype=np.int32)
+        pad = np.zeros(ks.shape, dtype=bool)
         for c, cls in enumerate(classes):
             ks[want == c, : len(cls)] = cls
             pad[want == c, len(cls) :] = True
@@ -383,6 +393,26 @@ def _su3_triality_grids(la, lb, level):
     return grids
 
 
+def _su3_slab(grids, l1, l2, level):
+    """The rule on the grid rows for lam = (l1, l2).
+
+    Returns the grid's output labels, flat, and the count less one on
+    each cell, shaped like the grid; a cell hits where it is >= 0.
+    """
+    s = (2 * l1 + l2) % 3
+    ks, a_mn, b_mn, low_mn, min1, min2 = grids[s]
+    shift = (2 * l1 + l2 - s) // 3
+    a = a_mn + shift
+    b = b_mn + (l1 + l2 - shift)
+    low = np.maximum(low_mn, l1 + l2)
+    np.maximum(low, a - np.minimum(min1, l1), out=low)
+    np.maximum(low, b - np.minimum(min2, l2), out=low)
+    n = np.minimum(a, b)
+    np.minimum(n, level, out=n)
+    n -= low
+    return ks, n
+
+
 def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     """Pair-major arrays of the level-truncated SU(3) constants.
 
@@ -394,22 +424,11 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     L = len(la)
     la = np.asarray(la, dtype=np.int32)
     lb = np.asarray(lb, dtype=np.int32)
-    grids = _su3_triality_grids(la, lb, level)
+    grids = _su3_triality_grids(la, lb, level, slice(None))
     counts = np.empty((L, L), dtype=np.int64)
     idx_parts, val_parts = [], []
     for i in range(L):
-        l1, l2 = int(la[i]), int(lb[i])
-        s = (2 * l1 + l2) % 3
-        ks, a_mn, b_mn, low_mn, min1, min2 = grids[s]
-        shift = (2 * l1 + l2 - s) // 3
-        a = a_mn + shift
-        b = b_mn + (l1 + l2 - shift)
-        low = np.maximum(low_mn, l1 + l2)
-        np.maximum(low, a - np.minimum(min1, l1), out=low)
-        np.maximum(low, b - np.minimum(min2, l2), out=low)
-        n = np.minimum(a, b)
-        np.minimum(n, level, out=n)
-        n -= low
+        ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
         hit = n >= 0
         counts[i] = np.count_nonzero(hit, axis=1)
         at = np.flatnonzero(hit)  # row-major: ascending (j, k)
@@ -420,6 +439,19 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     idx = np.concatenate(idx_parts)
     val = np.concatenate(val_parts, dtype=np.int64)
     return ptr, idx, val
+
+
+def su3_row(la: np.ndarray, lb: np.ndarray, level: int, i: int, j: int):
+    """Output labels and constants of the one row (i, j) of :func:`su3_csr`.
+
+    Only row j's grid is built, so the cost is of order the label count.
+    """
+    la = np.asarray(la, dtype=np.int32)
+    lb = np.asarray(lb, dtype=np.int32)
+    grids = _su3_triality_grids(la, lb, level, [j])
+    ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
+    at = np.flatnonzero(n >= 0)
+    return ks.take(at), n.ravel().take(at) + 1
 
 
 # The dense reference builder below takes the other route: candidates

@@ -17,10 +17,10 @@ from orbifusion import (
     cyclic_action,
     fold_graph,
     fp_dimensions,
+    fusion_product,
     global_dim_check,
     hom_dim,
     induced_graph_symmetry,
-    kac_walton,
     obstruction_bound,
     obstruction_m,
     orbifold_sectors,
@@ -69,7 +69,7 @@ def _tables_agree(level: int) -> bool:
         for j, mu in enumerate(ws):
             row = cube[i, j]
             want = {ws[t]: int(row[t]) for t in range(len(ws)) if row[t]}
-            if kac_walton(lam, mu, level) != want:
+            if fusion_product(lam, mu, level) != want:
                 return False
     return True
 

@@ -10,8 +10,10 @@ from orbifusion import (
     BipartiteGraph,
     ObstructionValue,
     SchemaError,
+    admissible_weights,
     path_graph,
     validate_ring,
+    weight_label,
 )
 from orbifusion.catalog import build
 from orbifusion.cli import main
@@ -30,7 +32,7 @@ from orbifusion.fileio import (
     parse_ring,
 )
 
-from .oracles import broken_z3_ring, cyclic_ring
+from .oracles import broken_z3_ring, cyclic_ring, kac_walton
 from .test_cli_fuzz import _COMMANDS, _PERM, run_and_check
 
 
@@ -719,7 +721,19 @@ def test_cli_su3(capsys):
     assert main(["su3", "fuse", "--level", "2", "1,1", "1,1"]) == 0
     assert capsys.readouterr().out == "0,0: 1\n1,1: 1\n"
     assert main(["su3", "fuse", "--level", "2", "9,9", "1,1"]) == 1
-    assert "not admissible" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weight (9, 9) is not admissible at level 2\n"
+    # the level-0 alcove and a level-24 product, held to the Kac-Walton fold
+    for level, x, y in ((0, (0, 0), (0, 0)), (24, (8, 8), (5, 11)), (24, (24, 0), (7, 9))):
+        ws = admissible_weights(level)
+        want = kac_walton(x, y, level)
+        want = {weight_label(w): want[w] for w in ws if w in want}
+        argv = ["su3", "fuse", "--level", str(level), weight_label(x), weight_label(y)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(f"{k}: {m}\n" for k, m in want.items())
+        assert main(argv + ["--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out).items()) == list(want.items())
     assert main(["su3", "m", "--k", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {

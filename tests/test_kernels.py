@@ -256,6 +256,16 @@ def test_skipping_the_identity_slab_changes_no_verdict_or_witness():
     assert {"bumped", "redirected", "relabeled"} <= reported
 
 
+def _every_label_table(L):
+    """The unit rows plus N[i, i+1, 0] = 1: every label is a generator."""
+    cube = np.zeros((L, L, L), dtype=np.int32)
+    r = np.arange(L)
+    cube[0, r, r] = 1
+    cube[r, 0, r] = 1
+    cube[r[1:-1], r[2:], 0] = 1
+    return cube_to_csr(cube)
+
+
 def _generator_cases():
     cases = [(name, csr, L) for name, csr, L in _scan_cases() if not name.startswith("su3_")]
     for name in names():
@@ -264,6 +274,10 @@ def _generator_cases():
             cases.append((name, ring.csr(), ring.size))
     for level in range(1, 13):
         cases.append((f"su3_{level}", su3_ring(level).csr(), su3_ring(level).size))
+    for name, (ptr, idx, val, L) in _tables("cases").items():
+        cases.append((f"symmetry {name}", (ptr, idx, val), L))
+    for L in (50, 100, 150):
+        cases.append((f"every label L={L}", _every_label_table(L), L))
     return cases
 
 
@@ -278,9 +292,10 @@ def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
 
     monkeypatch.setattr(kernels, "_right_mult_arrays", spy)
     closes_label_0 = {}
+    lists = {}
     for name, (ptr, idx, val), L in cases:
         closed.clear()
-        got = generating_set(ptr, idx, val, L)
+        got = lists[name] = generating_set(ptr, idx, val, L)
         assert got[0] == 0, name
         closes_label_0.setdefault(name, set()).add(0 in closed)
         assert got == generating_set_every_closure(ptr, idx, val, L), name
@@ -290,6 +305,8 @@ def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
         assert closes_label_0[name] == {False}, name
     for name in ("right-bumped", "right-redirected", "relabeled"):
         assert closes_label_0[name] == {True}, name
+    for L in (50, 100, 150):
+        assert lists[f"every label L={L}"] == list(range(L))
 
 
 def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):

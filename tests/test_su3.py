@@ -11,7 +11,7 @@ from orbifusion import (
     admissible_weights,
     cyclic_action,
     fp_dimensions,
-    kac_walton,
+    fusion_product,
     obstruction_m,
     parse_weight,
     simple_current,
@@ -19,14 +19,18 @@ from orbifusion import (
     weight_label,
 )
 from orbifusion import su3
-from orbifusion.su3 import (
-    LEVEL_CAP,
+from orbifusion.su3 import LEVEL_CAP
+
+from .oracles import (
+    classical_fusion,
     classical_lr,
     dim3,
+    kac_walton,
+    su3_ring,
+    verlinde,
+    verlinde_table,
     weight_system,
 )
-
-from .oracles import classical_fusion, su3_ring, verlinde, verlinde_table
 
 _small = st.integers(min_value=0, max_value=4)
 
@@ -117,23 +121,23 @@ def test_classical_product_matches_the_tableau_oracle(a, b, c, d):
 
 def test_unit_row():
     for mu in ((0, 0), (2, 1), (0, 4)):
-        assert kac_walton((0, 0), mu, 4) == {mu: 1}
+        assert fusion_product((0, 0), mu, 4) == {mu: 1}
 
 
 def test_truncation_is_inactive_at_high_level():
-    assert kac_walton((1, 1), (1, 1), 6) == classical_lr((1, 1), (1, 1))
-    assert kac_walton((2, 0), (0, 2), 8) == classical_lr((2, 0), (0, 2))
+    assert fusion_product((1, 1), (1, 1), 6) == classical_lr((1, 1), (1, 1))
+    assert fusion_product((2, 0), (0, 2), 8) == classical_lr((2, 0), (0, 2))
 
 
 def test_truncation_at_level_two():
-    assert kac_walton((1, 1), (1, 1), 2) == {(0, 0): 1, (1, 1): 1}
+    assert fusion_product((1, 1), (1, 1), 2) == {(0, 0): 1, (1, 1): 1}
 
 
 def test_inadmissible_weights_refused():
-    with pytest.raises(InputError):
-        kac_walton((2, 1), (0, 0), 2)
-    with pytest.raises(InputError):
-        kac_walton((0, 0), (-1, 0), 2)
+    with pytest.raises(InputError, match=r"^weight \(2, 1\) is not admissible at level 2$"):
+        fusion_product((2, 1), (0, 0), 2)
+    with pytest.raises(InputError, match=r"^weight \(-1, 0\) is not admissible at level 2$"):
+        fusion_product((0, 0), (-1, 0), 2)
     with pytest.raises(InputError):
         verlinde((0, 0), (0, 0), (3, 0), 2)
 
@@ -142,28 +146,32 @@ def test_inadmissible_weights_refused():
 @given(a=_small, b=_small, c=_small, d=_small, data=st.data())
 def test_truncated_product_is_commutative(a, b, c, d, data):
     level = data.draw(st.integers(min_value=max(a + b, c + d), max_value=10))
-    assert kac_walton((a, b), (c, d), level) == kac_walton((c, d), (a, b), level)
+    assert fusion_product((a, b), (c, d), level) == fusion_product((c, d), (a, b), level)
 
 
 @settings(max_examples=50)
 @given(a=_small, b=_small, c=_small, d=_small, data=st.data())
 def test_truncated_product_respects_conjugation(a, b, c, d, data):
     level = data.draw(st.integers(min_value=max(a + b, c + d), max_value=10))
-    plain = kac_walton((a, b), (c, d), level)
-    conj = kac_walton((b, a), (d, c), level)
+    plain = fusion_product((a, b), (c, d), level)
+    conj = fusion_product((b, a), (d, c), level)
     assert conj == {(y, x): m for (x, y), m in plain.items()}
 
 
 def test_tables_match_the_character_sums_exhaustively():
-    for level in range(1, 7):
+    # the closed-form row, the Kac-Walton fold and the character sum,
+    # on every pair at levels 0 to 6
+    for level in range(0, 7):
         ws = admissible_weights(level)
         cube = verlinde_table(level)
         for i, lam in enumerate(ws):
             for j, mu in enumerate(ws):
-                got = kac_walton(lam, mu, level)
+                got = fusion_product(lam, mu, level)
                 row = cube[i, j]
                 want = {ws[t]: int(row[t]) for t in range(len(ws)) if row[t]}
                 assert got == want, (level, lam, mu)
+                assert kac_walton(lam, mu, level) == want, (level, lam, mu)
+                assert list(got) == [w for w in ws if w in got], (level, lam, mu)
 
 
 def test_single_character_sum_agrees_with_the_table():
@@ -245,14 +253,14 @@ def test_level_bounds():
         su3.su3_ring(0)
     with pytest.raises(InputError):
         su3.su3_ring(LEVEL_CAP + 1)
-    assert kac_walton((0, 0), (0, 0), LEVEL_CAP) == {(0, 0): 1}
-    assert kac_walton((0, 0), (0, 0), 0) == {(0, 0): 1}
+    assert fusion_product((0, 0), (0, 0), LEVEL_CAP) == {(0, 0): 1}
+    assert fusion_product((0, 0), (0, 0), 0) == {(0, 0): 1}
     for level in (-1, LEVEL_CAP + 1):
         with pytest.raises(InputError, match="^level must be between 0 and 24$"):
-            kac_walton((0, 0), (0, 0), level)
+            fusion_product((0, 0), (0, 0), level)
 
 
-@pytest.mark.parametrize("level", [18, 24])
+@pytest.mark.parametrize("level", [9, 12, 15, 18, 21, 24])
 def test_high_level_rows_match_the_truncated_product(level):
     ring = su3_ring(level)
     ws = admissible_weights(level)
@@ -263,7 +271,9 @@ def test_high_level_rows_match_the_truncated_product(level):
     for i, j in pairs:
         ks, vs = ring.row(int(i), int(j))
         got = {ws[int(t)]: int(v) for t, v in zip(ks, vs)}
-        assert got == kac_walton(ws[int(i)], ws[int(j)], level), (ws[int(i)], ws[int(j)])
+        lam, mu = ws[int(i)], ws[int(j)]
+        assert got == kac_walton(lam, mu, level), (lam, mu)
+        assert fusion_product(lam, mu, level) == got, (lam, mu)
 
 
 def test_level_four_ring_is_fully_valid():
