@@ -523,7 +523,17 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # the null device, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 1
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 3

@@ -220,35 +220,47 @@ def load_ring(path: str) -> FusionRing:
 
 
 def _row_block(name: str, rows: list[str]) -> list[str]:
-    """The last key of a document: an array with one row per line.
-
-    Each item of ``rows`` is one encoded row or several joined by ",\\n".
-    """
+    """The last key of a document: an array with one row per line."""
     body = [",\n".join(rows)] if rows else []
     return [f'  "{name}": [', *body, "  ]"]
 
 
 def dump_ring(ring: FusionRing) -> str:
-    """Ring file text, rows written straight from the pair-major arrays."""
+    """Ring file text, rows written straight from the pair-major arrays.
+
+    The rows are encoded one slab of first labels at a time and the text
+    is joined once, so the peak is about twice the text.
+    """
     L = ring.size
     lab = ring.labels
     enc = [json.dumps(x) for x in lab]
-    lines = ["{", f'  "format": {json.dumps(SCHEMA)},']
-    lines.append(f'  "labels": [{", ".join(enc)}],')
-    lines.append(f'  "unit": {enc[ring.unit]},')
     dual = {lab[i]: lab[ring.dual[i]] for i in range(L)}
-    lines.append(f'  "dual": {json.dumps(dual)},')
     ptr, idx, val = ring.csr()
-    pairs = np.flatnonzero(np.diff(ptr))
-    ks, vs = idx.tolist(), val.tolist()
-    blocks = []
-    # the rows of one product i * j share their first two labels
-    for p, lo, hi in zip(pairs.tolist(), ptr[pairs].tolist(), ptr[pairs + 1].tolist()):
-        head = f"    [{enc[p // L]}, {enc[p % L]}, "
-        blocks.append(",\n".join([f"{head}{enc[k]}, {v}]" for k, v in zip(ks[lo:hi], vs[lo:hi])]))
-    lines.extend(_row_block("N", blocks))
+    firsts = np.flatnonzero(ptr[L::L] > ptr[:-1:L]).tolist()
+
+    def slabs():
+        for i in firsts:
+            at = ptr[i * L]
+            cut = (ptr[i * L : (i + 1) * L + 1] - at).tolist()
+            ks, vs = idx[at : at + cut[-1]].tolist(), val[at : at + cut[-1]].tolist()
+            blocks = []
+            # the rows of one product i * j share their first two labels
+            for j, lo, hi in zip(range(L), cut, cut[1:]):
+                if lo < hi:
+                    head = f"    [{enc[i]}, {enc[j]}, "
+                    blocks.append(",\n".join([f"{head}{enc[k]}, {v}]" for k, v in zip(ks[lo:hi], vs[lo:hi])]))
+            yield ",\n".join(blocks) + ("," if i != firsts[-1] else "")
+
+    head = [
+        "{",
+        f'  "format": {json.dumps(SCHEMA)},',
+        f'  "labels": [{", ".join(enc)}],',
+        f'  "unit": {enc[ring.unit]},',
+        f'  "dual": {json.dumps(dual)},',
+        '  "N": [',
+    ]
     # the empty last line ends the text with a newline
-    return "\n".join([*lines, "}", ""])
+    return "\n".join(chain(head, slabs(), ["  ]", "}", ""]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ The associativity scan compares the two bracketings over blocks of rows,
 so its memory stays bounded by the block size rather than by the ring.
 A ring whose cube L**3 fits the budget ``_DENSE_CELLS`` is compared on
 a dense int64 copy of the table with numpy alone; a larger one through
-scipy's sparse products, the only use of scipy in the package.
+scipy's sparse products, the only use of scipy in the package. Those
+read the pair-major arrays in place as an (L*L, L) matrix with rows
+(i, j) and give both bracketings in the same (j, k) by l layout, in
+blocks of j rows sized so that each product, and the kron that forms
+the left one, holds at most about ``_ASSOC_BLOCK`` (half a million)
+entries on any table, valid or not, unless one j row alone holds more.
 """
 
 from __future__ import annotations
@@ -147,13 +152,13 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
                     out = np.zeros(L, dtype=np.int64)
                     np.add.at(out, cols, w[rows] * vals % _SPAN_PRIME)
                     out %= _SPAN_PRIME
-                    if basis.insert(out):
+                    if out.any() and basis.insert(out):
                         words.append(out)
                         moved = True
     return gens
 
 
-_ASSOC_BLOCK = 2_000_000  # product entries per block of j rows, roughly
+_ASSOC_BLOCK = 500_000  # entries of each product per block of j rows, roughly
 
 # A ring whose cube L**3 has at most _DENSE_CELLS cells (L <= 101, an
 # int64 copy of 8 MB) is scanned densely, well inside the sizes where
@@ -163,24 +168,22 @@ _DENSE_CELLS = 2**20
 _DENSE_BLOCK = 2**17
 
 
-def _flat_matrix(ptr, idx, val, L):
-    """The table as an (L, L*L) matrix: flat[m, k*L + l] = N_{mk}^l."""
+def _pair_matrix(ptr, idx, val, L):
+    """The table as an (L*L, L) matrix on the ring's own arrays: row
+    i*L + j holds N_{ij}^k at column k. scipy copies only ``ptr``."""
     import scipy.sparse as sp
 
-    itype = np.int32 if L * L <= np.iinfo(np.int32).max else np.int64
-    cols = np.repeat(np.tile(np.arange(L, dtype=itype) * L, L), np.diff(ptr))
-    cols += idx
-    return sp.csr_matrix((val, cols, ptr[::L]), shape=(L, L * L))
+    return sp.csr_matrix((val, idx, ptr), shape=(L * L, L))
 
 
-def _assoc_gen(ptr, idx, val, L, g, cap, flat):
+def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
     # Both bracketings of (g, j, k) over a block of j rows, as two sparse
-    # products over the same middle index: rg[x, m] = N_{gx}^m serves as
-    # the left factor of the first and, read as (m, l), the right factor
-    # of the second. The second product has rows (j, k) and is reshaped
-    # to the (j, k*L + l) layout of the first, so the two subtract
-    # directly; a clean block leaves an empty difference and costs no
-    # sort. Blocks run in ascending j and the rows of a nonzero
+    # products in the pair-major layout of the ring, rows (j, k) and
+    # columns l. With rg[x, m] = N_{gx}^m, the left bracketing
+    # sum_m N_{gj}^m N_{mk}^l is kron(rg[j0:j1], I_L) @ pairs, and the
+    # right one sum_m N_{jk}^m N_{gm}^l is the block's own rows of the
+    # table times rg. A clean block leaves an empty difference and costs
+    # no sort. Blocks run in ascending j and the rows of a nonzero
     # difference are sorted, so witnesses come in ascending (j, k, l).
     import scipy.sparse as sp
 
@@ -188,9 +191,17 @@ def _assoc_gen(ptr, idx, val, L, g, cap, flat):
     rg = sp.csr_matrix(
         (val[lo:hi], idx[lo:hi], ptr[g * L : (g + 1) * L + 1] - lo), shape=(L, L)
     )
-    # cumulative multiply count of the first product, row by row
+    eye = sp.identity(L, dtype=val.dtype, format="csr")
+    # cumulative entry count of a block, j row by j row: per entry of rg
+    # the left side holds L entries of the kron and multiplies the slab
+    # of its output; the right side multiplies each entry of the row's
+    # own slab by at most the longest row of rg. The larger of the two
+    # counts, so that no table, valid or not, puts more in one block.
     slab = np.diff(ptr[::L])
-    work = np.concatenate(([0], np.cumsum(slab[rg.indices])))[rg.indptr]
+    per_entry = np.concatenate(([0], np.cumsum(np.maximum(slab[rg.indices], L))))
+    left = np.diff(per_entry[rg.indptr])
+    right = slab * int(np.diff(rg.indptr).max())
+    work = np.concatenate(([0], np.cumsum(np.maximum(left, right))))
     found: list[np.ndarray] = []
     room = cap
     j0 = 0
@@ -198,29 +209,23 @@ def _assoc_gen(ptr, idx, val, L, g, cap, flat):
         j1 = int(np.searchsorted(work, work[j0] + _ASSOC_BLOCK, side="right")) - 1
         j1 = max(j1, j0 + 1)
         nb = j1 - j0
-        lhs = rg[j0:j1] @ flat
+        lhs = sp.kron(rg[j0:j1], eye, format="csr") @ pairs
         a, b = ptr[j0 * L], ptr[j1 * L]
         full = sp.csr_matrix(
             (val[a:b], idx[a:b], ptr[j0 * L : j1 * L + 1] - a), shape=(nb * L, L)
         )
-        rhs = full @ rg
-        kl = np.repeat(
-            np.tile(np.arange(L, dtype=flat.indices.dtype) * L, nb), np.diff(rhs.indptr)
-        )
-        kl += rhs.indices
-        rhs = sp.csr_matrix((rhs.data, kl, rhs.indptr[::L]), shape=(nb, L * L))
-        diff = lhs - rhs
+        diff = lhs - full @ rg
         diff.eliminate_zeros()
         if diff.nnz:
             diff.sort_indices()
-            rows = np.repeat(np.arange(nb), np.diff(diff.indptr))[:room]
+            rows = np.repeat(np.arange(nb * L), np.diff(diff.indptr))[:room]
             cols = diff.indices[:room]
             left = np.asarray(lhs[rows, cols]).ravel().astype(np.int64)
             wit = np.zeros((len(rows), 6), dtype=np.int64)
             wit[:, 0] = g
-            wit[:, 1] = j0 + rows
-            wit[:, 2] = cols // L
-            wit[:, 3] = cols % L
+            wit[:, 1] = j0 + rows // L
+            wit[:, 2] = rows % L
+            wit[:, 3] = cols
             wit[:, 4] = left
             wit[:, 5] = left - diff.data[:room]
             found.append(wit)
@@ -321,7 +326,7 @@ def associativity_violations(
     if L**3 <= _DENSE_CELLS:
         table, scan = _cube(ptr, idx, val, L), _assoc_gen_dense
     else:
-        table, scan = _flat_matrix(ptr, idx, val, L), _assoc_gen
+        table, scan = _pair_matrix(ptr, idx, val, L), _assoc_gen
     found: list[np.ndarray] = []
     room = cap
     for g in gens:

@@ -959,9 +959,80 @@ def generating_set_every_closure(ptr: np.ndarray, idx: np.ndarray, val: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# the associativity scan as sparse products, over every generator or
-# past the identity slabs
+# the associativity scan as sparse products on an (L, L*L) copy of the
+# table, over every generator or past the identity slabs
 # ---------------------------------------------------------------------------
+
+_ASSOC_BLOCK = 2_000_000  # product entries per block of j rows, roughly
+
+
+def _flat_matrix(ptr, idx, val, L):
+    """The table as an (L, L*L) matrix: flat[m, k*L + l] = N_{mk}^l."""
+    import scipy.sparse as sp
+
+    itype = np.int32 if L * L <= np.iinfo(np.int32).max else np.int64
+    cols = np.repeat(np.tile(np.arange(L, dtype=itype) * L, L), np.diff(ptr))
+    cols += idx
+    return sp.csr_matrix((val, cols, ptr[::L]), shape=(L, L * L))
+
+
+def _assoc_gen(ptr, idx, val, L, g, cap, flat):
+    # Both bracketings of (g, j, k) over a block of j rows, as two sparse
+    # products over the same middle index: rg[x, m] = N_{gx}^m serves as
+    # the left factor of the first and, read as (m, l), the right factor
+    # of the second. The second product has rows (j, k) and is reshaped
+    # to the (j, k*L + l) layout of the first, so the two subtract
+    # directly; a clean block leaves an empty difference and costs no
+    # sort. Blocks run in ascending j and the rows of a nonzero
+    # difference are sorted, so witnesses come in ascending (j, k, l).
+    import scipy.sparse as sp
+
+    lo, hi = ptr[g * L], ptr[(g + 1) * L]
+    rg = sp.csr_matrix(
+        (val[lo:hi], idx[lo:hi], ptr[g * L : (g + 1) * L + 1] - lo), shape=(L, L)
+    )
+    # cumulative multiply count of the first product, row by row
+    slab = np.diff(ptr[::L])
+    work = np.concatenate(([0], np.cumsum(slab[rg.indices])))[rg.indptr]
+    found: list[np.ndarray] = []
+    room = cap
+    j0 = 0
+    while j0 < L and room > 0:
+        j1 = int(np.searchsorted(work, work[j0] + _ASSOC_BLOCK, side="right")) - 1
+        j1 = max(j1, j0 + 1)
+        nb = j1 - j0
+        lhs = rg[j0:j1] @ flat
+        a, b = ptr[j0 * L], ptr[j1 * L]
+        full = sp.csr_matrix(
+            (val[a:b], idx[a:b], ptr[j0 * L : j1 * L + 1] - a), shape=(nb * L, L)
+        )
+        rhs = full @ rg
+        kl = np.repeat(
+            np.tile(np.arange(L, dtype=flat.indices.dtype) * L, nb), np.diff(rhs.indptr)
+        )
+        kl += rhs.indices
+        rhs = sp.csr_matrix((rhs.data, kl, rhs.indptr[::L]), shape=(nb, L * L))
+        diff = lhs - rhs
+        diff.eliminate_zeros()
+        if diff.nnz:
+            diff.sort_indices()
+            rows = np.repeat(np.arange(nb), np.diff(diff.indptr))[:room]
+            cols = diff.indices[:room]
+            left = np.asarray(lhs[rows, cols]).ravel().astype(np.int64)
+            wit = np.zeros((len(rows), 6), dtype=np.int64)
+            wit[:, 0] = g
+            wit[:, 1] = j0 + rows
+            wit[:, 2] = cols // L
+            wit[:, 3] = cols % L
+            wit[:, 4] = left
+            wit[:, 5] = left - diff.data[:room]
+            found.append(wit)
+            room -= len(wit)
+        j0 = j1
+    if not found:
+        return True, np.zeros((0, 6), dtype=np.int64)
+    return False, np.vstack(found)
+
 
 def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
     """The package's scan as it ran before it skipped identity slabs."""
@@ -969,9 +1040,10 @@ def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
 
 
 def associativity_scan_sparse(ptr, idx, val, L: int, cap: int = 20, *, skip_identity=True):
-    """The package's scan as it ran before it scanned small rings densely:
-    sparse products on every ring, whatever its size."""
-    from orbifusion.kernels import _assoc_gen, _flat_matrix, _is_identity, generating_set
+    """The package's scan as it ran before it scanned small rings densely
+    and before it compared the bracketings in the pair-major layout:
+    sparse products on an (L, L*L) copy of the table, whatever its size."""
+    from orbifusion.kernels import _is_identity, generating_set
 
     gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)

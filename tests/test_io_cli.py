@@ -785,6 +785,28 @@ def test_cli_import_loads_no_library_beyond_numpy_and_scipy():
     assert set(done.stdout.split()) <= {"numpy", "scipy", "orbifusion"}, done.stdout
 
 
+def test_cli_exits_one_when_the_reader_closes_stdout_early():
+    # the reader's end is closed before the report is written, as
+    # `orbifusion su3 fuse ... | head -2` may do: one stderr line, exit 1
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "orbifusion.cli", "su3", "fuse", "--level", "24", "8,8", "5,11"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == "error: stdout was closed before the report was written\n"
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog", "list"]) == 0
     assert "E6affine" in capsys.readouterr().out.split("\n")

@@ -341,21 +341,26 @@ def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
 
 @functools.cache
 def _tables(group):
-    """Raw tables by name: the symmetry tests' clean and mutated rings, or
-    rings on both sides of the cut at 101 labels, clean and with one
-    seeded constant raised."""
+    """Raw tables by name: the symmetry tests' clean and mutated rings;
+    rings on both sides of the cut at 101 labels ("edge"), or alcove
+    rings of 136 and 190 labels ("large"), clean and with one seeded
+    constant raised."""
     if group == "cases":
         from .test_symmetry import _CASES
 
         return {name: ring.csr() + (ring.size,) for name, ring, _ in _CASES}
+    if group == "large":
+        makers = (("su3 L=136", lambda: su3_ring(15)), ("su3 L=190", lambda: su3_ring(18)))
+    else:
+        makers = (
+            ("su2 L=99", lambda: su2_even_ring(196)),
+            ("su2 L=101", lambda: su2_even_ring(200)),
+            ("su2 L=102", lambda: su2_even_ring(202)),
+            ("su3 L=91", lambda: su3_ring(12)),
+            ("su3 L=105", lambda: su3_ring(13)),
+        )
     tables = {}
-    for name, make in (
-        ("su2 L=99", lambda: su2_even_ring(196)),
-        ("su2 L=101", lambda: su2_even_ring(200)),
-        ("su2 L=102", lambda: su2_even_ring(202)),
-        ("su3 L=91", lambda: su3_ring(12)),
-        ("su3 L=105", lambda: su3_ring(13)),
-    ):
+    for name, make in makers:
         ring = make()
         ptr, idx, val = ring.csr()
         tables[name] = (ptr, idx, val, ring.size)
@@ -426,6 +431,20 @@ def test_dense_scan_matches_the_sparse_products_around_the_cut(monkeypatch, cell
         monkeypatch.setattr(kernels, "_DENSE_CELLS", 2**21)
     failing = _hold_to_the_sparse_products("edge", lambda want: (1, 7, 20) if len(want) else (20,))
     assert len(failing) == 10
+
+
+@pytest.mark.parametrize("block", [1, 50_000, kernels._ASSOC_BLOCK])
+def test_pair_major_scan_matches_the_flat_copy_scan_on_large_rings(monkeypatch, block):
+    # the sparse path in blocks of one j row, of 50,000 product entries
+    # (five to ten j rows here) and of the default, held to the scan on
+    # an (L, L*L) copy of the table; the caps end the list inside a run
+    # of witnesses of one (generator, j) row
+    monkeypatch.setattr(kernels, "_ASSOC_BLOCK", block)
+    monkeypatch.setattr(kernels, "_DENSE_CELLS", 0)
+    failing = _hold_to_the_sparse_products("large", _cut_caps)
+    assert len(failing) == 4
+    rows = [list(map(tuple, want[:, :2].tolist())) for want in failing]
+    assert all(any(r[t - 1] == r[t] for t in range(1, len(r))) for r in rows)
 
 
 _SCIPY_PROBE = """
@@ -504,6 +523,70 @@ def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
         tracemalloc.stop()
     assert build_extra < 2 * own
     assert check_extra < 6 * own
+
+
+def test_validating_the_level_24_ring_allocates_a_bounded_block_above_it():
+    # the scan on an (L, L*L) copy of the table in blocks of two million
+    # product entries allocated 64 MB here; on the ring's own arrays in
+    # blocks of half a million, about 14 MB
+    ring = su3_ring(24)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert validate_ring(ring).passed
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert extra < 20_000_000
+
+
+def _table_with_unit(L, rows):
+    """Raw arrays of a table with the unit at label 0 and the other rows
+    (i, j) -> outputs k as given, every constant 1."""
+    rows = {**{(0, j): [j] for j in range(L)}, **{(i, 0): [i] for i in range(L)}, **rows}
+    keys = sorted(rows)
+    counts = np.zeros(L * L, dtype=np.int64)
+    counts[[i * L + j for i, j in keys]] = [len(rows[key]) for key in keys]
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    idx = np.array([k for key in keys for k in rows[key]], dtype=np.int32)
+    return ptr, idx, np.ones(len(idx), dtype=np.int64)
+
+
+def _unbalanced_tables():
+    """Two 400-label tables whose generator 1 makes one product of a
+    block far larger than the other's multiplies. In "kron", each j > 41
+    goes to the 40 labels 2..41, whose slabs hold only their unit rows:
+    every entry of rg puts 400 entries into the kron but multiplies one.
+    The table associates there, so the scan runs through every block.
+    In "right", the j rows past 102 send k = 1..100 to label 2, and
+    1 * 2 has 100 outputs: rg's rows there are empty, and each j row's
+    right product holds 10,000 entries."""
+    L = 400
+    kron = {(1, j): range(2, 42) for j in range(42, L)}
+    right = {(1, 2): range(3, 103)}
+    right.update({(j, k): [2] for j in range(103, L) for k in range(1, 101)})
+    return {"kron": _table_with_unit(L, kron), "right": _table_with_unit(L, right)}
+
+
+@pytest.mark.parametrize("name", ["kron", "right"])
+def test_a_block_of_the_sparse_scan_stays_bounded_on_any_table(name):
+    # Blocks sized by the left product's multiplies alone put every j row
+    # of these tables into one block: the scan allocated 185 MB on
+    # "kron", and 75 MB on "right", where the (L, L*L) copy scan
+    # allocated 97 MB. Sized by the kron and the right product too, it
+    # allocates about 17 and 11 MB, as on the level-24 alcove ring.
+    import scipy.sparse  # noqa: F401  (its import is not the scan's)
+
+    ptr, idx, val = _unbalanced_tables()[name]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ok, wit = associativity_violations(ptr, idx, val, 400, gens=[0, 1])
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ok == (name == "kron") and len(wit) == (0 if ok else 20)
+    assert extra < 30_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ checked one row at a time (both kept in :mod:`tests.oracles`).
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbifusion
 from orbifusion import SchemaError, catalog
 from orbifusion.fileio import dump_ring, parse_ring
 from orbifusion.rings import LABEL_CAP, FusionRing
@@ -89,6 +93,37 @@ def test_dump_is_byte_identical_to_the_row_writer(name):
 def test_an_empty_table_keeps_its_two_lines():
     text = dump_ring(_escaped_rings()["no-rows"])
     assert '  "N": [\n  ]\n}\n' in text
+
+
+_DUMP_PROBE = """
+import resource
+from orbifusion import su3
+from orbifusion.fileio import dump_ring
+
+ring = su3.su3_ring(24)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+text = dump_ring(ring)
+assert len(text) > 100_000_000
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_the_level_24_dump_holds_about_twice_its_text():
+    # the writer that encoded the whole table before joining it raised a
+    # fresh process's peak by about 370 MB for the 112 MB text; one slab
+    # of first labels at a time, by about 190 MB. Traced allocations say
+    # the same (415 and 225 MB) but tracing them takes 14 s.
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _DUMP_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 250 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def _assert_same_ring(got, want):
