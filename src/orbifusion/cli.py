@@ -36,9 +36,9 @@ from .fileio import (
     graph_dot,
     is_request,
     load_graph,
-    load_json,
     load_perm,
     load_ring,
+    load_ring_doc,
     parse_request,
     parse_ring,
 )
@@ -160,7 +160,8 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_orbifold(args) -> int:
-    doc = load_json(args.input)
+    # a request has no top-level N, so this reads it as load_json does
+    doc = load_ring_doc(args.input)
     if is_request(doc):
         if (
             args.alpha is not None

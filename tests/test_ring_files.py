@@ -4,6 +4,8 @@
 Python list per row, and ``parse_ring`` the same arrays and, on a
 faulty document, the same first error message as the reader that
 checked one row at a time (both kept in :mod:`tests.oracles`).
+``load_ring``, which reads ``N`` in pieces, must give what
+``parse_ring(load_json(path))`` gives on the same file.
 """
 
 import copy
@@ -12,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbifusion
-from orbifusion import SchemaError, catalog
-from orbifusion.fileio import dump_ring, parse_ring
+from orbifusion import SchemaError, catalog, fileio
+from orbifusion.fileio import dump_ring, load_json, load_ring, load_ring_doc, parse_ring
 from orbifusion.rings import LABEL_CAP, FusionRing
 
 from .oracles import dump_ring_by_row, parse_ring_by_row, su3_ring
@@ -270,9 +273,7 @@ _FAULTS = st.sampled_from(
 )
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.data())
-def test_random_faults_raise_the_row_readers_first_message(data):
+def _random_fault_doc(data) -> dict:
     doc = _base_doc()
     rows = doc["N"]
     random.Random(data.draw(st.integers(0, 2**16))).shuffle(rows)
@@ -288,9 +289,222 @@ def test_random_faults_raise_the_row_readers_first_message(data):
             rows.insert(data.draw(st.integers(0, len(rows))), copy.deepcopy(rows[t]))
         elif what == "drop":
             del rows[t]
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_random_faults_raise_the_row_readers_first_message(data):
+    doc = _random_fault_doc(data)
     try:
         want = parse_ring_by_row(copy.deepcopy(doc))
     except SchemaError as exc:
         assert _first_error(parse_ring, doc) == str(exc)
     else:
         _assert_same_ring(parse_ring(doc), want)
+
+
+# ---------------------------------------------------------------------------
+# the piece reader
+# ---------------------------------------------------------------------------
+
+def _dump_layout(doc: dict) -> str:
+    """``doc`` as dump_ring lays a ring out: a key a line, one row of N a line."""
+    head = [f"  {json.dumps(key)}: {json.dumps(value)}," for key, value in doc.items() if key != "N"]
+    rows = ",\n".join("    " + json.dumps(row) for row in doc["N"])
+    return "\n".join(["{", *head, '  "N": [', *([rows] if rows else []), "  ]", "}", ""])
+
+
+_LAYOUTS = {
+    "rows": _dump_layout,
+    "one line": json.dumps,
+    # each row across several lines, so that no piece ends after a row
+    "indent": lambda doc: json.dumps(doc, indent=1),
+}
+
+
+def _outcome(read):
+    try:
+        return read()
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _reads_as_the_parent(path, sizes=(fileio._PIECE_CHARS, 1)):
+    """Check that load_ring, at each piece size (by default the module's
+    and a cut at every newline), gives what parse_ring(load_json(path))
+    gives: the same arrays and dtypes, or the same SchemaError text.
+
+    Returns that, and whether the piece reader read N at every size.
+    """
+    want = _outcome(lambda: parse_ring(load_json(path)))
+    in_pieces = True
+    for chars in sizes:
+        with mock.patch.object(fileio, "_PIECE_CHARS", chars):
+            doc = _outcome(lambda: load_ring_doc(path))
+        got = doc if isinstance(doc, str) else _outcome(lambda: parse_ring(doc))
+        in_pieces &= isinstance(doc, dict) and isinstance(doc.get("N"), fileio._Columns)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, FusionRing), got
+            _assert_same_ring(got, want)
+    return want, in_pieces
+
+
+@pytest.fixture(scope="session")
+def ring_file(tmp_path_factory):
+    """A writer of one scratch file, overwritten by each call."""
+    path = tmp_path_factory.mktemp("reader") / "doc.ring"
+
+    def write(text: str) -> str:
+        path.write_text(text, encoding="utf-8", newline="")
+        return str(path)
+
+    return write
+
+
+# the parent's reading holds about nine times the text, so the rings of
+# levels 15 to 24 and the even SU(2) ring (262,684 to 3.5M constants)
+# are left to the memory guard below, which reads the level-15 file; a
+# ring of more than 20,000 constants (level 12) is read only in
+# dump_ring's layout and cut only at the module's piece size, which
+# reads it in about ten pieces (on one line or with indent=1 no piece
+# is cut, as on the smaller rings)
+_LARGE = {"SU3_level_15", "SU3_level_18", "SU3_level_21", "SU3_level_24", "su2_even_198"}
+_EVERY_NEWLINE_NNZ = 20_000
+_ROWS_ONLY = {"SU3_level_12"}
+
+
+@pytest.mark.parametrize(
+    "name,layout",
+    [
+        (name, layout)
+        for name in _RINGS
+        if name not in _LARGE
+        for layout in _LAYOUTS
+        if layout == "rows" or name not in _ROWS_ONLY
+    ],
+)
+def test_the_piece_reader_reads_each_ring_as_the_parent(name, layout, ring_file):
+    ring = _RINGS[name]()
+    text = dump_ring(ring)
+    doc = json.loads(text)
+    if layout == "rows":
+        assert _dump_layout(doc) == text
+    sizes = (fileio._PIECE_CHARS,) + ((1,) if ring.nnz <= _EVERY_NEWLINE_NNZ else ())
+    got, in_pieces = _reads_as_the_parent(ring_file(_LAYOUTS[layout](doc)), sizes)
+    _assert_same_ring(got, ring)
+    assert in_pieces  # not read by the fallback
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_the_piece_reader_raises_the_parents_message(name, layout, ring_file):
+    edits, want = _MUTATIONS[name]
+    doc = _base_doc()
+    for edit in edits:
+        edit(doc)
+    got, _ = _reads_as_the_parent(ring_file(_LAYOUTS[layout](doc)))
+    assert got.startswith(want), got
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_the_piece_reader_meets_random_faults_as_the_parent(ring_file, data):
+    doc = _random_fault_doc(data)
+    for layout in _LAYOUTS.values():
+        _reads_as_the_parent(ring_file(layout(doc)))
+
+
+def _edge_documents() -> dict[str, str]:
+    doc = _base_doc()
+    text = _dump_layout(doc)
+    rows = ",\n".join("    " + json.dumps(row) for row in doc["N"])
+    head = text[: text.index('  "N"')]
+    table = f"[\n{rows}\n  ]"
+
+    def keys(*pairs):
+        return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in pairs) + "\n}\n"
+
+    def n_is(value):
+        return head + f'  "N": {value}\n}}\n'
+
+    def last_count(value):
+        return text.replace("1]\n  ]", f"{value}]\n  ]")
+
+    fields = [(key, json.dumps(value)) for key, value in doc.items() if key != "N"]
+    return {
+        "N twice, the table last": keys(*fields, ("N", "[]"), ("N", table)),
+        "N twice, the table first": keys(*fields, ("N", table), ("N", "[]")),
+        "N before labels": keys(("N", table), *fields),
+        "labels again after N, in another order": keys(*fields, ("N", table), ("labels", '["r", "e", "a"]')),
+        "N escaped": keys(*fields, ("\\u004e", table)),
+        "N empty": n_is("[]"),
+        "N null": n_is("null"),
+        "N an object": n_is('{"e": 1}'),
+        "a line holding only a comma": n_is(table.replace("1],\n", "1],\n,\n", 1)),
+        "a comma before the closing bracket": n_is(table.replace("1]\n  ]", "1],\n  ]")),
+        "two rows on a line": n_is(table.replace("],\n    [", "], [", 3)),
+        "a blank line between rows": n_is(table.replace("],\n", "],\n\n", 2)),
+        "CRLF line endings": text.replace("\n", "\r\n"),
+        "a BOM": "\ufeff" + text,
+        "data after the closing brace": text + "{}\n",
+        "whitespace after the closing brace": text + "\n \t\r\n",
+        "an empty object": "{}",
+        "an array": "[]\n",
+        "a row nested 100,000 deep": n_is(table.replace('["r", "r", "r", 1]', "[" * 100_000 + "]" * 100_000)),
+        "count NaN": last_count("NaN"),
+        "count 2^70": last_count(2**70),
+        "count of 5,000 digits": last_count("7" * 5000),
+        "a raw control character in a label": text.replace('"a"', '"a\x01"'),
+        "a raw newline in a label": text.replace('"a"', '"a\n"'),
+    }
+
+
+# the rest read the whole document: N before the labels is decoded whole,
+# and any other document goes to the fallback
+_EDGES_IN_PIECES = {
+    "N twice, the table last", "N twice, the table first", "N escaped", "N empty",
+    "two rows on a line", "a blank line between rows", "CRLF line endings",
+    "whitespace after the closing brace",
+}
+
+
+@pytest.mark.parametrize("name", list(_edge_documents()))
+def test_the_piece_reader_meets_edge_documents_as_the_parent(name, ring_file):
+    _, in_pieces = _reads_as_the_parent(ring_file(_edge_documents()[name]))
+    assert in_pieces == (name in _EDGES_IN_PIECES)
+
+
+_LOAD_PROBE = """
+import resource, sys
+import numpy as np
+import scipy.sparse
+from orbifusion import fileio
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ring = fileio.load_ring(sys.argv[1])
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+from orbifusion import su3
+
+assert all(np.array_equal(a, b) for a, b in zip(ring.csr(), su3.su3_ring(15).csr()))
+print(grown)
+"""
+
+
+def test_a_level_15_file_loads_in_bounded_memory(tmp_path):
+    # the whole-document reader raised a fresh process's peak by about
+    # 95 MB for this 8 MB file (262,684 rows), the piece reader by about 30
+    path = tmp_path / "l15.ring"
+    path.write_text(dump_ring(su3_ring(15)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, str(path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 45 * 1024  # ru_maxrss counts KiB on Linux
