@@ -510,25 +510,17 @@ def run(name: str) -> OutcomeReport:
             involution = conj is not None and all(
                 conj.merged.get(v) == k for k, v in conj.merged.items()
             )
-            if entry.n % 2 == 1:
-                pieces_self = conj is not None and all(
-                    v is ConjugacyOutcome.ALL_SELF_CONJUGATE
-                    for v in conj.split.values()
-                )
-                add(
-                    "conjugacy",
-                    involution and pieces_self,
-                    "merged classes pair off under duality; pieces self-conjugate (odd order)",
-                )
-            else:
-                pieces_open = conj is not None and all(
-                    v is ConjugacyOutcome.UNDETERMINED for v in conj.split.values()
-                )
-                add(
-                    "conjugacy",
-                    involution and pieces_open,
-                    "merged classes pair off under duality; piece rule two-valued, undetermined",
-                )
+            want, rule = (
+                (ConjugacyOutcome.ALL_SELF_CONJUGATE, "pieces self-conjugate (odd order)")
+                if entry.n % 2 == 1
+                else (ConjugacyOutcome.UNDETERMINED, "piece rule two-valued, undetermined")
+            )
+            pieces_ok = conj is not None and all(v is want for v in conj.split.values())
+            add(
+                "conjugacy",
+                involution and pieces_ok,
+                f"merged classes pair off under duality; {rule}",
+            )
 
         if entry.expected_group is not None:
             out_dims = sectors.dimensions()

@@ -190,6 +190,7 @@ def _cmd_orbifold(args) -> int:
     if args.dot is not None and args.graph is None:
         raise InputError("--dot only applies together with --graph")
 
+    require_valid(ring)
     action = cyclic_action(ring, alpha)
     inp = OrbifoldInput.make(action, rho, attested)
     rep = inp.assumptions

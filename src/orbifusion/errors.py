@@ -77,6 +77,7 @@ class UnsupportedStructureError(OrbifusionError):
 class NumericError(OrbifusionError):
     """A floating-point computation failed its own safety gate.
 
-    Non-convergent power iteration or a Verlinde sum too far from an
-    integer. CLI exit code 1.
+    Examples: a power iteration (dimensions, graph norm) that does not
+    converge, or dimensions that fail their positivity, product or
+    duality checks. CLI exit code 1.
     """

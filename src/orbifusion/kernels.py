@@ -24,11 +24,42 @@ read the pair-major arrays in place as an (L*L, L) matrix with rows
 blocks of j rows sized so that each product, and the kron that forms
 the left one, holds at most about ``_ASSOC_BLOCK`` (half a million)
 entries on any table, valid or not, unless one j row alone holds more.
+
+Two readings of the layout serve the rest of the package:
+:func:`single_outputs` tells which rows are one entry (k, 1), which
+decides the unit, the invertible labels and the identity slabs the scan
+skips, and :func:`row_blocks` cuts rows into memory-bounded blocks by
+their cumulative weights, for the scan and for ``fp_dimensions``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def single_outputs(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, pairs) -> np.ndarray:
+    """Per pair in ``pairs``, the output k of its row when the row is the
+    one entry (k, 1), else -1, as an int64 array."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    starts = ptr[pairs]
+    one = ptr[pairs + 1] - starts == 1
+    out = np.full(len(pairs), -1, dtype=np.int64)
+    at = starts[one]
+    out[one] = np.where(val[at] == 1, idx[at], -1)
+    return out
+
+
+def row_blocks(ends: np.ndarray, budget: int):
+    """Ranges ``(r0, r1)`` covering the rows in order, row r weighing
+    ``ends[r + 1] - ends[r]``, each holding at most ``budget`` or else a
+    single row."""
+    rows = len(ends) - 1
+    r0 = 0
+    while r0 < rows:
+        r1 = int(np.searchsorted(ends, ends[r0] + budget, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +154,7 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     so the search for the next generator resumes after the last one.
     """
     basis = _SpanBasis(L)
+    labels = np.arange(L)
     gens: list[int] = []
     ops = []
     words: list[np.ndarray] = []
@@ -132,7 +164,7 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
         while basis.spans_unit_vector(b):
             b += 1
         gens.append(b)
-        identity = _is_identity(ptr, idx, val, L, np.arange(L) * L + b)
+        identity = np.array_equal(single_outputs(ptr, idx, val, labels * L + b), labels)
         ops.append(None if identity else _right_mult_arrays(ptr, idx, val, L, b))
         pos.append(0)
         probe = np.zeros(L, dtype=np.int64)
@@ -204,10 +236,9 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
     work = np.concatenate(([0], np.cumsum(np.maximum(left, right))))
     found: list[np.ndarray] = []
     room = cap
-    j0 = 0
-    while j0 < L and room > 0:
-        j1 = int(np.searchsorted(work, work[j0] + _ASSOC_BLOCK, side="right")) - 1
-        j1 = max(j1, j0 + 1)
+    for j0, j1 in row_blocks(work, _ASSOC_BLOCK):
+        if room <= 0:
+            break
         nb = j1 - j0
         lhs = sp.kron(rg[j0:j1], eye, format="csr") @ pairs
         a, b = ptr[j0 * L], ptr[j1 * L]
@@ -230,7 +261,6 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
             wit[:, 5] = left - diff.data[:room]
             found.append(wit)
             room -= len(wit)
-        j0 = j1
     if not found:
         return True, np.zeros((0, 6), dtype=np.int64)
     return False, np.vstack(found)
@@ -253,13 +283,11 @@ def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
     lo, hi = ptr[g * L], ptr[(g + 1) * L]
     rows = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
     terms = list(zip(rows.tolist(), idx[lo:hi].tolist(), val[lo:hi].tolist()))
-    nb = max(1, _DENSE_BLOCK // (L * L))
     found: list[np.ndarray] = []
     room = cap
-    for j0 in range(0, L, nb):
+    for j0, j1 in row_blocks(np.arange(L + 1) * (L * L), _DENSE_BLOCK):
         if room <= 0:
             break
-        j1 = min(j0 + nb, L)
         diff = np.zeros((j1 - j0, L, L), dtype=np.int64)
         block = cube[j0:j1]
         for x, y, a in terms:
@@ -277,22 +305,6 @@ def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
     if not found:
         return True, np.zeros((0, 6), dtype=np.int64)
     return False, np.vstack(found)
-
-
-def _is_identity(ptr, idx, val, L, pairs) -> bool:
-    """Whether the L rows ``pairs`` are the identity: row t is the one entry (t, 1).
-
-    For the rows (g, j) that is N_{gj}^k = delta_jk, and then both
-    bracketings of (g, j, k) are N_{jk}, so the associativity scan of g
-    is clean whatever the rest of the table holds. For the rows (j, g),
-    right multiplication by g fixes every vector.
-    """
-    starts = ptr[pairs]
-    return (
-        bool((ptr[pairs + 1] - starts == 1).all())
-        and np.array_equal(idx[starts], np.arange(L))
-        and bool((val[starts] == 1).all())
-    )
 
 
 def associativity_violations(
@@ -327,12 +339,13 @@ def associativity_violations(
         table, scan = _cube(ptr, idx, val, L), _assoc_gen_dense
     else:
         table, scan = _pair_matrix(ptr, idx, val, L), _assoc_gen
+    labels = np.arange(L)
     found: list[np.ndarray] = []
     room = cap
     for g in gens:
         if room <= 0:
             break
-        if _is_identity(ptr, idx, val, L, g * L + np.arange(L)):
+        if np.array_equal(single_outputs(ptr, idx, val, g * L + labels), labels):
             continue
         ok, wit = scan(ptr, idx, val, L, g, room, table)
         if not ok:

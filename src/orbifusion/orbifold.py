@@ -130,20 +130,23 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     """Wrap left fusion by ``alpha`` as a validated SymmetryAction.
 
     Raises an (A1) assumption error when alpha is not invertible, or
-    when fusion by it fails first-slot equivariance. The order is the
-    exact multiplicative order of alpha, read off as the cycle length of
-    the unit. Equivariance follows from associativity once
-    :func:`left_permutation` has found a permutation, so it is checked
-    only on a ring that :func:`orbifusion.rings.validate_ring` has not
-    passed, such as a ring file read by the ``obstruction`` or
-    ``orbifold`` command: the slab of each first label ``perm[i]`` must
-    be the slab of ``i`` with its outputs renamed by ``perm``, the
-    comparison validation makes of the generators' slabs and their
-    duals'.
+    when fusion by it fails first-slot equivariance. Alpha is invertible
+    when :func:`left_permutation` finds a permutation ``perm`` and
+    ``perm[dual[alpha]]`` is the unit, that is N[alpha, alpha*, unit] = 1.
+    The order is the exact multiplicative order of alpha, read off as
+    the cycle length of the unit. Equivariance follows from
+    associativity once the permutation is found, so it is checked only
+    on a ring that :func:`orbifusion.rings.validate_ring` has not
+    passed: the slab of each first label ``perm[i]`` must be the slab of
+    ``i`` with its outputs renamed by ``perm``, the comparison
+    validation makes of the generators' slabs and their duals'. The
+    ``obstruction`` and ``orbifold`` commands validate first, so such a
+    ring comes from a library caller, such as the A_{4n-1} assumption
+    scan of the benchmark's ``d2n`` workload.
     """
     a = ring.index(alpha)
     perm = left_permutation(ring, a)
-    if perm is None or ring.n(a, ring.dual[a], ring.unit) != 1:
+    if perm is None or perm[ring.dual[a]] != ring.unit:
         raise AssumptionError(
             "A1", f"label {alpha!r} is not invertible, so it generates no cyclic symmetry"
         )

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, SchemaError, ValidationError
-from .kernels import associativity_violations, generating_set
+from .kernels import associativity_violations, generating_set, row_blocks, single_outputs
 
 __all__ = [
     "FusionRing",
@@ -335,11 +335,7 @@ class FusionRing:
 
     def iter_entries(self):
         """Yield every nonzero ``(i, j, k, n)`` in deterministic order."""
-        L = self.size
-        counts = np.diff(self._ptr)
-        pairs = np.repeat(np.arange(L * L, dtype=np.int64), counts)
-        for p, k, v in zip(pairs, self._idx, self._val):
-            yield int(p) // L, int(p) % L, int(k), int(v)
+        yield from zip(*(col.tolist() for col in self.entry_arrays()))
 
     def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All nonzeros as parallel arrays ``(i, j, k, n)``."""
@@ -530,19 +526,17 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     failures = []
     L = ring.size
     e = ring.unit
+    ptr, idx, val = ring.csr()
 
-    wit = []
-    for j in range(L):
-        ks, vs = ring.row(e, j)
-        if not (len(ks) == 1 and ks[0] == j and vs[0] == 1):
-            wit.append((e, j))
-        ks, vs = ring.row(j, e)
-        if not (len(ks) == 1 and ks[0] == j and vs[0] == 1):
-            wit.append((j, e))
-        if len(wit) >= _WITNESS_CAP:
-            break
+    # the rows (e, j) and (j, e) must be the one entry (j, 1); witnesses
+    # by ascending j, (e, j) before (j, e)
+    labels = np.arange(L)
+    left = single_outputs(ptr, idx, val, e * L + labels) != labels
+    right = single_outputs(ptr, idx, val, labels * L + e) != labels
+    jj, on_right = np.nonzero(np.stack([left, right], axis=1))
+    wit = [(j, e) if r else (e, j) for j, r in zip(jj[:_WITNESS_CAP].tolist(), on_right.tolist())]
     if wit:
-        failures.append(AxiomFailure("unit", tuple(wit[:_WITNESS_CAP])))
+        failures.append(AxiomFailure("unit", tuple(wit)))
 
     wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i]
     if ring.dual[e] != e:
@@ -550,7 +544,6 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     if wit:
         failures.append(AxiomFailure("duality-involution", tuple(wit[:_WITNESS_CAP])))
 
-    ptr, idx, val = ring.csr()
     dual = np.asarray(ring.dual, dtype=np.int64)
     at = np.flatnonzero(idx == e)
     pairs = np.searchsorted(ptr, at, side="right") - 1
@@ -631,18 +624,6 @@ def hom_dim(ring: FusionRing, x: FormalSum, y: FormalSum) -> int:
 _FP_BLOCK_ENTRIES = 1 << 18
 
 
-def _first_label_blocks(ptr: np.ndarray, L: int, entries: int):
-    """Ranges ``(i0, i1)`` of first labels covering the ring in order, each
-    holding at most ``entries`` stored constants or else a single label."""
-    ends = ptr[::L]
-    i0 = 0
-    while i0 < L:
-        i1 = int(np.searchsorted(ends, ends[i0] + entries, side="right")) - 1
-        i1 = max(i1, i0 + 1)
-        yield i0, i1
-        i0 = i1
-
-
 def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """Frobenius-Perron dimensions by power iteration.
 
@@ -655,7 +636,7 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """
     L = ring.size
     ptr, idx, val = ring.csr()
-    blocks = list(_first_label_blocks(ptr, L, _FP_BLOCK_ENTRIES))
+    blocks = list(row_blocks(ptr[::L], _FP_BLOCK_ENTRIES))
     # add.at and bincount add in input order, and each pair's row lies in
     # one block, so M and rhs are bitwise the entry-by-entry sums
     M = np.zeros(L * L, dtype=np.float64)
@@ -716,12 +697,8 @@ def left_permutation(ring: FusionRing, i: int) -> tuple[int, ...] | None:
     pair-major arrays.
     """
     L = ring.size
-    ptr, idx, val = ring.csr()
-    rows = ptr[i * L : (i + 1) * L + 1]
-    if np.any(np.diff(rows) != 1):
-        return None
-    ks = idx[rows[0] : rows[-1]]
-    if np.any(val[rows[0] : rows[-1]] != 1) or np.any(np.bincount(ks, minlength=L) != 1):
+    ks = single_outputs(*ring.csr(), i * L + np.arange(L))
+    if ks.min() < 0 or np.any(np.bincount(ks, minlength=L) != 1):
         return None
     return tuple(ks.tolist())
 
@@ -820,17 +797,19 @@ def classify_group(ring: FusionRing, elems: Sequence[str]) -> GroupClass:
     members = set(ix)
     if ring.unit not in members:
         raise InputError("the unit must belong to the invertible set")
+    L = ring.size
+    ptr, idx, val = ring.csr()
     table: dict[tuple[int, int], int] = {}
     for i in ix:
         if ring.dual[i] not in members:
             raise InputError(f"{ring.labels[i]!r} has its dual outside the set")
-        for j in ix:
-            ks, vs = ring.row(i, j)
-            if len(ks) != 1 or vs[0] != 1:
+        outs = single_outputs(ptr, idx, val, i * L + np.asarray(ix, dtype=np.int64))
+        for j, k in zip(ix, outs.tolist()):
+            if k < 0:
                 raise InputError(f"{ring.labels[i]!r} * {ring.labels[j]!r} is not a single sector")
-            if int(ks[0]) not in members:
+            if k not in members:
                 raise InputError(f"{ring.labels[i]!r} * {ring.labels[j]!r} leaves the set")
-            table[(i, j)] = int(ks[0])
+            table[(i, j)] = k
     if len(members) > GROUP_ORDER_CAP:
         raise InputError(f"group classification is implemented for order <= {GROUP_ORDER_CAP}")
 

@@ -1043,16 +1043,17 @@ def associativity_scan_sparse(ptr, idx, val, L: int, cap: int = 20, *, skip_iden
     """The package's scan as it ran before it scanned small rings densely
     and before it compared the bracketings in the pair-major layout:
     sparse products on an (L, L*L) copy of the table, whatever its size."""
-    from orbifusion.kernels import _is_identity, generating_set
+    from orbifusion.kernels import generating_set, single_outputs
 
     gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)
+    labels = np.arange(L)
     found: list[np.ndarray] = []
     room = cap
     for g in gens:
         if room <= 0:
             break
-        if skip_identity and _is_identity(ptr, idx, val, L, g * L + np.arange(L)):
+        if skip_identity and np.array_equal(single_outputs(ptr, idx, val, g * L + labels), labels):
             continue
         ok, wit = _assoc_gen(ptr, idx, val, L, g, room, flat)
         if not ok:

@@ -8,6 +8,7 @@ import pytest
 import orbifusion
 from orbifusion import (
     BipartiteGraph,
+    FusionRing,
     ObstructionValue,
     SchemaError,
     admissible_weights,
@@ -31,8 +32,9 @@ from orbifusion.fileio import (
     parse_request,
     parse_ring,
 )
+from orbifusion.rings import left_permutation
 
-from .oracles import broken_z3_ring, cyclic_ring, kac_walton
+from .oracles import broken_z3_ring, cyclic_ring, kac_walton, su3_ring
 from .test_cli_fuzz import _COMMANDS, _PERM, run_and_check
 
 
@@ -421,6 +423,59 @@ def test_cli_obstruction_refuses_a_ring_that_fails_validation(tmp_path, capsys, 
     for json_flag in ([], ["--json"]):
         assert main(["obstruction", path, "--alpha", alpha] + json_flag) == 1
         assert capsys.readouterr() == ("", f"error: ring fails validation: {report}\n")
+
+
+def _associativity_only_break():
+    """The level-9 alcove ring with N[6,3; 6,1; 0,7] = 1 moved to the
+    output 2,0 (of equal dimension), the move closed under both
+    Frobenius relations and fusion by alpha = (9,0): the table keeps the
+    unit, the duals, both relations and the action's equivariance, and
+    fails associativity alone."""
+    base = su3_ring(9)
+    at, dual = base.index, base.dual
+    p = left_permutation(base, at("9,0"))
+
+    def orbit(t):
+        seen, todo = {t}, [t]
+        while todo:
+            i, j, k = todo.pop()
+            for u in ((dual[i], k, j), (k, dual[j], i), (p[i], j, p[k])):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    take = orbit((at("6,3"), at("6,1"), at("0,7")))
+    give = orbit((at("6,3"), at("6,1"), at("2,0")))
+    N = {(i, j, k): v for i, j, k, v in base.iter_entries()}
+    assert len(take) == len(give) == 54 and not take & give
+    assert all(N.get(t, 0) >= 1 for t in take)
+    for t in take:
+        N[t] -= 1
+    for t in give:
+        N[t] = N.get(t, 0) + 1
+    return FusionRing(base.labels, base.unit, base.dual, N)
+
+
+def test_cli_orbifold_refuses_a_ring_that_fails_validation(tmp_path, capsys):
+    # before orbifold validated its ring, this table passed the action's
+    # equivariance and the dimension law and the command exited 0
+    ring = _associativity_only_break()
+    report = validate_ring(ring)
+    assert [f.axiom for f in report.failures] == ["associativity"]
+    path = _write(tmp_path, "broken.ring", dump_ring(ring))
+    assert main(["obstruction", path, "--alpha", "9,0"]) == 1
+    refused = capsys.readouterr()
+    assert refused == ("", f"error: ring fails validation: {report}\n")
+    # a bare ring file, a request naming it and a request holding it inline
+    inputs = [[path, "--alpha", "9,0", "--assume-loi-trivial"]]
+    for name, field in (("path", "broken.ring"), ("inline", json.loads(dump_ring(ring)))):
+        request = {"format": "orbifusion/1", "ring": field, "alpha": "9,0", "loi_trivial": True}
+        inputs.append([_write(tmp_path, f"{name}.request", dump_json(request))])
+    for args in inputs:
+        for json_flag in ([], ["--json"]):
+            assert main(["orbifold"] + args + json_flag) == 1, args
+            assert capsys.readouterr() == refused, args
 
 
 def test_cli_orbifold_full_pipeline(e6affine_files, tmp_path, capsys):

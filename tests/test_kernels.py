@@ -51,6 +51,42 @@ def _mutated_su3_csr(level, i, j, k, delta):
 
 
 # ---------------------------------------------------------------------------
+# reading rows of the pair-major layout
+# ---------------------------------------------------------------------------
+
+def test_single_outputs_reads_each_row_as_a_plain_loop():
+    # rows of two entries, a count of 2, and empty rows up to the end
+    odd = FusionRing(["a", "b", "c"], 0, [0, 1, 2], [(0, 0, 0, 2), (0, 1, 1, 1), (1, 0, 2, 1)])
+    for ring in (klein_ring(), broken_z3_ring(), su3_ring(3), _mutated_su3_csr(3, 2, 3, 4, 1), odd):
+        L = ring.size
+        want = []
+        for i in range(L):
+            for j in range(L):
+                ks, vs = ring.row(i, j)
+                want.append(int(ks[0]) if len(ks) == 1 and vs[0] == 1 else -1)
+        pairs = np.arange(L * L)[::-1]  # in any order
+        got = kernels.single_outputs(*ring.csr(), pairs)
+        assert got.dtype == np.int64 and got.tolist() == want[::-1]
+
+
+def test_row_blocks_cut_as_a_plain_greedy_loop():
+    rng = random.Random(7)
+    for _ in range(200):
+        weights = [rng.choice([0, 0, 1, 3, 50]) for _ in range(rng.randrange(0, 30))]
+        budget = rng.choice([1, 5, 40, 1000])
+        want, r0 = [], 0
+        while r0 < len(weights):
+            r1, held = r0 + 1, weights[r0]
+            while r1 < len(weights) and held + weights[r1] <= budget:
+                held += weights[r1]
+                r1 += 1
+            want.append((r0, r1))
+            r0 = r1
+        ends = np.concatenate(([0], np.cumsum(weights, dtype=np.int64)))
+        assert list(kernels.row_blocks(ends, budget)) == want, (weights, budget)
+
+
+# ---------------------------------------------------------------------------
 # the dense reference and the scan
 # ---------------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from hypothesis import given, strategies as st
 
 from orbifusion import AssumptionError, FusionRing, cyclic_action, fp_dimensions, validate_ring
 import orbifusion
-from orbifusion import orbifold, rings
+from orbifusion import kernels, orbifold, rings
 from orbifusion.catalog import build, names, su2_even_ring
 from orbifusion.rings import left_permutation
 from . import oracles
@@ -656,7 +656,7 @@ def test_dimensions_in_blocks_are_bitwise_the_add_at_scatter(monkeypatch, name):
     # one first label per block, then a size whose last block ends
     # inside the ring, short of a full block
     for entries in (1, ring.nnz // 3 + 1):
-        blocks = list(rings._first_label_blocks(ptr, L, entries))
+        blocks = list(kernels.row_blocks(ptr[::L], entries))
         assert blocks[0][0] == 0 and blocks[-1][1] == L
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         if entries == 1:
@@ -699,8 +699,9 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
 
 def test_the_action_and_the_dimensions_import_no_scipy():
-    # importing scipy.sparse costs about 0.3 s, and the obstruction and
-    # orbifold commands check the action on rings they never validate
+    # importing scipy.sparse costs about 0.3 s, and library callers such
+    # as the d2n workload's A_{4n-1} assumption scan check the action on
+    # rings they never validate
     src = os.path.dirname(os.path.dirname(orbifusion.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(

@@ -7,7 +7,8 @@ of ``perfbench/workloads.py`` call the package through module
 attributes (``catalog.run``, ``rings.FusionRing.from_labels``), so a
 name that stopped resolving would fail their operations. Every name a
 module lists in ``__all__`` resolves too, so a moved or deleted
-function cannot stay exported.
+function cannot stay exported. A fresh import of the command line
+loads no scipy, so the benchmark's cold starts do not pay for it.
 """
 
 import importlib
@@ -15,6 +16,8 @@ import importlib.util
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +87,24 @@ def test_every_exported_name_resolves(modname):
     assert len(exported) == len(set(exported))
     for name in exported:
         assert hasattr(module, name), name
+
+
+def test_importing_the_command_line_loads_no_scipy():
+    # the sparse associativity scan imports scipy when it runs; a module
+    # level import anywhere under the cli would cost every cold start
+    # about 0.3 s
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, orbifusion.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
