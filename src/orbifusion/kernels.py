@@ -81,16 +81,14 @@ _SPAN_BLOCK = 512  # keeps blocked dot products inside int64
 
 
 class _SpanBasis:
-    """Fully reduced row basis modulo _SPAN_PRIME."""
+    """Fully reduced row basis modulo _SPAN_PRIME, in place: the first
+    ``rank`` of L preallocated rows, with their pivots."""
 
     def __init__(self, L: int):
-        self.rows = np.zeros((0, L), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((L, L), dtype=np.int64)
+        self.pivots = np.zeros(L, dtype=np.int64)
         self.row_of = np.full(L, -1, dtype=np.int64)  # pivot -> its row
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+        self.rank = 0
 
     def residual(self, vec: np.ndarray) -> np.ndarray:
         out = vec % _SPAN_PRIME
@@ -108,7 +106,7 @@ class _SpanBasis:
         return r >= 0 and np.count_nonzero(self.rows[r]) == 1
 
     def insert(self, vec: np.ndarray) -> bool:
-        """Adjoin vec; False when it is already in the span."""
+        """Adjoin vec as row ``rank``; False when it is already in the span."""
         res = self.residual(vec)
         nz = np.nonzero(res)[0]
         if nz.size == 0:
@@ -116,16 +114,15 @@ class _SpanBasis:
         piv = int(nz[0])
         inv = pow(int(res[piv]), _SPAN_PRIME - 2, _SPAN_PRIME)
         row = res * inv % _SPAN_PRIME
-        if self.rank:
-            coeff = self.rows[:, piv]
-            hit = np.nonzero(coeff)[0]
-            if hit.size:
-                self.rows[hit] = (
-                    self.rows[hit] - coeff[hit, None] * row[None, :]
-                ) % _SPAN_PRIME
-        self.row_of[piv] = self.rank
-        self.rows = np.vstack([self.rows, row[None, :]])
-        self.pivots = np.append(self.pivots, piv)
+        r = self.rank
+        coeff = self.rows[:r, piv]
+        hit = np.nonzero(coeff)[0]
+        if hit.size:
+            self.rows[hit] = (self.rows[hit] - coeff[hit, None] * row[None, :]) % _SPAN_PRIME
+        self.rows[r] = row
+        self.pivots[r] = piv
+        self.row_of[piv] = r
+        self.rank = r + 1
         return True
 
 
@@ -152,12 +149,16 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     generator whose right multiplication is the identity (the unit) maps
     every word to itself and is not closed under. The span only grows,
     so the search for the next generator resumes after the last one.
+    The span is held once: each generator multiplies the basis rows.
     """
     basis = _SpanBasis(L)
     labels = np.arange(L)
     gens: list[int] = []
     ops = []
-    words: list[np.ndarray] = []
+    # pos[gi] counts the rows generator gi has multiplied. The rows are
+    # fully reduced, so row t as read has a 1 at its pivot and a 0 at
+    # every earlier row's pivot: the rows read are independent, span the
+    # final basis and have their images in it, so the final span is closed.
     pos: list[int] = []
     b = 0
     while basis.rank < L:
@@ -170,7 +171,6 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
         probe = np.zeros(L, dtype=np.int64)
         probe[b] = 1
         basis.insert(probe)
-        words.append(probe)
         moved = True
         while moved:
             moved = False
@@ -178,14 +178,13 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
                 if ops[gi] is None:
                     continue
                 rows, cols, vals = ops[gi]
-                while pos[gi] < len(words):
-                    w = words[pos[gi]]
+                while pos[gi] < basis.rank:
+                    w = basis.rows[pos[gi]]
                     pos[gi] += 1
                     out = np.zeros(L, dtype=np.int64)
                     np.add.at(out, cols, w[rows] * vals % _SPAN_PRIME)
                     out %= _SPAN_PRIME
                     if out.any() and basis.insert(out):
-                        words.append(out)
                         moved = True
     return gens
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericError, SchemaError, ValidationError
+from .errors import InputError, NumericError, SchemaError, ValidationError
 from .kernels import associativity_violations, generating_set, row_blocks, single_outputs
 
 __all__ = [
@@ -69,6 +69,12 @@ def _check_constant_bound(L: int, largest: int) -> None:
 def _check_label_count(L: int) -> None:
     if L > LABEL_CAP:
         raise SchemaError(f"a fusion ring may have at most {LABEL_CAP} labels, got {L}")
+
+
+def _check_label_index(i: int, L: int) -> None:
+    """Refuse a label index outside [0, L): a negative one would wrap."""
+    if not 0 <= i < L:
+        raise InputError(f"label index {i} out of range for {L} labels")
 
 
 def _label_index(order: Mapping[str, int], lab: str) -> int:
@@ -265,8 +271,9 @@ class FusionRing:
         ``len(idx) == len(val)``; every index lies in ``[0, L)``;
         indices increase strictly within each row; and every stored
         constant is positive and obeys the bound of the main
-        constructor. Validation and the
-        symmetry checks rely on the sorted rows. The arrays adopted are
+        constructor. A non-empty array whose dtype is not an integer
+        dtype is refused before any cast, which would truncate it.
+        Validation and the symmetry checks rely on the sorted rows. The arrays adopted are
         made read-only, the caller's own when no conversion copied them.
         """
         labels, dual = _checked_header(labels, unit, dual)
@@ -277,12 +284,11 @@ class FusionRing:
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
-        try:
-            ptr = np.asarray(ptr, dtype=np.int64)
-            idx = np.asarray(idx)
-            val = np.asarray(val, dtype=np.int64)
-        except OverflowError:
-            raise SchemaError("structure constants do not fit in int64") from None
+        ptr, idx, val = (np.asarray(a) for a in (ptr, idx, val))
+        for name, a in (("ptr", ptr), ("idx", idx), ("val", val)):
+            if a.size and a.dtype.kind not in "iu":
+                raise SchemaError(f"{name} must be an integer array, got dtype {a.dtype}")
+        ptr, val = ptr.astype(np.int64, copy=False), val.astype(np.int64, copy=False)
         if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
             raise SchemaError("ptr must start at 0 and never decrease")
         if not (ptr[-1] == len(idx) == len(val)):
@@ -319,15 +325,21 @@ class FusionRing:
             raise SchemaError(f"unknown label {label!r}") from None
 
     def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse row of the product ``i * j``: (output indices, counts)."""
+        """Sparse row of the product ``i * j``: (output indices, counts).
+
+        An index outside ``[0, L)`` raises :class:`InputError`.
+        """
         L = self.size
+        _check_label_index(i, L)
+        _check_label_index(j, L)
         p = i * L + j
         lo, hi = self._ptr[p], self._ptr[p + 1]
         return self._idx[lo:hi], self._val[lo:hi]
 
     def n(self, i: int, j: int, k: int) -> int:
-        """Structure constant ``N[i,j,k]``."""
+        """Structure constant ``N[i,j,k]``; an index outside ``[0, L)`` raises."""
         ks, vs = self.row(i, j)
+        _check_label_index(k, self.size)
         t = np.searchsorted(ks, k)
         if t < len(ks) and ks[t] == k:
             return int(vs[t])
@@ -694,9 +706,11 @@ def left_permutation(ring: FusionRing, i: int) -> tuple[int, ...] | None:
     when some row ``i * j`` is not a single output with constant 1, or
     when two rows share an output: exactly when the fusion matrix of
     ``i`` is not a permutation matrix. Reads the L rows of ``i`` from the
-    pair-major arrays.
+    pair-major arrays; an ``i`` outside ``[0, L)`` raises
+    :class:`InputError`.
     """
     L = ring.size
+    _check_label_index(i, L)
     ks = single_outputs(*ring.csr(), i * L + np.arange(L))
     if ks.min() < 0 or np.any(np.bincount(ks, minlength=L) != 1):
         return None
@@ -791,8 +805,6 @@ def classify_group(ring: FusionRing, elems: Sequence[str]) -> GroupClass:
     ``elems`` must be closed under fusion and duality; violations raise
     :class:`InputError` rather than reporting a wrong group.
     """
-    from .errors import InputError
-
     ix = [ring.index(lab) for lab in elems]
     members = set(ix)
     if ring.unit not in members:

@@ -15,6 +15,7 @@ import numpy as np
 from orbifusion import su3
 from orbifusion.errors import InputError, NumericError, SchemaError
 from orbifusion.fileio import SCHEMA, _expect_format, _expect_keys, _string, _string_list
+from orbifusion.kernels import _SPAN_BLOCK, _SPAN_PRIME
 from orbifusion.rings import FusionRing
 
 
@@ -920,10 +921,64 @@ def su3_csr_full_grid(la: np.ndarray, lb: np.ndarray, level: int):
 # the generator search closing under every generator, the unit included
 # ---------------------------------------------------------------------------
 
+# The package's span basis as it was before its rows were preallocated
+# and shared with the words: its rows and pivots grow by np.vstack and
+# np.append, so the reference closure shares no basis code with the
+# search, only the prime and the right-multiplication triples.
+class _SpanBasis:
+    """Fully reduced row basis modulo _SPAN_PRIME."""
+
+    def __init__(self, L: int):
+        self.rows = np.zeros((0, L), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self.row_of = np.full(L, -1, dtype=np.int64)  # pivot -> its row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def residual(self, vec: np.ndarray) -> np.ndarray:
+        out = vec % _SPAN_PRIME
+        for lo in range(0, self.rank, _SPAN_BLOCK):
+            hi = min(lo + _SPAN_BLOCK, self.rank)
+            coeff = out[self.pivots[lo:hi]]
+            if coeff.any():
+                out = (out - coeff @ self.rows[lo:hi]) % _SPAN_PRIME
+        return out
+
+    def spans_unit_vector(self, b: int) -> bool:
+        """Whether e_b is in the span: the rows are fully reduced, so
+        exactly when b is a pivot whose row is e_b."""
+        r = self.row_of[b]
+        return r >= 0 and np.count_nonzero(self.rows[r]) == 1
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Adjoin vec; False when it is already in the span."""
+        res = self.residual(vec)
+        nz = np.nonzero(res)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        inv = pow(int(res[piv]), _SPAN_PRIME - 2, _SPAN_PRIME)
+        row = res * inv % _SPAN_PRIME
+        if self.rank:
+            coeff = self.rows[:, piv]
+            hit = np.nonzero(coeff)[0]
+            if hit.size:
+                self.rows[hit] = (
+                    self.rows[hit] - coeff[hit, None] * row[None, :]
+                ) % _SPAN_PRIME
+        self.row_of[piv] = self.rank
+        self.rows = np.vstack([self.rows, row[None, :]])
+        self.pivots = np.append(self.pivots, piv)
+        return True
+
+
 def generating_set_every_closure(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     """The package's generator search as it ran before it skipped the
-    closure under an identity right multiplication."""
-    from orbifusion.kernels import _SPAN_PRIME, _right_mult_arrays, _SpanBasis
+    closure under an identity right multiplication, on its own basis
+    that grows by stacking and a separate list of every accepted word."""
+    from orbifusion.kernels import _right_mult_arrays
 
     basis = _SpanBasis(L)
     gens: list[int] = []

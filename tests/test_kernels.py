@@ -292,6 +292,7 @@ def test_skipping_the_identity_slab_changes_no_verdict_or_witness():
     assert {"bumped", "redirected", "relabeled"} <= reported
 
 
+@functools.cache
 def _every_label_table(L):
     """The unit rows plus N[i, i+1, 0] = 1: every label is a generator."""
     cube = np.zeros((L, L, L), dtype=np.int32)
@@ -302,23 +303,32 @@ def _every_label_table(L):
     return cube_to_csr(cube)
 
 
+@functools.cache
 def _generator_cases():
+    # the catalog's SU3 entries are the alcove rings of their levels
     cases = [(name, csr, L) for name, csr, L in _scan_cases() if not name.startswith("su3_")]
-    for name in names():
-        if name.startswith("SU3"):
-            ring = build(name).ring
-            cases.append((name, ring.csr(), ring.size))
-    for level in range(1, 13):
+    for level in range(1, 25):
         cases.append((f"su3_{level}", su3_ring(level).csr(), su3_ring(level).size))
     for name, (ptr, idx, val, L) in _tables("cases").items():
         cases.append((f"symmetry {name}", (ptr, idx, val), L))
     for L in (50, 100, 150):
         cases.append((f"every label L={L}", _every_label_table(L), L))
+    # even SU(2) rings of the d2n workload
+    for level in (2, 60, 196, 198):
+        ring = su2_even_ring(level)
+        cases.append((f"su2_even_{level}", ring.csr(), ring.size))
     return cases
 
 
+@functools.cache
+def _reference_generators():
+    """The independent closure's generator list per case, in case order,
+    once per session."""
+    return [generating_set_every_closure(*csr, L) for _, csr, L in _generator_cases()]
+
+
 def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
-    cases = _generator_cases()
+    want = _reference_generators()
     closed: list[int] = []
     real = kernels._right_mult_arrays
 
@@ -329,20 +339,37 @@ def test_skipping_the_identity_closure_keeps_every_generator_list(monkeypatch):
     monkeypatch.setattr(kernels, "_right_mult_arrays", spy)
     closes_label_0 = {}
     lists = {}
-    for name, (ptr, idx, val), L in cases:
+    for (name, (ptr, idx, val), L), ref in zip(_generator_cases(), want):
         closed.clear()
         got = lists[name] = generating_set(ptr, idx, val, L)
         assert got[0] == 0, name
         closes_label_0.setdefault(name, set()).add(0 in closed)
-        assert got == generating_set_every_closure(ptr, idx, val, L), name
+        assert got == ref, name
     # the unit at label 0 is not closed under; label 0 with broken rows
     # (j, 0), or a label 0 that is not the unit, is
-    for name in ("su3_12", "SU3_level_24", "Klein", "broken Z/3"):
+    for name in ("su3_12", "su3_24", "su2_even_198", "Klein", "broken Z/3"):
         assert closes_label_0[name] == {False}, name
     for name in ("right-bumped", "right-redirected", "relabeled"):
         assert closes_label_0[name] == {True}, name
     for L in (50, 100, 150):
         assert lists[f"every label L={L}"] == list(range(L))
+
+
+def test_the_generator_search_holds_its_span_once():
+    # every label is a generator, so the basis fills all L rows; a second
+    # copy of the span, as a word list or a basis stacked anew on each
+    # insert, would reach two L x L int64 arrays
+    L = 150
+    ptr, idx, val = _every_label_table(L)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        gens = generating_set(ptr, idx, val, L)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert gens == list(range(L))
+    assert extra < 2 * L * L * 8
 
 
 def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):

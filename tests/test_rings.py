@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orbifusion import (
     FormalSum,
     FusionRing,
+    InputError,
     SchemaError,
     ValidationError,
     classify_group,
@@ -20,7 +21,7 @@ from orbifusion import (
     require_valid,
     validate_ring,
 )
-from orbifusion.catalog import su2_even_ring
+from orbifusion.catalog import build, su2_even_ring
 from orbifusion import rings, su3
 from orbifusion.fileio import dump_ring, parse_ring
 from orbifusion.rings import LABEL_CAP, classify_by_orders
@@ -342,6 +343,31 @@ def test_from_csr_checks_the_header_as_the_constructor_does(labels, unit, messag
         assert str(err.value) == message
 
 
+def test_from_csr_refuses_arrays_that_are_not_integers():
+    # cast to integers, the index 0.7 and the constant 1.9 made the single
+    # constant N[e, e, e] = 1, a ring that passed validation
+    with pytest.raises(SchemaError) as err:
+        FusionRing.from_csr(["e"], 0, [0], [0, 1], [0.7], [1.9])
+    assert str(err.value) == "idx must be an integer array, got dtype float64"
+    ring, (ptr, idx, val) = _su3_level2_csr()
+    header = (ring.labels, ring.unit, ring.dual)
+    for name, arrays in (
+        ("ptr", (ptr.astype(np.float64), idx, val)),
+        ("idx", (ptr, idx.astype(np.float32), val)),
+        ("val", (ptr, idx, val.astype(np.float64))),
+        ("val", (ptr, idx, val == 1)),
+        ("val", (ptr, idx, val.astype(object))),
+    ):
+        with pytest.raises(SchemaError) as err:
+            FusionRing.from_csr(*header, *arrays)
+        dtype = next(a.dtype for a in arrays if a.dtype.kind not in "iu")
+        assert str(err.value) == f"{name} must be an integer array, got dtype {dtype}"
+    # integers of any width are taken, and empty arrays hold nothing to cut
+    again = FusionRing.from_csr(*header, ptr.astype(np.uint32), idx.astype(np.int16), val.astype(np.int8))
+    assert all(np.array_equal(a, b) for a, b in zip(again.csr(), ring.csr()))
+    assert FusionRing.from_csr(["e"], 0, [0], [0, 0], [], []).nnz == 0
+
+
 def test_zero_count_is_dropped():
     ring = tiny_ring(
         triples=[
@@ -362,6 +388,31 @@ def test_row_and_n_agree_with_entries():
         assert ring.n(i, j, k) == v
     ks, vs = ring.row(1, 2)
     assert list(ks) == [3] and list(vs) == [1]
+
+
+def test_label_readers_refuse_an_index_outside_the_labels():
+    # i * L + j wrapped around: on E6affine, row(-1, 0) read the row
+    # (3, 1), and fuse answered rho for the sum of label -1 and label 1
+    ring = build("E6affine").ring
+    L = ring.size
+    reads = (
+        lambda t: ring.row(t, 0),
+        lambda t: ring.row(0, t),
+        lambda t: ring.n(t, 0, 0),
+        lambda t: ring.n(0, t, 0),
+        lambda t: ring.n(0, 0, t),
+        lambda t: rings.left_permutation(ring, t),
+        lambda t: fuse(ring, FormalSum.basis(t), FormalSum.basis(1)),
+        lambda t: fuse(ring, FormalSum.basis(1), FormalSum.basis(t)),
+    )
+    for t in (-1, -L, L, L + 1):
+        for read in reads:
+            with pytest.raises(InputError) as err:
+                read(t)
+            assert str(err.value) == f"label index {t} out of range for {L} labels"
+    # the last label is still read
+    assert ring.row(L - 1, ring.unit)[0].tolist() == [L - 1]
+    assert ring.n(ring.unit, L - 1, L - 1) == 1
 
 
 # ---------------------------------------------------------------------------
