@@ -24,6 +24,10 @@ read the pair-major arrays in place as an (L*L, L) matrix with rows
 blocks of j rows sized so that each product, and the kron that forms
 the left one, holds at most about ``_ASSOC_BLOCK`` (half a million)
 entries on any table, valid or not, unless one j row alone holds more.
+Both paths are generators that yield, per block with a nonzero
+difference, its first nonzero cells and both bracketings there; one
+loop in :func:`associativity_violations` forms, orders and caps the
+witness rows, and stops computing blocks once the cap is reached.
 
 Two readings of the layout serve the rest of the package:
 :func:`single_outputs` tells which rows are one entry (k, 1), which
@@ -35,6 +39,8 @@ their cumulative weights, for the scan and for ``fp_dimensions``.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InputError
 
 
 def single_outputs(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, pairs) -> np.ndarray:
@@ -215,7 +221,8 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
     # right one sum_m N_{jk}^m N_{gm}^l is the block's own rows of the
     # table times rg. A clean block leaves an empty difference and costs
     # no sort. Blocks run in ascending j and the rows of a nonzero
-    # difference are sorted, so witnesses come in ascending (j, k, l).
+    # difference are sorted, so its first cap cells, yielded as
+    # associativity_violations reads them, come in ascending (j, k, l).
     import scipy.sparse as sp
 
     lo, hi = ptr[g * L], ptr[(g + 1) * L]
@@ -233,11 +240,7 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
     left = np.diff(per_entry[rg.indptr])
     right = slab * int(np.diff(rg.indptr).max())
     work = np.concatenate(([0], np.cumsum(np.maximum(left, right))))
-    found: list[np.ndarray] = []
-    room = cap
     for j0, j1 in row_blocks(work, _ASSOC_BLOCK):
-        if room <= 0:
-            break
         nb = j1 - j0
         lhs = sp.kron(rg[j0:j1], eye, format="csr") @ pairs
         a, b = ptr[j0 * L], ptr[j1 * L]
@@ -248,21 +251,10 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
         diff.eliminate_zeros()
         if diff.nnz:
             diff.sort_indices()
-            rows = np.repeat(np.arange(nb * L), np.diff(diff.indptr))[:room]
-            cols = diff.indices[:room]
-            left = np.asarray(lhs[rows, cols]).ravel().astype(np.int64)
-            wit = np.zeros((len(rows), 6), dtype=np.int64)
-            wit[:, 0] = g
-            wit[:, 1] = j0 + rows // L
-            wit[:, 2] = rows % L
-            wit[:, 3] = cols
-            wit[:, 4] = left
-            wit[:, 5] = left - diff.data[:room]
-            found.append(wit)
-            room -= len(wit)
-    if not found:
-        return True, np.zeros((0, 6), dtype=np.int64)
-    return False, np.vstack(found)
+            r = np.repeat(np.arange(nb * L), np.diff(diff.indptr))[:cap]
+            l = diff.indices[:cap]
+            left = np.asarray(lhs[r, l]).ravel().astype(np.int64)
+            yield j0, r, l, left, left - diff.data[:cap]
 
 
 def _cube(ptr, idx, val, L):
@@ -278,32 +270,23 @@ def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
     # is a term of both sides: of the left, (x_g x_j) x_k, as a times
     # slab y added to row j = x, and of the right, x_g (x_j x_k), as a
     # times the column m = x of the block, N_{jk}^m, subtracted from
-    # column l = y. A nonzero cell is a witness, in ascending (j, k, l).
+    # column l = y. The first cap nonzero cells of a block are yielded
+    # in ascending (j, k, l), as associativity_violations reads them.
     lo, hi = ptr[g * L], ptr[(g + 1) * L]
     rows = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
     terms = list(zip(rows.tolist(), idx[lo:hi].tolist(), val[lo:hi].tolist()))
-    found: list[np.ndarray] = []
-    room = cap
     for j0, j1 in row_blocks(np.arange(L + 1) * (L * L), _DENSE_BLOCK):
-        if room <= 0:
-            break
         diff = np.zeros((j1 - j0, L, L), dtype=np.int64)
         block = cube[j0:j1]
         for x, y, a in terms:
             if j0 <= x < j1:
                 diff[x - j0] += cube[y] if a == 1 else a * cube[y]
             diff[:, :, y] -= block[:, :, x] if a == 1 else a * block[:, :, x]
-        bad = np.flatnonzero(diff)[:room]
+        bad = np.flatnonzero(diff)[:cap]
         if bad.size:
-            j, k, l = np.unravel_index(bad, diff.shape)
-            j += j0
-            left = (cube[g, j] * cube[:, k, l].T).sum(axis=1)
-            wit = np.stack([np.full_like(j, g), j, k, l, left, left - diff.ravel()[bad]], axis=1)
-            found.append(wit.astype(np.int64, copy=False))
-            room -= len(wit)
-    if not found:
-        return True, np.zeros((0, 6), dtype=np.int64)
-    return False, np.vstack(found)
+            r, l = np.divmod(bad, L)
+            left = (cube[g, j0 + r // L] * cube[:, r % L, l].T).sum(axis=1)
+            yield j0, r, l, left, left - diff.ravel()[bad]
 
 
 def associativity_violations(
@@ -325,13 +308,21 @@ def associativity_violations(
     has a generator first. A generator whose slab is the identity (the
     unit, which the catalog rings carry at label 0, the first generator)
     cannot give a witness and is not scanned. A clean scan means no
-    quadruple anywhere violates associativity.
+    quadruple anywhere violates associativity, so ``cap`` must be at
+    least 1 (``InputError`` otherwise).
 
     ``gens`` is :func:`generating_set` of the same arrays, for a caller
     that needs the generators too; by default it is computed here.
     Rings with at most ``_DENSE_CELLS`` cells in their cube are scanned
-    densely, larger ones as sparse products; both report the same.
+    densely, larger ones as sparse products; both paths yield, per block
+    of j rows with a nonzero bracketing difference, its first ``cap``
+    nonzero cells ``(j0, r, l, lhs, rhs)`` with ``r = (j - j0) * L + k``.
+    This loop alone forms the witness rows, in generator then (j, k, l)
+    order, and truncates them to ``cap``; once that is reached it pulls
+    no further block, so no later block is computed.
     """
+    if cap < 1:
+        raise InputError(f"witness cap must be at least 1, got {cap}")
     if gens is None:
         gens = generating_set(ptr, idx, val, L)
     if L**3 <= _DENSE_CELLS:
@@ -339,17 +330,21 @@ def associativity_violations(
     else:
         table, scan = _pair_matrix(ptr, idx, val, L), _assoc_gen
     labels = np.arange(L)
+    blocks = (
+        (g, block)
+        for g in gens
+        if not np.array_equal(single_outputs(ptr, idx, val, g * L + labels), labels)
+        for block in scan(ptr, idx, val, L, g, cap, table)
+    )
     found: list[np.ndarray] = []
     room = cap
-    for g in gens:
-        if room <= 0:
+    for g, (j0, r, l, lhs, rhs) in blocks:
+        n = min(len(r), room)
+        wit = np.stack([np.full(n, g), j0 + r[:n] // L, r[:n] % L, l[:n], lhs[:n], rhs[:n]], axis=1)
+        found.append(wit.astype(np.int64, copy=False))
+        room -= n
+        if not room:
             break
-        if np.array_equal(single_outputs(ptr, idx, val, g * L + labels), labels):
-            continue
-        ok, wit = scan(ptr, idx, val, L, g, room, table)
-        if not ok:
-            found.append(wit)
-            room -= len(wit)
     if not found:
         return True, np.zeros((0, 6), dtype=np.int64)
     return False, np.vstack(found)

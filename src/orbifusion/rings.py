@@ -112,6 +112,17 @@ def _checked_header(labels, unit: int, dual) -> tuple[tuple[str, ...], tuple[int
     return labels, dual
 
 
+def _integer_arrays(**arrays) -> tuple[np.ndarray, ...]:
+    """The named arrays as numpy arrays, in order, an empty one as int64.
+    A non-empty one whose dtype is not an integer dtype is refused
+    before any cast, which would truncate it."""
+    out = tuple(np.asarray(a) for a in arrays.values())
+    for name, a in zip(arrays, out):
+        if a.size and a.dtype.kind not in "iu":
+            raise SchemaError(f"{name} must be an integer array, got dtype {a.dtype}")
+    return tuple(a if a.size else a.astype(np.int64) for a in out)
+
+
 def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
     """Entries keyed by pair ``p = i * L + j`` as sorted ``(ptr, idx, val)``.
 
@@ -242,12 +253,15 @@ class FusionRing:
 
         Every count must be >= 1. The header checks, the check for a
         repeated triple and the constant bound run in the main
-        constructor's order with its messages; the columns are sorted
-        into pair-major arrays and adopted through :meth:`from_csr`.
+        constructor's order with its messages; a non-empty column whose
+        dtype is not an integer dtype is refused before any cast, as in
+        :meth:`from_csr`. The columns are sorted into pair-major arrays
+        and adopted through :meth:`from_csr`.
         """
         labels, dual = _checked_header(labels, unit, dual)
         L = len(labels)
-        for col in (i, j):  # from_csr checks k
+        i, j, k, n = _integer_arrays(i=i, j=j, k=k, n=n)
+        for col in (i, j, k):  # before k is cast to int32
             if len(col) and (col.min() < 0 or col.max() >= L):
                 raise SchemaError("structure constant index out of range")
         ptr, idx, val = _pair_major(L, i * L + j, k, n)
@@ -284,10 +298,7 @@ class FusionRing:
         self.labels = labels
         self.unit = int(unit)
         self.dual = dual
-        ptr, idx, val = (np.asarray(a) for a in (ptr, idx, val))
-        for name, a in (("ptr", ptr), ("idx", idx), ("val", val)):
-            if a.size and a.dtype.kind not in "iu":
-                raise SchemaError(f"{name} must be an integer array, got dtype {a.dtype}")
+        ptr, idx, val = _integer_arrays(ptr=ptr, idx=idx, val=val)
         ptr, val = ptr.astype(np.int64, copy=False), val.astype(np.int64, copy=False)
         if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
             raise SchemaError("ptr must start at 0 and never decrease")
@@ -409,6 +420,7 @@ class FormalSum:
             return "0"
         parts = []
         for i, c in self.coeffs:
+            _check_label_index(i, ring.size)
             lab = ring.labels[i]
             parts.append(lab if c == 1 else f"{c} {lab}")
         return " + ".join(parts)

@@ -25,5 +25,6 @@ def warm_kernels():
     ring = su3_ring(3)
     validate_ring(ring)
     ptr, idx, val = ring.csr()
-    kernels._assoc_gen(ptr, idx, val, ring.size, 1, 20, kernels._pair_matrix(ptr, idx, val, ring.size))
+    # the scan is a generator: drain it so that its blocks are computed
+    list(kernels._assoc_gen(ptr, idx, val, ring.size, 1, 20, kernels._pair_matrix(ptr, idx, val, ring.size)))
     yield

@@ -182,6 +182,52 @@ def test_load_json_failures(tmp_path):
         load_json(deep)
 
 
+def test_files_are_read_as_text_mode_reads_them(tmp_path):
+    # the reader decodes a memory map of the file, or the file's bytes
+    # where it cannot be mapped; either way it must give text mode's
+    # string, newlines translated, or text mode's decode error
+    from orbifusion.fileio import _read_text
+
+    contents = [b"", b"{}", b'{"a": 1}\r\n', b"a\rb\r\nc\n\r\n\r", "\ufeff\u00e9\u03c1\n".encode(), b"\xe9x", b"ok\n\xff"]
+    for t, data in enumerate(contents):
+        path = tmp_path / f"{t}.json"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                want = fh.read()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(SchemaError) as err:
+                _read_text(str(path))
+            assert str(err.value) == f"{path} is not UTF-8 text: {exc}"
+        else:
+            assert _read_text(str(path)) == want, data
+    for path in (tmp_path, tmp_path / "absent.json"):
+        with pytest.raises(OSError) as want:
+            open(path, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            _read_text(str(path))
+        assert str(err.value) == f"cannot read {path}: {want.value}"
+
+
+def test_reading_a_file_makes_no_copy_of_its_bytes(tmp_path):
+    # text mode held the file's bytes and its string at once, twice the
+    # file; the string alone is the file's size for ASCII text
+    import tracemalloc
+
+    from orbifusion.fileio import _read_text
+
+    path = tmp_path / "big.json"
+    size = 4_000_000
+    path.write_bytes(b" " * (size - 2) + b"{}")
+    tracemalloc.start()
+    try:
+        text = _read_text(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == size and peak < 1.25 * size
+
+
 def test_perm_files(tmp_path):
     ok = _write(tmp_path, "ok.perm", '{"a": "b", "b": "a"}\n')
     assert load_perm(ok) == {"a": "b", "b": "a"}

@@ -10,6 +10,7 @@ import pytest
 
 import orbifusion
 from orbifusion import FusionRing, kernels, su3, validate_ring
+from orbifusion.errors import InputError
 from orbifusion.catalog import _near_group_ring, build, names, su2_even_ring
 from orbifusion.kernels import (
     associativity_violations,
@@ -180,6 +181,19 @@ def test_witness_cap_is_respected():
     assert np.array_equal(wit[0], wit_all[0])
 
 
+def test_a_cap_below_one_is_refused():
+    # a cap of 0 or less reported the level-6 ring with its last constant
+    # raised as clean, (True, []), where cap 1 finds a witness
+    ring = su3_ring(6)
+    ptr, idx, val = ring.csr()
+    val = val.copy()
+    val[-1] += 1
+    assert not associativity_violations(ptr, idx, val, ring.size, cap=1)[0]
+    for cap in (0, -3):
+        with pytest.raises(InputError, match=f"witness cap must be at least 1, got {cap}$"):
+            associativity_violations(ptr, idx, val, ring.size, cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # the blocked numpy scan
 # ---------------------------------------------------------------------------
@@ -224,6 +238,38 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
                 ok, wit = associativity_violations(ptr, idx, val, mutated.size, cap=cap)
                 assert not ok
                 assert np.array_equal(wit, want[:cap])
+
+
+def test_the_scan_stops_at_the_block_of_the_first_witness(monkeypatch):
+    # blocks of one j row, counted as row_blocks hands them out: with cap
+    # 1 the generators before the first witness's are scanned through,
+    # and no block past the one that holds that witness is computed,
+    # densely or as sparse products. A scan that drained each generator's
+    # blocks would go on to the last j row.
+    monkeypatch.setattr(kernels, "_ASSOC_BLOCK", 1)
+    monkeypatch.setattr(kernels, "_DENSE_BLOCK", 1)
+    ranges = []
+    real = kernels.row_blocks
+
+    def counted(ends, budget):
+        for block in real(ends, budget):
+            ranges.append(block)
+            yield block
+
+    monkeypatch.setattr(kernels, "row_blocks", counted)
+    for cells in (kernels._DENSE_CELLS, 0):
+        monkeypatch.setattr(kernels, "_DENSE_CELLS", cells)
+        for mutated, want in _mutated_level6_cases():
+            ptr, idx, val = mutated.csr()
+            L = mutated.size
+            gens = generating_set(ptr, idx, val, L)
+            ranges.clear()
+            ok, wit = associativity_violations(ptr, idx, val, L, cap=1, gens=gens)
+            assert not ok and np.array_equal(wit, want[:1])
+            j = int(wit[0, 1])
+            scanned = sum(r0 == 0 for r0, _ in ranges)
+            assert j + 1 < L and ranges[-1] == (j, j + 1)
+            assert len(ranges) == (scanned - 1) * L + j + 1
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,31 @@ def test_from_csr_refuses_arrays_that_are_not_integers():
     assert FusionRing.from_csr(["e"], 0, [0], [0, 0], [], []).nnz == 0
 
 
+def test_from_entries_refuses_columns_that_are_not_integers():
+    # cast to integers, the output 0.7 and the count 1.9 made the single
+    # constant N[e, e, e] = 1, a ring that passed validation; a float i
+    # column raised a bare TypeError from np.bincount
+    a = np.array
+    with pytest.raises(SchemaError) as err:
+        FusionRing.from_entries(["e"], 0, [0], a([0]), a([0]), a([0.7]), a([1.9]))
+    assert str(err.value) == "k must be an integer array, got dtype float64"
+    ring = su3.su3_ring(2)
+    header = (ring.labels, ring.unit, ring.dual)
+    cols = ring.entry_arrays()
+    for t, name in enumerate("ijkn"):
+        for bad in (cols[t].astype(np.float64), cols[t] == 1, cols[t].astype(object)):
+            with pytest.raises(SchemaError) as err:
+                FusionRing.from_entries(*header, *cols[:t], bad, *cols[t + 1 :])
+            assert str(err.value) == f"{name} must be an integer array, got dtype {bad.dtype}"
+    # integers of any width are taken, and empty columns hold nothing to cut
+    again = FusionRing.from_entries(*header, *(c.astype(np.int32) for c in cols))
+    assert all(np.array_equal(x, y) for x, y in zip(again.csr(), ring.csr()))
+    assert FusionRing.from_entries(["e"], 0, [0], *(a([]),) * 4).nnz == 0
+    # an output past int32 was cut to another label: 2**32 read as 0
+    with pytest.raises(SchemaError, match="structure constant index out of range"):
+        FusionRing.from_entries(["e"], 0, [0], a([0]), a([0]), a([2**32]), a([1]))
+
+
 def test_zero_count_is_dropped():
     ring = tiny_ring(
         triples=[
@@ -413,6 +438,19 @@ def test_label_readers_refuse_an_index_outside_the_labels():
     # the last label is still read
     assert ring.row(L - 1, ring.unit)[0].tolist() == [L - 1]
     assert ring.n(ring.unit, L - 1, L - 1) == 1
+
+
+def test_describe_refuses_an_index_outside_the_labels():
+    # on E6affine the sum 2 x_{-1} was described as "2 rho", the last
+    # label, and the basis element 7 raised a bare IndexError
+    ring = build("E6affine").ring
+    L = ring.size
+    for t in (-1, -L, L, L + 1):
+        for total in (FormalSum.basis(t), FormalSum.make({t: 2}), FormalSum.make({0: 1, t: 1})):
+            with pytest.raises(InputError) as err:
+                total.describe(ring)
+            assert str(err.value) == f"label index {t} out of range for {L} labels"
+    assert FormalSum.make({0: 1, L - 1: 2}).describe(ring) == f"{ring.labels[0]} + 2 {ring.labels[L - 1]}"
 
 
 # ---------------------------------------------------------------------------
