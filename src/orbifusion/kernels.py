@@ -8,8 +8,9 @@ hand-built rings and the bulk SU(3) builder.
 
 The bulk SU(3) builder :func:`su3_csr` evaluates the closed-form
 su(3)_k fusion rule one slab of first labels at a time, on the
-triality-matched cells only, and writes the pair-major arrays directly,
-in memory of order the number of nonzeros. :func:`su3_row` evaluates
+triality-matched cells only: a first pass counts each row's hits and a
+second writes them into the preallocated pair-major arrays, so the build
+holds little beyond the ring and one slab. :func:`su3_row` evaluates
 the same slab body on a single row, for one product.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
@@ -22,7 +23,7 @@ scipy's sparse products, the only use of scipy in the package. Those
 read the pair-major arrays in place as an (L*L, L) matrix with rows
 (i, j) and give both bracketings in the same (j, k) by l layout, in
 blocks of j rows sized so that each product, and the kron that forms
-the left one, holds at most about ``_ASSOC_BLOCK`` (half a million)
+the left one, holds at most about ``_ASSOC_BLOCK`` (a quarter million)
 entries on any table, valid or not, unless one j row alone holds more.
 Both paths are generators that yield, per block with a nonzero
 difference, its first nonzero cells and both bracketings there; one
@@ -195,7 +196,10 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
     return gens
 
 
-_ASSOC_BLOCK = 500_000  # entries of each product per block of j rows, roughly
+# Entries of each product per block of j rows, roughly. The scan then
+# allocates about 7 MB above the level-24 ring, near fp_dimensions' 6 MB,
+# so a smaller block would slow it without lowering the peak.
+_ASSOC_BLOCK = 250_000
 
 # A ring whose cube L**3 has at most _DENSE_CELLS cells (L <= 101, an
 # int64 copy of 8 MB) is scanned densely, well inside the sizes where
@@ -432,24 +436,30 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     order. Returns ``(ptr, idx, val)`` exactly as :func:`cube_to_csr`
     returns them for the dense cube, without building the cube, and
     evaluates the rule only on the triality-matched third of each slab.
+    Two passes keep the build to the ring's own arrays and one slab: the
+    first counts each row's hits, which fixes ``ptr``, and the second
+    writes each slab's hits straight into the preallocated ``idx`` and
+    ``val``.
     """
     L = len(la)
     la = np.asarray(la, dtype=np.int32)
     lb = np.asarray(lb, dtype=np.int32)
     grids = _su3_triality_grids(la, lb, level, slice(None))
     counts = np.empty((L, L), dtype=np.int64)
-    idx_parts, val_parts = [], []
     for i in range(L):
-        ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
-        hit = n >= 0
-        counts[i] = np.count_nonzero(hit, axis=1)
-        at = np.flatnonzero(hit)  # row-major: ascending (j, k)
-        idx_parts.append(ks.take(at))
-        val_parts.append(n.ravel().take(at) + 1)
+        n = _su3_slab(grids, int(la[i]), int(lb[i]), level)[1]
+        counts[i] = np.count_nonzero(n >= 0, axis=1)
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(counts.ravel(), out=ptr[1:])
-    idx = np.concatenate(idx_parts)
-    val = np.concatenate(val_parts, dtype=np.int64)
+    idx = np.empty(ptr[-1], dtype=np.int32)
+    val = np.empty(ptr[-1], dtype=np.int64)
+    for i in range(L):
+        ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
+        at = np.flatnonzero(n >= 0)  # row-major: ascending (j, k)
+        lo, hi = ptr[i * L], ptr[(i + 1) * L]
+        np.take(ks, at, out=idx[lo:hi])
+        val[lo:hi] = n.ravel().take(at)
+    val += 1
     return ptr, idx, val
 
 

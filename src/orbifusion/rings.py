@@ -306,10 +306,12 @@ class FusionRing:
             raise SchemaError("ptr must end at the number of stored constants")
         if len(idx) and (idx.min() < 0 or idx.max() >= L):
             raise SchemaError("structure constant index out of range")
-        # a step down or a repeat is allowed only where a new row starts
-        starts = np.zeros(len(idx), dtype=bool)
-        starts[ptr[:-1][ptr[:-1] < len(idx)]] = True
-        if np.any((idx[1:] <= idx[:-1]) & ~starts[1:]):
+        # a step down or a repeat is allowed only where a new row starts;
+        # bad[p - 1] compares entry p with the one before it
+        bad = idx[1:] <= idx[:-1]
+        starts = ptr[1:-1]
+        bad[starts[(starts > 0) & (starts < len(idx))] - 1] = False
+        if bad.any():
             raise SchemaError("output indices must increase strictly within each row")
         if len(val):
             if val.min() < 1:

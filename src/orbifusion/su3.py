@@ -46,13 +46,14 @@ def parse_weight(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"expected a weight of the form a,b, got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"expected integer Dynkin labels, got {text!r}") from None
-    if a < 0 or b < 0:
+    # only ASCII digits, which int() alone would widen to signs, spaces,
+    # underscores and other scripts' digits
+    digits = [p.removeprefix("-") for p in parts]
+    if not all(d.isascii() and d.isdecimal() for d in digits):
+        raise InputError(f"expected integer Dynkin labels, got {text!r}")
+    if digits != parts:
         raise InputError(f"Dynkin labels must be nonnegative, got {text!r}")
-    return a, b
+    return int(parts[0]), int(parts[1])
 
 
 def admissible_weights(level: int) -> list[tuple[int, int]]:
@@ -134,12 +135,13 @@ def su3_ring(level: int) -> FusionRing:
     """Fusion ring over every admissible weight at the level.
 
     Unit (0,0), duality (a,b) -> (b,a), constants from the closed-form
-    fusion rule written straight into the pair-major arrays
-    (:func:`orbifusion.kernels.su3_csr`), in memory of order the number
-    of nonzeros. Levels above ``LEVEL_CAP`` are refused, the weight count
-    grows quadratically and exhaustive validation is meant to stay
-    desk-scale. Every call builds the ring anew and nothing keeps it,
-    so a run over many levels holds one ring at a time.
+    fusion rule counted and then written in place into preallocated
+    pair-major arrays (:func:`orbifusion.kernels.su3_csr`), so the build
+    holds little beyond the ring and one slab. Levels above
+    ``LEVEL_CAP`` are refused, the weight count grows quadratically and
+    exhaustive validation is meant to stay desk-scale. Every call builds
+    the ring anew and nothing keeps it, so a run over many levels holds
+    one ring at a time.
     """
     if not (1 <= level <= LEVEL_CAP):
         raise InputError(f"level must be between 1 and {LEVEL_CAP}")

@@ -34,6 +34,20 @@ def su3_ring(level: int) -> FusionRing:
 
 
 # ---------------------------------------------------------------------------
+# the row-order check of FusionRing.from_csr with a mask per term
+# ---------------------------------------------------------------------------
+
+def rows_out_of_order_four_masks(ptr: np.ndarray, idx: np.ndarray) -> bool:
+    """Whether an index steps down or repeats inside a row, decided as
+    ``FusionRing.from_csr`` decided it before it kept one mask: a mask of
+    row starts, the comparison, the negated starts and their conjunction,
+    each as long as the table."""
+    starts = np.zeros(len(idx), dtype=bool)
+    starts[ptr[:-1][ptr[:-1] < len(idx)]] = True
+    return bool(np.any((idx[1:] <= idx[:-1]) & ~starts[1:]))
+
+
+# ---------------------------------------------------------------------------
 # ring files one row at a time, as the package read and wrote them before
 # it worked on columns
 # ---------------------------------------------------------------------------

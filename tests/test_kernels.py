@@ -634,10 +634,64 @@ def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
     assert check_extra < 6 * own
 
 
+@pytest.mark.parametrize("level", [18, 24])
+def test_the_alcove_builder_holds_little_beyond_its_arrays(level):
+    # a builder that kept every slab's idx and val parts alive next to
+    # their concatenation peaked 0.79 and 0.74 times the arrays' bytes
+    # above them at levels 18 and 24; counting the hits first and writing
+    # them into preallocated arrays, 0.17 and 0.10 times
+    la, lb = np.array(admissible_weights(level), dtype=np.int64).T
+    tracemalloc.start()
+    try:
+        arrays = kernels.su3_csr(la, lb, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in arrays)
+    assert peak - own < 0.25 * own
+
+
+_BUILD_PROBE = """
+import scipy.sparse  # noqa: F401  (its import is not the build's)
+from orbifusion import su3, validate_ring
+
+
+def peak_kib():
+    # this process's own peak resident set; ru_maxrss would start at the
+    # peak of the process that spawned it, in a test session far above this one's
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+
+
+before = peak_kib()
+ring = su3.su3_ring(24)
+assert validate_ring(ring).passed
+print((peak_kib() - before) * 1024 / sum(a.nbytes for a in ring.csr()))
+"""
+
+
+def test_building_and_validating_level_24_raises_a_fresh_peak_by_about_the_ring():
+    # tracing misses the freed chunks a process keeps resident: the
+    # builder that concatenated per-slab parts raised a fresh process's
+    # peak by 1.8 times the ring's bytes, the one that writes in place by
+    # about 1.2 times
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILD_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1.4
+
+
 def test_validating_the_level_24_ring_allocates_a_bounded_block_above_it():
     # the scan on an (L, L*L) copy of the table in blocks of two million
     # product entries allocated 64 MB here; on the ring's own arrays in
-    # blocks of half a million, about 14 MB
+    # blocks of half a million, about 14 MB, and of a quarter million, 7 MB
     ring = su3_ring(24)
     tracemalloc.start()
     try:
@@ -682,8 +736,9 @@ def test_a_block_of_the_sparse_scan_stays_bounded_on_any_table(name):
     # Blocks sized by the left product's multiplies alone put every j row
     # of these tables into one block: the scan allocated 185 MB on
     # "kron", and 75 MB on "right", where the (L, L*L) copy scan
-    # allocated 97 MB. Sized by the kron and the right product too, it
-    # allocates about 17 and 11 MB, as on the level-24 alcove ring.
+    # allocated 97 MB. Sized by the kron and the right product too, in
+    # blocks of a quarter million entries, it allocates about 9 and 5 MB,
+    # near the 7 MB of the level-24 alcove ring.
     import scipy.sparse  # noqa: F401  (its import is not the scan's)
 
     ptr, idx, val = _unbalanced_tables()[name]

@@ -26,7 +26,14 @@ from orbifusion import rings, su3
 from orbifusion.fileio import dump_ring, parse_ring
 from orbifusion.rings import LABEL_CAP, classify_by_orders
 
-from .oracles import broken_z3_ring, cyclic_ring, dense_associator, klein_ring
+from .oracles import (
+    broken_z3_ring,
+    cyclic_ring,
+    dense_associator,
+    klein_ring,
+    rows_out_of_order_four_masks,
+    su3_ring,
+)
 
 
 def tiny_ring(**overrides):
@@ -192,8 +199,6 @@ def test_constructor_arrays_are_pair_major_and_sorted():
 
 
 def _su3_level2_csr():
-    from .oracles import su3_ring
-
     ring = su3_ring(2)
     return ring, [a.copy() for a in ring.csr()]
 
@@ -318,6 +323,81 @@ def test_from_csr_rejects_malformed_arrays(breakage):
     ring, arrays = _su3_level2_csr()
     with pytest.raises(SchemaError):
         FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *breakage(*arrays))
+
+
+def _row_order_tables(rng, L=4):
+    """Pair-major (ptr, idx) of L labels by kind: rows as built, with
+    many empty; a step down or a repeat at every row start; one position
+    inside a row moved down or onto its predecessor; a tenth of the
+    indices redrawn at random; a one-entry table; the empty table."""
+    counts = rng.choice([0, 0, 1, 2, 3], size=L * L)
+    rows = [np.sort(rng.choice(L, size=c, replace=False)) for c in counts]
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    built = np.concatenate(rows).astype(np.int64)
+    starts = built.copy()
+    last = None
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        if hi > lo:
+            if last is not None:
+                starts[lo] = min(starts[lo], rng.integers(0, last + 1))
+            last = starts[hi - 1]
+    inside = built.copy()
+    p = rng.choice([t for t in range(1, len(built)) if t not in set(ptr)])
+    inside[p] = rng.integers(0, inside[p - 1] + 1)
+    noisy = built.copy()
+    moved = rng.random(len(built)) < 0.1
+    noisy[moved] = rng.integers(0, L, size=np.count_nonzero(moved))
+    one = np.zeros(L * L + 1, dtype=np.int64)
+    one[rng.integers(1, L * L + 1) :] = 1
+    return {
+        "built": (ptr, built),
+        "starts": (ptr, starts),
+        "inside": (ptr, inside),
+        "noisy": (ptr, noisy),
+        "one entry": (one, rng.integers(0, L, size=1)),
+        "empty": (np.zeros(L * L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    }
+
+
+def test_the_one_mask_row_order_check_refuses_what_four_masks_refused():
+    rng = np.random.default_rng(24)
+    L = 4
+    header = ([str(t) for t in range(L)], 0, list(range(L)))
+    verdicts = {}
+    for _ in range(200):
+        for kind, (ptr, idx) in _row_order_tables(rng, L).items():
+            refused = rows_out_of_order_four_masks(ptr, idx)
+            verdicts.setdefault(kind, set()).add(refused)
+            val = np.ones(len(idx), dtype=np.int64)
+            if refused:
+                with pytest.raises(SchemaError) as err:
+                    FusionRing.from_csr(*header, ptr, idx, val)
+                assert str(err.value) == "output indices must increase strictly within each row"
+            else:
+                assert FusionRing.from_csr(*header, ptr, idx, val).nnz == len(idx)
+    assert verdicts == {
+        "built": {False},
+        "starts": {False},
+        "inside": {True},
+        "noisy": {False, True},
+        "one entry": {False},
+        "empty": {False},
+    }
+
+
+def test_adopting_the_level_24_arrays_allocates_one_small_mask():
+    # checking the row order with four masks as long as the table
+    # allocated 0.25 times the arrays' bytes; with one, 0.10 times
+    ring = su3_ring(24)
+    own = sum(a.nbytes for a in ring.csr())
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *ring.csr())
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert extra < 0.15 * own
 
 
 @pytest.mark.parametrize(

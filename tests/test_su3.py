@@ -48,6 +48,12 @@ def test_parse_weight_errors():
     for bad in ("3", "1,2,3", "a,b", "-1,0", "0,-2", "1.5,0"):
         with pytest.raises(InputError):
             parse_weight(bad)
+    # int() alone reads each of these as a weight
+    for bad in ("1_0,0", "\u0661,\u0661", "+1,0", " 1,0 "):
+        with pytest.raises(InputError, match="expected integer Dynkin labels"):
+            parse_weight(bad)
+    with pytest.raises(InputError, match="must be nonnegative"):
+        parse_weight("2,-13")
 
 
 def test_alcove_size_and_order():
