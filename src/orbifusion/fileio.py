@@ -36,19 +36,23 @@ go through :func:`fmt_float` so repeated runs agree to the byte.
 piece's Python lists are alive at once. It walks the top-level object
 key by key with the decoder's ``raw_decode``; the last of repeated keys
 wins, as in :func:`json.loads`. A top-level ``N`` that follows a list of
-label strings is cut at the first newline after ``_PIECE_CHARS``
-characters; a piece whose text ends in a comma after whole rows is
-decoded on its own and its rows go straight into int64 columns. The
-first other piece (a row across several lines, say) ends the cutting,
-and the rest of the array is decoded whole: that file still reads, only
-without the bound. On a decode error, deep nesting or a refused row the
-whole text is decoded as :func:`load_json` decodes it and
-:func:`parse_ring` reads that, so every message and the order of the
-checks are those of the whole-document reader. Loading the
-8.0 MB level-15 alcove file (262,684 rows) raises a fresh process's peak
-by about 30 MB where the whole document raised it by about 95 MB, and
-``orbifusion validate`` on it peaks at 61 MB where it peaked at 124 MB
-(2 cores, numpy 2.4.6).
+label strings is cut after ``_PIECE_CHARS`` characters, at the first
+closing bracket that a comma and a newline follow, with only blanks
+between them: the end of a row, whether the file writes a row on one
+line or across several (``json.dumps(doc, indent=2)``). A JSON string
+cannot hold a raw newline, so the cut never falls inside a string. A
+piece whose text decodes as whole rows goes straight into int64
+columns; the first other piece ends the cutting, and the rest of the
+array is decoded whole: that file still reads, only without the bound.
+On a decode error, deep nesting or a refused row the whole text is
+decoded as :func:`load_json` decodes it and :func:`parse_ring` reads
+that, so every message and the order of the checks are those of the
+whole-document reader. Loading the 8.0 MB level-15 alcove file
+(262,684 rows) raises a fresh process's peak by about 30 MB where the
+whole document raised it by about 95 MB, and ``orbifusion validate`` on
+it peaks at 61 MB where it peaked at 124 MB; its 15.9 MB ``indent=2``
+copy raises the peak by about 34 MB, where a cut at any newline after a
+comma raised it by about 109 MB (2 cores, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -271,9 +275,10 @@ class _Columns(NamedTuple):
     n: np.ndarray
 
 
-# characters of N text per piece: a piece ends at the first newline
-# after this many
+# characters of N text per piece: a piece ends at the first row end
+# (_ROW_END) after this many
 _PIECE_CHARS = 1 << 18
+_ROW_END = re.compile(r"\][ \t\r]*,[ \t\r]*\n")
 _WS = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
@@ -340,26 +345,22 @@ def _n_pieces(text: str, pos: int, order: dict[str, int]) -> tuple[_Columns, int
     """Columns of the array that opens at ``text[pos]``, and the position
     after it.
 
-    A piece runs to a newline. One whose text ends in a comma, with rows
-    before it, is decoded and converted on its own; the decoder refuses a
-    raw newline inside a string, so a cut never splits a token. The first
-    other piece ends the loop, and the rest of the array is decoded whole.
+    A piece runs to a row end, a closing bracket, a comma and a newline,
+    and is decoded and converted on its own; the decoder refuses a raw
+    newline inside a string, so a cut never splits a token. The first
+    piece that does not decode ends the loop, and the rest of the array
+    is decoded whole.
     """
     pos = _WS.match(text, pos + 1).end()
     parts = []
-    while (cut := text.find("\n", pos + _PIECE_CHARS)) >= 0:
-        piece = text[pos:cut].rstrip(" \t\n\r")
-        if not piece.endswith(","):
-            break
+    while (cut := _ROW_END.search(text, pos + _PIECE_CHARS)) is not None:
         try:
-            rows = json.loads("[" + piece[:-1] + "]")
+            rows = json.loads("[" + text[pos : cut.start() + 1] + "]")
         except (ValueError, RecursionError):
-            break
-        if not rows:
             break
         parts.append(_n_columns(rows, order))
         _need(parts[-1] is not None)  # a refused row goes to the fallback
-        pos = cut
+        pos = cut.end()
     rows, end = _DECODER.raw_decode("[" + text[pos:])
     _need(rows or not parts)  # else a comma comes before the closing bracket
     parts.append(_n_columns(rows, order))

@@ -8,10 +8,13 @@ hand-built rings and the bulk SU(3) builder.
 
 The bulk SU(3) builder :func:`su3_csr` evaluates the closed-form
 su(3)_k fusion rule one slab of first labels at a time, on the
-triality-matched cells only: a first pass counts each row's hits and a
-second writes them into the preallocated pair-major arrays, so the build
-holds little beyond the ring and one slab. :func:`su3_row` evaluates
-the same slab body on a single row, for one product.
+triality-matched cells only, in 16-bit lanes. The rule is symmetric in
+its two weights, so slab i evaluates only its rows j >= i: a first pass
+counts their hits and mirrors the counts, and a second copies each
+slab's rows j < i from the rows already written and writes the rest
+into the preallocated pair-major arrays, so the build holds little
+beyond the ring and one slab. :func:`su3_row` evaluates the same slab
+body on a single row, for one product.
 The dense cube builder :func:`su3_cube` and :func:`cube_to_csr` are kept
 as the independent reference the tests compare it against.
 
@@ -383,8 +386,13 @@ def _su3_triality_grids(la, lb, level, rows):
     The grid has a row for each j in ``rows`` (a slice or a list of
     labels): row j of grid s lists, ascending, the k whose conjugate
     weight has triality -(s + triality of j) mod 3. Padded cells get a
-    lower bound past the level, so they never hit.
+    lower bound past the level, so they never hit. The output labels
+    are int32 and the five terms int16: building them sums at most
+    4 * level + 2, and the slab's values stay within 2 * level + 1, far
+    below 2^15 at any level whose alcove fits ``LABEL_CAP`` (89).
     """
+    la = la.astype(np.int16)
+    lb = lb.astype(np.int16)
     tri_j = ((2 * la + lb) % 3)[rows]
     tri_k = (2 * lb + la) % 3  # of the conjugate (lb[k], la[k])
     classes = [np.flatnonzero(tri_k == c).astype(np.int32) for c in range(3)]
@@ -405,15 +413,15 @@ def _su3_triality_grids(la, lb, level, rows):
         b = (m1 + n1) + (m2 + n2) - a
         low = np.maximum(m1 + m2, n1 + n2)
         low[pad] = level + 1
-        grids.append((ks.ravel(), a, b, low, np.minimum(m1, n1), np.minimum(m2, n2)))
+        grids.append((ks, a, b, low, np.minimum(m1, n1), np.minimum(m2, n2)))
     return grids
 
 
 def _su3_slab(grids, l1, l2, level):
     """The rule on the grid rows for lam = (l1, l2).
 
-    Returns the grid's output labels, flat, and the count less one on
-    each cell, shaped like the grid; a cell hits where it is >= 0.
+    Returns the grid's output labels and the count less one on each
+    cell, both shaped like the grid; a cell hits where it is >= 0.
     """
     s = (2 * l1 + l2) % 3
     ks, a_mn, b_mn, low_mn, min1, min2 = grids[s]
@@ -436,29 +444,41 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     order. Returns ``(ptr, idx, val)`` exactly as :func:`cube_to_csr`
     returns them for the dense cube, without building the cube, and
     evaluates the rule only on the triality-matched third of each slab.
-    Two passes keep the build to the ring's own arrays and one slab: the
-    first counts each row's hits, which fixes ``ptr``, and the second
-    writes each slab's hits straight into the preallocated ``idx`` and
-    ``val``.
+    The rule is symmetric in lam and mu, so row (i, j) equals row
+    (j, i) and slab i evaluates only its rows j >= i, as views of the
+    grids. Two passes keep the build to the ring's own arrays and one
+    slab: the first counts those rows' hits and mirrors them, which
+    fixes ``ptr``; the second copies each slab's rows j < i from the
+    rows (j, i) already written, with one ``np.take`` per array, and
+    writes the hits of its rows j >= i in place after them.
     """
     L = len(la)
     la = np.asarray(la, dtype=np.int32)
     lb = np.asarray(lb, dtype=np.int32)
     grids = _su3_triality_grids(la, lb, level, slice(None))
+
+    def upper(i):  # slab i on its rows j >= i
+        return _su3_slab([[g[i:] for g in grid] for grid in grids], int(la[i]), int(lb[i]), level)
+
     counts = np.empty((L, L), dtype=np.int64)
     for i in range(L):
-        n = _su3_slab(grids, int(la[i]), int(lb[i]), level)[1]
-        counts[i] = np.count_nonzero(n >= 0, axis=1)
+        counts[i, i:] = np.count_nonzero(upper(i)[1] >= 0, axis=1)
+        counts[i + 1 :, i] = counts[i, i + 1 :]
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(counts.ravel(), out=ptr[1:])
     idx = np.empty(ptr[-1], dtype=np.int32)
     val = np.empty(ptr[-1], dtype=np.int64)
     for i in range(L):
-        ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
+        lo, mid, hi = ptr[i * L], ptr[i * L + i], ptr[(i + 1) * L]
+        # rows (i, j < i) are the rows (j, i) of the earlier slabs
+        src = np.arange(lo, mid)
+        src += np.repeat(ptr[np.arange(i) * L + i] - ptr[i * L : i * L + i], counts[i, :i])
+        np.take(idx, src, out=idx[lo:mid])
+        np.take(val, src, out=val[lo:mid])
+        ks, n = upper(i)
         at = np.flatnonzero(n >= 0)  # row-major: ascending (j, k)
-        lo, hi = ptr[i * L], ptr[(i + 1) * L]
-        np.take(ks, at, out=idx[lo:hi])
-        val[lo:hi] = n.ravel().take(at)
+        np.take(ks, at, out=idx[mid:hi])
+        val[mid:hi] = n.take(at)
     val += 1
     return ptr, idx, val
 
@@ -473,7 +493,7 @@ def su3_row(la: np.ndarray, lb: np.ndarray, level: int, i: int, j: int):
     grids = _su3_triality_grids(la, lb, level, [j])
     ks, n = _su3_slab(grids, int(la[i]), int(lb[i]), level)
     at = np.flatnonzero(n >= 0)
-    return ks.take(at), n.ravel().take(at) + 1
+    return ks.take(at), n.take(at).astype(np.int32) + 1
 
 
 # The dense reference builder below takes the other route: candidates

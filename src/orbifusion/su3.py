@@ -135,9 +135,10 @@ def su3_ring(level: int) -> FusionRing:
     """Fusion ring over every admissible weight at the level.
 
     Unit (0,0), duality (a,b) -> (b,a), constants from the closed-form
-    fusion rule counted and then written in place into preallocated
-    pair-major arrays (:func:`orbifusion.kernels.su3_csr`), so the build
-    holds little beyond the ring and one slab. Levels above
+    fusion rule, evaluated once per unordered pair of weights, counted
+    and then written in place into preallocated pair-major arrays
+    (:func:`orbifusion.kernels.su3_csr`), so the build holds little
+    beyond the ring and one slab. Levels above
     ``LEVEL_CAP`` are refused, the weight count grows quadratically and
     exhaustive validation is meant to stay desk-scale. Every call builds
     the ring anew and nothing keeps it, so a run over many levels holds

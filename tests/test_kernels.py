@@ -18,6 +18,7 @@ from orbifusion.kernels import (
     generating_set,
     su3_cube,
 )
+from orbifusion.rings import LABEL_CAP
 from orbifusion.su3 import admissible_weights
 
 from .oracles import (
@@ -117,6 +118,68 @@ def test_triality_cells_give_the_full_grid_arrays(level):
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("level", [1, 12, 24])
+def test_the_builder_evaluates_each_unordered_pair_once(level, monkeypatch):
+    # the rule is symmetric in lam and mu, so each pass evaluates the
+    # rows j >= i of slab i, L(L+1)/2 grid rows; a builder that
+    # evaluates every row in both passes forms 2 L^2
+    la, lb = np.array(admissible_weights(level), dtype=np.int64).T
+    L = len(la)
+    rows = []
+    slab = kernels._su3_slab
+
+    def counted(*args):
+        ks, n = slab(*args)
+        rows.append(n.shape[0])
+        return ks, n
+
+    monkeypatch.setattr(kernels, "_su3_slab", counted)
+    kernels.su3_csr(la, lb, level)
+    assert sum(rows) == L * (L + 1)
+
+
+def test_the_16_bit_lanes_hold_every_value_the_rule_forms():
+    # the grids' five lam-free terms are int16. The largest alcove whose
+    # labels fit LABEL_CAP is level 89: building its grids sums
+    # 2 (mu1 + nu1) + (mu2 + nu2) + s, at most 4 * level + 2, above the
+    # rule's own bound 3 * level. At LEVEL_CAP every slab gives the same
+    # counts on int64 copies of the grids, and no value that it forms
+    # (a, b, the lower bounds, the counts) passes 2 * level + 1
+    top = max(k for k in range(LABEL_CAP) if (k + 1) * (k + 2) // 2 <= LABEL_CAP)
+    assert 3 * top < 4 * top + 2 < 2**15
+    level = su3.LEVEL_CAP
+    assert level <= top
+    la, lb = np.array(admissible_weights(level), dtype=np.int64).T
+    grids = kernels._su3_triality_grids(la.astype(np.int32), lb.astype(np.int32), level, slice(None))
+    assert all(g.dtype == np.int16 for grid in grids for g in grid[1:])
+    wide = [(grid[0], *(g.astype(np.int64) for g in grid[1:])) for grid in grids]
+    largest = 0
+    for l1, l2 in zip(la.tolist(), lb.tolist()):
+        _, n = kernels._su3_slab(grids, l1, l2, level)
+        _, n_wide = kernels._su3_slab(wide, l1, l2, level)
+        assert np.array_equal(n, n_wide)
+        s = (2 * l1 + l2) % 3
+        _, a_mn, b_mn, low_mn = wide[s][:4]
+        shift = (2 * l1 + l2 - s) // 3
+        a, b = a_mn + shift, b_mn + (l1 + l2 - shift)
+        largest = max(largest, *(int(abs(x).max()) for x in (a, b, low_mn, n_wide)))
+    assert largest <= 2 * level + 1 < 2**15
+
+
+@pytest.mark.parametrize("level", range(1, 25))
+def test_one_row_is_the_rings_row_at_every_level(level):
+    ring = su3_ring(level)
+    la, lb = np.array(admissible_weights(level), dtype=np.int64).T
+    L = ring.size
+    pairs = [(0, 0), (0, L - 1), (L - 1, 0), (L - 1, L - 1)]
+    pairs += np.random.default_rng(level).integers(0, L, (20, 2)).tolist()
+    for i, j in pairs:
+        ks, vs = kernels.su3_row(la, lb, level, i, j)
+        want_ks, want_vs = ring.row(i, j)
+        assert (ks.dtype, vs.dtype) == (np.int32, np.int32)
+        assert np.array_equal(ks, want_ks) and np.array_equal(vs, want_vs)
 
 
 @pytest.mark.parametrize("level", [3, 6])

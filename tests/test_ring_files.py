@@ -325,8 +325,9 @@ def _dump_layout(doc: dict) -> str:
 _LAYOUTS = {
     "rows": _dump_layout,
     "one line": json.dumps,
-    # each row across several lines, so that no piece ends after a row
+    # each row across several lines, where a piece still ends at a row end
     "indent": lambda doc: json.dumps(doc, indent=1),
+    "indent 2": lambda doc: json.dumps(doc, indent=2),
 }
 
 
@@ -339,7 +340,7 @@ def _outcome(read):
 
 def _reads_as_the_parent(path, sizes=(fileio._PIECE_CHARS, 1)):
     """Check that load_ring, at each piece size (by default the module's
-    and a cut at every newline), gives what parse_ring(load_json(path))
+    and a cut at every row end), gives what parse_ring(load_json(path))
     gives: the same arrays and dtypes, or the same SchemaError text.
 
     Returns that, and whether the piece reader read N at every size.
@@ -376,10 +377,9 @@ def ring_file(tmp_path_factory):
 # are left to the memory guard below, which reads the level-15 file; a
 # ring of more than 20,000 constants (level 12) is read only in
 # dump_ring's layout and cut only at the module's piece size, which
-# reads it in about ten pieces (on one line or with indent=1 no piece
-# is cut, as on the smaller rings)
+# reads it in about ten pieces
 _LARGE = {"SU3_level_15", "SU3_level_18", "SU3_level_21", "SU3_level_24", "su2_even_198"}
-_EVERY_NEWLINE_NNZ = 20_000
+_EVERY_ROW_NNZ = 20_000
 _ROWS_ONLY = {"SU3_level_12"}
 
 
@@ -399,7 +399,7 @@ def test_the_piece_reader_reads_each_ring_as_the_parent(name, layout, ring_file)
     doc = json.loads(text)
     if layout == "rows":
         assert _dump_layout(doc) == text
-    sizes = (fileio._PIECE_CHARS,) + ((1,) if ring.nnz <= _EVERY_NEWLINE_NNZ else ())
+    sizes = (fileio._PIECE_CHARS,) + ((1,) if ring.nnz <= _EVERY_ROW_NNZ else ())
     got, in_pieces = _reads_as_the_parent(ring_file(_LAYOUTS[layout](doc)), sizes)
     _assert_same_ring(got, ring)
     assert in_pieces  # not read by the fallback
@@ -485,14 +485,22 @@ def test_the_piece_reader_meets_edge_documents_as_the_parent(name, ring_file):
 
 
 _LOAD_PROBE = """
-import resource, sys
+import sys
 import numpy as np
 import scipy.sparse
 from orbifusion import fileio
 
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def peak_kib():
+    # this process's own peak resident set; ru_maxrss would start at the
+    # peak of the process that spawned it, in a test session far above this one's
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+
+
+before = peak_kib()
 ring = fileio.load_ring(sys.argv[1])
-grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+grown = peak_kib() - before
 from orbifusion import su3
 
 assert all(np.array_equal(a, b) for a, b in zip(ring.csr(), su3.su3_ring(15).csr()))
@@ -500,11 +508,9 @@ print(grown)
 """
 
 
-def test_a_level_15_file_loads_in_bounded_memory(tmp_path):
-    # the whole-document reader raised a fresh process's peak by about
-    # 95 MB for this 8 MB file (262,684 rows), the piece reader by about 30
-    path = tmp_path / "l15.ring"
-    path.write_text(dump_ring(su3_ring(15)), encoding="utf-8")
+def _load_growth_kib(path) -> int:
+    """How far loading the level-15 file at ``path`` raises a fresh
+    process's peak resident set, in KiB."""
     src = os.path.dirname(os.path.dirname(orbifusion.__file__))
     done = subprocess.run(
         [sys.executable, "-c", _LOAD_PROBE, str(path)],
@@ -514,4 +520,22 @@ def test_a_level_15_file_loads_in_bounded_memory(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 45 * 1024  # ru_maxrss counts KiB on Linux
+    return int(done.stdout)
+
+
+def test_a_level_15_file_loads_in_bounded_memory(tmp_path):
+    # the whole-document reader raised a fresh process's peak by about
+    # 95 MB for this 8 MB file (262,684 rows), the piece reader by about 30
+    path = tmp_path / "l15.ring"
+    path.write_text(dump_ring(su3_ring(15)), encoding="utf-8")
+    assert _load_growth_kib(path) < 45 * 1024
+
+
+def test_a_pretty_printed_level_15_file_loads_in_bounded_memory(tmp_path):
+    # written with indent=2 the file is 15.9 MB, each row over six lines;
+    # a reader that cut pieces only at a newline after a comma met a cut
+    # inside a row and decoded the rest whole, raising the peak by about
+    # 109 MB, where cutting at row ends raises it by about 34 MB
+    path = tmp_path / "l15.ring"
+    path.write_text(json.dumps(json.loads(dump_ring(su3_ring(15))), indent=2), encoding="utf-8")
+    assert _load_growth_kib(path) < 55 * 1024
