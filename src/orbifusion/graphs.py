@@ -19,6 +19,7 @@ templates are what the tests check it against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -28,13 +29,13 @@ import numpy as np
 from .errors import (
     AmbiguousMatchingError,
     InputError,
-    NumericError,
     SchemaError,
     UnsupportedStructureError,
     ValidationError,
 )
+from .kernels import power_iteration
 from .orbifold import SymmetryAction, cycles
-from .rings import FusionRing
+from .rings import _INT64_LIMIT, FusionRing
 
 __all__ = [
     "BipartiteGraph",
@@ -78,6 +79,8 @@ class BipartiteGraph:
                 raise SchemaError(f"multiplicity of ({e}, {o}) is not an integer: {m!r}")
             if m < 0:
                 raise SchemaError(f"multiplicity of ({e}, {o}) is negative")
+            if m >= _INT64_LIMIT:  # the adjacency matrix holds it as int64
+                raise SchemaError(f"multiplicity of ({e}, {o}) must stay below 2**63")
             if not (0 <= e < len(self.even) and 0 <= o < len(self.odd)):
                 raise SchemaError(f"edge ({e}, {o}) is out of range")
             if m > 0:
@@ -125,12 +128,18 @@ class BipartiteGraph:
             out[e, o] = m
         return out
 
-    def is_connected(self) -> bool:
+    @functools.cached_property
+    def _adjacency(self) -> list[list[int]]:
+        """Neighbours of each vertex, the even part first, then the odd."""
         ne = len(self.even)
         adj: list[list[int]] = [[] for _ in range(self.size)]
         for (e, o), _ in self.mult.items():
             adj[e].append(ne + o)
             adj[ne + o].append(e)
+        return adj
+
+    def is_connected(self) -> bool:
+        adj = self._adjacency
         seen = [False] * self.size
         stack = [0]
         seen[0] = True
@@ -164,9 +173,6 @@ def path_graph(m: int) -> BipartiteGraph:
 # does not converge within the iteration budget
 NORM_VERTEX_CAP = 800
 NORM_MAX_ITER = 500_000
-# iterations between two convergence tests; the iterates do not depend on
-# the test, so testing a block at once finds the same first passing step
-_NORM_CHUNK = 64
 
 
 def pf_norm(graph: BipartiteGraph) -> float:
@@ -174,15 +180,10 @@ def pf_norm(graph: BipartiteGraph) -> float:
 
     Working on B B^T (taken on the smaller part) squares the spectrum,
     which removes the plus/minus pairing of bipartite eigenvalues; the
-    norm is the square root of the dominant Gram eigenvalue. Converges
-    to well below 1e-12 on the graphs this package handles, within
+    norm is the square root of the dominant Gram eigenvalue, found by
+    :func:`orbifusion.kernels.power_iteration` to 1e-13 within
     ``NORM_MAX_ITER`` steps. Graphs with more than ``NORM_VERTEX_CAP``
     vertices are refused.
-
-    Step t takes w_t = M v_t, lam_t = v_t . w_t and stops at the first t
-    with max |w_t - lam_t v_t| <= 1e-13 max(1, lam_t). The steps run in
-    blocks of ``_NORM_CHUNK`` rows, and each block is tested in one
-    vectorised pass; the arithmetic of every step is the plain loop's.
     """
     if graph.size > NORM_VERTEX_CAP:
         raise InputError(
@@ -192,27 +193,8 @@ def pf_norm(graph: BipartiteGraph) -> float:
         raise InputError("the graph norm needs a connected graph")
     B = graph.matrix().astype(np.float64)
     M = B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B
-    n = M.shape[0]
-    V = np.empty((_NORM_CHUNK + 1, n))  # V[t] is v_t, V[c] starts the next block
-    W = np.empty((_NORM_CHUNK, n))
-    lam = np.empty(_NORM_CHUNK)
-    vrows, wrows = list(V), list(W)
-    V[0] = np.ones(n) / np.sqrt(n)
-    for start in range(0, NORM_MAX_ITER, _NORM_CHUNK):
-        c = min(_NORM_CHUNK, NORM_MAX_ITER - start)
-        for t in range(c):
-            v, w = vrows[t], wrows[t]
-            np.matmul(M, v, out=w)
-            lam[t] = v @ w
-            # what np.linalg.norm computes for a real vector, without its overhead
-            np.divide(w, math.sqrt(w @ w), out=vrows[t + 1])
-        lam_c = lam[:c]
-        resid = np.abs(W[:c] - lam_c[:, None] * V[:c]).max(axis=1)
-        passed = resid <= 1e-13 * np.maximum(1.0, lam_c)
-        if passed.any():
-            return float(np.sqrt(lam_c[passed.argmax()]))
-        V[0] = V[c]
-    raise NumericError("graph norm iteration failed to converge")
+    lam, _ = power_iteration(M, 1e-13, NORM_MAX_ITER, "graph norm iteration failed to converge")
+    return float(np.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +409,7 @@ def template(family: str, rank: int | None = None) -> BipartiteGraph:
     raise InputError(f"no template for family {family!r}")
 
 
-def _leg_lengths(adj: dict[int, list[int]], branch: int) -> list[int] | None:
+def _leg_lengths(adj: list[list[int]], branch: int) -> list[int] | None:
     """Walk each branch direction to a leaf; None if a walk re-branches."""
     legs = []
     for start in adj[branch]:
@@ -455,26 +437,21 @@ def _structural_guess(graph: BipartiteGraph) -> DynkinClass | None:
             return DynkinClass("A_affine", 1)
         return None
 
-    ne = len(graph.even)
-    adj: dict[int, list[int]] = {i: [] for i in range(V)}
-    for (e, o), _ in graph.mult.items():
-        adj[e].append(ne + o)
-        adj[ne + o].append(e)
     E = len(graph.mult)
-    deg = {v: len(ws) for v, ws in adj.items()}
-    if max(deg.values()) > 4:
+    deg = [len(ws) for ws in graph._adjacency]
+    if max(deg) > 4:
         return None
 
     if E == V:
-        if all(d == 2 for d in deg.values()) and V >= 4:
+        if all(d == 2 for d in deg) and V >= 4:
             return DynkinClass("A_affine", V - 1)
         return None
     if E != V - 1:
         return None
 
-    deg4 = [v for v, d in deg.items() if d == 4]
-    deg3 = [v for v, d in deg.items() if d == 3]
-    leaves = [v for v, d in deg.items() if d == 1]
+    deg4 = [v for v, d in enumerate(deg) if d == 4]
+    deg3 = [v for v, d in enumerate(deg) if d == 3]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
     if deg4:
         if len(deg4) == 1 and V == 5 and len(leaves) == 4 and not deg3:
             return DynkinClass("D_affine", 4)
@@ -482,7 +459,7 @@ def _structural_guess(graph: BipartiteGraph) -> DynkinClass | None:
     if not deg3:
         return DynkinClass("A", V) if V >= 2 else None
     if len(deg3) == 1:
-        legs = _leg_lengths(adj, deg3[0])
+        legs = _leg_lengths(graph._adjacency, deg3[0])
         if legs is None:
             return None
         legs_t = tuple(legs)
@@ -502,10 +479,10 @@ def _structural_guess(graph: BipartiteGraph) -> DynkinClass | None:
     if len(deg3) == 2:
         if len(leaves) != 4:
             return None
-        if any(d not in (1, 2, 3) for d in deg.values()):
+        if any(d not in (1, 2, 3) for d in deg):
             return None
         for b in deg3:
-            if sum(1 for w in adj[b] if deg[w] == 1) != 2:
+            if sum(1 for w in graph._adjacency[b] if deg[w] == 1) != 2:
                 return None
         return DynkinClass("D_affine", V - 1)
     return None

@@ -38,13 +38,16 @@ Two readings of the layout serve the rest of the package:
 decides the unit, the invertible labels and the identity slabs the scan
 skips, and :func:`row_blocks` cuts rows into memory-bounded blocks by
 their cumulative weights, for the scan and for ``fp_dimensions``.
+:func:`power_iteration` serves ``fp_dimensions`` and ``pf_norm``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 
 def single_outputs(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, pairs) -> np.ndarray:
@@ -70,6 +73,47 @@ def row_blocks(ends: np.ndarray, budget: int):
         r1 = max(r1, r0 + 1)
         yield r0, r1
         r0 = r1
+
+
+# steps between two convergence tests; the iterates do not depend on the
+# test, so testing a block at once finds the same first passing step
+_POWER_CHUNK = 64
+
+
+def power_iteration(M: np.ndarray, tol: float, max_iter: int, failure: str):
+    """``(lam_t, v_t)`` at the first step t with max |w_t - lam_t v_t| <=
+    tol max(1, lam_t); if none of the first ``max_iter`` steps passes,
+    :class:`NumericError` with the message ``failure``.
+
+    From v_0, the normalised all-ones vector, step t takes w_t = M v_t,
+    lam_t = v_t . w_t and v_{t+1} = w_t / |w_t|. The steps run in blocks
+    of ``_POWER_CHUNK`` rows, each tested in one vectorised pass, with a
+    plain loop's arithmetic, so the result is that loop's to the bit.
+    """
+    n = M.shape[0]
+    V = np.empty((_POWER_CHUNK + 1, n))  # V[t] is v_t, V[c] starts the next block
+    W = np.empty((_POWER_CHUNK, n))
+    lam = np.empty(_POWER_CHUNK)
+    vrows, wrows = list(V), list(W)
+    V[0] = np.ones(n) / np.sqrt(n)
+    for start in range(0, max_iter, _POWER_CHUNK):
+        c = min(_POWER_CHUNK, max_iter - start)
+        # a zero w_t passes its own test; the NaN rows after it go unread
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(c):
+                v, w = vrows[t], wrows[t]
+                np.matmul(M, v, out=w)
+                lam[t] = v @ w
+                # what np.linalg.norm computes for a real vector, without its overhead
+                np.divide(w, math.sqrt(w @ w), out=vrows[t + 1])
+        lam_c = lam[:c]
+        resid = np.abs(W[:c] - lam_c[:, None] * V[:c]).max(axis=1)
+        passed = resid <= tol * np.maximum(1.0, lam_c)
+        if passed.any():
+            t = int(passed.argmax())
+            return float(lam_c[t]), V[t].copy()
+        V[0] = V[c]
+    raise NumericError(failure)
 
 
 # ---------------------------------------------------------------------------

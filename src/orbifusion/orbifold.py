@@ -642,7 +642,7 @@ def global_dim_check(ring: FusionRing, sectors: OrbifoldSectors) -> GlobalDimChe
         raise UnsupportedStructureError(
             "the squared-dimension law applies to the full splitting p = n only"
         )
-    total_in = float(np.sum(np.asarray(sectors.dims.dims) ** 2))
+    total_in = sectors.dims.global_dim()
     total_out = sum(d * d for d in sectors.dimensions().values())
     target = total_in / sectors.n
     rel = abs(total_out - target) / max(1.0, abs(target))

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, SchemaError, ValidationError
-from .kernels import associativity_violations, generating_set, row_blocks, single_outputs
+from .kernels import associativity_violations, generating_set, power_iteration
+from .kernels import row_blocks, single_outputs
 
 __all__ = [
     "FusionRing",
@@ -168,7 +169,8 @@ class FusionRing:
         Either a mapping ``(i, j, k) -> n`` or an iterable of
         ``(i, j, k, n)`` tuples, integer ``n >= 1``, absent means zero.
         Every ``n`` must satisfy ``L * n**2 < 2**63`` so that sums of
-        products of constants stay exact in int64.
+        products of constants stay exact in int64. Each entry is
+        converted and checked on its own: there is one conversion path.
 
     Notes
     -----
@@ -192,23 +194,9 @@ class FusionRing:
         labels, dual = _checked_header(labels, unit, dual)
         L = len(labels)
         if isinstance(nconst, Mapping):
-            rows = [(i, j, k, n) for (i, j, k), n in nconst.items()]
-        else:
-            rows = [tuple(t) for t in nconst]
-        try:
-            ent = np.asarray(rows) if rows else np.zeros((0, 4), dtype=np.int64)
-        except ValueError:  # rows of unequal length: the loop below reports them
-            ent = np.zeros(0, dtype=object)
-        if ent.dtype.kind == "i" and ent.shape == (len(rows), 4):
-            ent = ent.astype(np.int64, copy=False)
-            ijk, n = ent[:, :3], ent[:, 3]
-            bad = np.flatnonzero(np.any((ijk < 0) | (ijk >= L), axis=1) | (n < 0))
-            if len(bad):
-                _checked_entry(rows[bad[0]], L)
-        else:
-            # floats, strings, constants beyond int64: one entry at a time
-            ent = np.array([_checked_entry(t, L) for t in rows], dtype=object).reshape(-1, 4)
-            ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
+            nconst = ((i, j, k, n) for (i, j, k), n in nconst.items())
+        ent = np.array([_checked_entry(t, L) for t in nconst], dtype=object).reshape(-1, 4)
+        ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
         keep = np.flatnonzero(n != 0)
         self._adopt(*_pair_major(L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep]))
         self.labels = labels
@@ -439,7 +427,7 @@ class DimensionTable:
 
     def global_dim(self) -> float:
         """Sum of squared dimensions."""
-        return float(sum(d * d for d in self.dims))
+        return float(np.sum(np.asarray(self.dims) ** 2))
 
 
 @dataclass(frozen=True)
@@ -655,8 +643,8 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
 
     Iterates ``M = sum_i N_i`` (symmetric for a ring satisfying
     Frobenius reciprocity, primitive because the diagonal is positive
-    and the unit connects every label) from the all-ones vector, for at
-    most ``FP_MAX_ITER`` steps, and normalizes so the unit has dimension
+    and the unit connects every label) by :func:`kernels.power_iteration`,
+    for at most ``FP_MAX_ITER`` steps, and normalizes so the unit has dimension
     exactly 1. The table is checked against the defining equations, to
     ``FP_TOLERANCE``, before it is returned.
     """
@@ -672,20 +660,10 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
         jk += idx[lo:hi]
         np.add.at(M, jk, val[lo:hi].astype(np.float64))
         del jk  # before the next block's is made
-    M = M.reshape(L, L)
-    v = np.ones(L, dtype=np.float64) / math.sqrt(L)
-    for _ in range(FP_MAX_ITER):
-        w = M @ v
-        lam = float(v @ w)
-        if np.max(np.abs(w - lam * v)) <= 1e-12 * max(1.0, lam):
-            break
-        v = w / np.linalg.norm(w)
-    else:
-        raise NumericError("power iteration did not converge; is the ring validated?")
-    if v[ring.unit] <= 0:
-        v = -v
-    # each gate is written to fail on NaN: a unit component of 0 would
-    # divide to NaN and infinity, and a NaN passes ``err > tol``
+    failure = "power iteration did not converge; is the ring validated?"
+    v = power_iteration(M.reshape(L, L), 1e-12, FP_MAX_ITER, failure)[1]
+    # v >= 0 as M >= 0; each gate is written to fail on NaN: a unit
+    # component of 0 would divide to NaN and infinity, and NaN passes ``err > tol``
     if not v[ring.unit] > 0:
         raise NumericError("dimension vector failed positivity checks")
     d = v / v[ring.unit]

@@ -594,18 +594,7 @@ def fp_dimensions_add_at(ring):
     ii, jj, kk, vv = ring.entry_arrays()
     M = np.zeros((L, L), dtype=np.float64)
     np.add.at(M, (jj, kk), vv)
-    v = np.ones(L, dtype=np.float64) / math.sqrt(L)
-    for _ in range(FP_MAX_ITER):
-        w = M @ v
-        lam = float(v @ w)
-        if np.max(np.abs(w - lam * v)) <= 1e-12 * max(1.0, lam):
-            break
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise NumericError("power iteration collapsed to zero")
-        v = w / nw
-    else:
-        raise NumericError("power iteration did not converge; is the ring validated?")
+    v = power_iteration_loop(M, 1e-12, FP_MAX_ITER)[1]
     if v[ring.unit] <= 0:
         v = -v
     d = v / v[ring.unit]
@@ -622,19 +611,27 @@ def fp_dimensions_add_at(ring):
     return DimensionTable(tuple(float(x) for x in d))
 
 
+def power_iteration_loop(M: np.ndarray, tol: float, max_iter: int):
+    """``kernels.power_iteration`` as a plain loop that tests every step:
+    ``(lam, v, t)`` at the first passing step t."""
+    L = M.shape[0]
+    v = np.ones(L, dtype=np.float64) / math.sqrt(L)
+    for t in range(max_iter):
+        w = M @ v
+        lam = float(v @ w)
+        if np.max(np.abs(w - lam * v)) <= tol * max(1.0, lam):
+            return lam, v, t
+        v = w / np.linalg.norm(w)
+    raise NumericError("power iteration did not converge; is the ring validated?")
+
+
 def pf_norm_loop_step(graph, max_iter: int = 500_000) -> tuple[float, int]:
     """The graph norm by the Gram-side power iteration, written plainly,
     with the index of the step whose residual test first passes."""
     B = graph.matrix().astype(np.float64)
     M = B @ B.T if B.shape[0] <= B.shape[1] else B.T @ B
-    v = np.ones(M.shape[0]) / np.sqrt(M.shape[0])
-    for t in range(max_iter):
-        w = M @ v
-        lam = float(v @ w)
-        if np.max(np.abs(w - lam * v)) <= 1e-13 * max(1.0, lam):
-            return float(np.sqrt(lam)), t
-        v = w / np.linalg.norm(w)
-    raise RuntimeError("no convergence")
+    lam, _, t = power_iteration_loop(M, 1e-13, max_iter)
+    return float(np.sqrt(lam)), t
 
 
 def pf_norm_loop(graph, max_iter: int = 500_000) -> float:

@@ -14,6 +14,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,28 @@ def test_every_run_ends_in_a_known_exit_code_with_one_line_on_failure(data):
                 fh.write(_document(data, doc))
             fill[name] = path
         run_and_check([part.format(**fill) for part in command])
+
+
+@pytest.mark.parametrize("value", [0, -1, 2**63, 2**70])
+def test_every_command_ends_cleanly_on_an_out_of_range_count(tmp_path, value):
+    """Every command on a ring file whose first count, and on a graph
+    file whose first multiplicity, is out of range or past what int64
+    holds: the fuzz reaches these only by chance."""
+    for which in ("ring", "graph"):
+        docs = {"ring": _RINGS[0], "graph": _GRAPHS[0], "perm": _PERM}
+        docs[which] = copy.deepcopy(docs[which])
+        docs[which]["N" if which == "ring" else "edges"][0][-1] = value
+        docs["request"] = {
+            "format": "orbifusion/1", "ring": docs["ring"], "alpha": "rho4", "loi_trivial": True,
+        }
+        fill = {"alpha": "rho4", "order": "2"}
+        for name, doc in docs.items():
+            fill[name] = str(tmp_path / f"{name}.json")
+            with open(fill[name], "w") as fh:
+                json.dump(doc, fh)
+        for command in _COMMANDS:
+            if which == "ring" or "{graph}" in command:
+                run_and_check([part.format(**fill) for part in command])
 
 
 def run_and_check(argv):

@@ -3,11 +3,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbifusion.graphs as graphs_module
+import orbifusion.kernels as kernels_module
 from orbifusion import (
     AmbiguousMatchingError,
     BipartiteGraph,
@@ -94,6 +96,16 @@ def test_multiplicity_type_and_sign_checked():
         BipartiteGraph(even=("a",), odd=("b",), mult={(0, 0): True})
     with pytest.raises(SchemaError):
         BipartiteGraph(even=("a",), odd=("b",), mult={(0, 0): -1})
+
+
+def test_multiplicity_past_int64_refused():
+    # the adjacency matrix holds the multiplicities as int64
+    for m in (2**63, 2**70, np.uint64(2**63)):
+        with pytest.raises(SchemaError) as err:
+            BipartiteGraph(even=("a",), odd=("b", "c"), mult={(0, 0): 1, (0, 1): m})
+        assert str(err.value) == "multiplicity of (0, 1) must stay below 2**63"
+    g = BipartiteGraph(even=("a",), odd=("b",), mult={(0, 0): 2**63 - 1})
+    assert g.matrix().tolist() == [[2**63 - 1]]
 
 
 def test_out_of_range_and_empty_edge_sets_refused():
@@ -210,7 +222,7 @@ def _block_edge_graphs():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_norm_blocks_stop_at_the_first_passing_step(monkeypatch, chunk):
-    monkeypatch.setattr(graphs_module, "_NORM_CHUNK", chunk)
+    monkeypatch.setattr(kernels_module, "_POWER_CHUNK", chunk)
     for g, step in _block_edge_graphs():
         want, first = pf_norm_loop_step(g)
         assert first == step
@@ -218,7 +230,7 @@ def test_norm_blocks_stop_at_the_first_passing_step(monkeypatch, chunk):
 
 
 def test_norm_iteration_budget_can_end_inside_a_block(monkeypatch):
-    assert graphs_module._NORM_CHUNK == 64
+    assert kernels_module._POWER_CHUNK == 64
     # budgets of 66/65, 132/131 and 1069/1068 steps end inside a block of
     # 64, and 64/63 at the end of the first block
     cases = ((template("E8_affine"), 65), (path_graph(12), 131), (path_graph(40), 1068))

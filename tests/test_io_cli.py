@@ -361,6 +361,42 @@ def test_cli_oversized_constant_is_a_schema_error(tmp_path, capsys, command):
     assert err.startswith("schema error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", [2**63, 2**70])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "identify", "{graph}"],
+        ["graph", "fold", "{graph}", "--perm", "{perm}", "--order", "2"],
+        ["orbifold", "{ring}", "--alpha", "rho4", "--assume-loi-trivial", "--graph", "{graph}"],
+    ],
+)
+def test_cli_oversized_multiplicity_is_a_schema_error(tmp_path, capsys, argv, m):
+    entry = build("A5")
+    doc = json.loads(dump_graph(entry.graph))
+    doc["edges"][0][2] = m
+    fill = {
+        "graph": _write(tmp_path, "big.graph", json.dumps(doc)),
+        "perm": _write(tmp_path, "flip.perm", dump_json(_PERM)),
+        "ring": _write(tmp_path, "a5.ring", dump_ring(entry.ring)),
+    }
+    assert main([part.format(**fill) for part in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "schema error: multiplicity of (0, 0) must stay below 2**63\n"
+
+
+def test_dims_and_orbifold_report_one_global_dimension(tmp_path, capsys):
+    ring = _write(tmp_path, "l12.ring", dump_ring(su3_ring(12)))
+    assert main(["dims", ring, "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)
+    argv = ["orbifold", ring, "--alpha", "12,0", "--rho", "4,4", "--assume-loi-trivial", "--json"]
+    assert main(argv) == 0
+    law = json.loads(capsys.readouterr().out)["global_dim"]
+    # the two once summed the same squares in different orders and
+    # differed in the last bits
+    assert dims["global"] == law["input_sum"] == 34117.842329930594
+
+
 @pytest.mark.parametrize(
     "argv", [["validate", "{}"], ["dims", "{}", "--json"], ["graph", "identify", "{}"]]
 )
@@ -435,6 +471,15 @@ def test_ring_commands_end_cleanly_on_degenerate_tables(tmp_path):
                 if command[0] == "dims":
                     assert (code, out) == (1, ""), argv
                     assert err == "error: dimension vector failed positivity checks\n", argv
+
+
+def test_dims_of_an_empty_table_ends_in_one_line_without_warnings(tmp_path):
+    # M is zero: the power iteration's first step passes, and the steps
+    # after it in its block divide by zero
+    doc = {"format": "orbifusion/1", "labels": ["e"], "unit": "e", "dual": {"e": "e"}, "N": []}
+    path = _write(tmp_path, "empty.ring", dump_json(doc))
+    code, out, err = run_and_check(["dims", path])
+    assert (code, out, err) == (1, "", "error: dimensions do not satisfy the product equations\n")
 
 
 def test_cli_obstruction_report_is_exact(e6_ring_file, capsys):
