@@ -136,8 +136,11 @@ def cyclic_action(ring: FusionRing, alpha: str) -> SymmetryAction:
     The order is the exact multiplicative order of alpha, read off as
     the cycle length of the unit. Equivariance follows from
     associativity once the permutation is found, so it is checked only
-    on a ring that :func:`orbifusion.rings.validate_ring` has not
-    passed: the slab of each first label ``perm[i]`` must be the slab of
+    on a ring not marked as validated, that is one that
+    :func:`orbifusion.rings.validate_ring` has not passed and that
+    :func:`orbifusion.su3.su3_ring` did not build (the test suite
+    checks the order-3 current of every alcove ring on an unmarked
+    copy): the slab of each first label ``perm[i]`` must be the slab of
     ``i`` with its outputs renamed by ``perm``, the comparison
     validation makes of the generators' slabs and their duals'. The
     ``obstruction`` and ``orbifold`` commands validate first, so such a

@@ -176,10 +176,14 @@ class FusionRing:
     -----
     The pair-major arrays are read-only from construction on, and
     :meth:`csr` hands out those arrays themselves. The one field set
-    later is ``_validated``, a memo that only :func:`validate_ring`
-    sets, and only when the ring passes;
-    :func:`orbifusion.orbifold.cyclic_action` reads it. Every operation
-    on a ring is a pure function, so sharing between threads is safe.
+    later is ``_validated``, the record that the ring meets every
+    axiom. :func:`validate_ring` sets it when the ring passes, and
+    :func:`orbifusion.su3.su3_ring` sets it on every ring it returns,
+    since the test suite's certificate scans all the levels it accepts;
+    :func:`validate_ring` and :func:`orbifusion.orbifold.cyclic_action`
+    read it. A ring made by a constructor, a file among them, starts
+    unmarked. Every operation on a ring is a pure function, so sharing
+    between threads is safe.
     """
 
     __slots__ = ("labels", "unit", "dual", "_ptr", "_idx", "_val", "_index", "_validated")
@@ -535,8 +539,12 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     associativity witnesses are ``(i, j, k, l, lhs, rhs)``. A ring that
     passes is marked as validated, which lets
     :func:`orbifusion.orbifold.cyclic_action` skip the equivariance that
-    validation implies.
+    validation implies. A marked ring, one that passed before or an
+    alcove ring from :func:`orbifusion.su3.su3_ring`, gets the passing
+    report at once, with no scan.
     """
+    if ring._validated:
+        return ValidationReport(())
     failures = []
     L = ring.size
     e = ring.unit

@@ -143,6 +143,15 @@ def su3_ring(level: int) -> FusionRing:
     exhaustive validation is meant to stay desk-scale. Every call builds
     the ring anew and nothing keeps it, so a run over many levels holds
     one ring at a time.
+
+    The ring comes marked as validated, so
+    :func:`orbifusion.rings.validate_ring` returns at once and
+    :func:`orbifusion.orbifold.cyclic_action` skips the equivariance
+    check. The builder is deterministic and accepts finitely many
+    levels, and the test
+    ``tests/test_su3.py::test_every_level_the_builder_accepts_passes_the_full_scan``
+    runs the full validation scan and the order-3 current's equivariance
+    check on an unmarked copy of each of them.
     """
     if not (1 <= level <= LEVEL_CAP):
         raise InputError(f"level must be between 1 and {LEVEL_CAP}")
@@ -151,4 +160,6 @@ def su3_ring(level: int) -> FusionRing:
     ptr, idx, val = su3_csr(la, lb, level)
     labels = [weight_label(w) for w in ws]
     dual = [_windex(b, a) for a, b in ws]
-    return FusionRing.from_csr(labels, _windex(0, 0), dual, ptr, idx, val)
+    ring = FusionRing.from_csr(labels, _windex(0, 0), dual, ptr, idx, val)
+    ring._validated = True
+    return ring

@@ -33,6 +33,14 @@ def su3_ring(level: int) -> FusionRing:
     return su3.su3_ring(level)
 
 
+def unvalidated(ring: FusionRing) -> FusionRing:
+    """A copy of the ring, sharing its arrays, that no validation has
+    passed: ``validate_ring`` scans it in full and ``cyclic_action``
+    checks its equivariance, where they trust the mark of a ring that
+    ``su3_ring`` built or that passed before."""
+    return FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *ring.csr())
+
+
 # ---------------------------------------------------------------------------
 # the row-order check of FusionRing.from_csr with a mask per term
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from orbifusion.graphs import template
 from orbifusion.rings import FormalSum, classify_by_orders
 from orbifusion.su3 import admissible_weights
 
-from .oracles import dense_associator, su3_ring, verlinde, verlinde_table
+from .oracles import dense_associator, su3_ring, unvalidated, verlinde, verlinde_table
 
 
 @pytest.fixture
@@ -256,10 +256,11 @@ def test_criterion_7_property_suites(verdict):
     ok = True
 
     # axioms on every catalog ring, with a dense exhaustive associativity
-    # pass wherever the cube is small enough to enumerate outright
+    # pass wherever the cube is small enough to enumerate outright; on
+    # copies, so that the alcove rings su3_ring marks are scanned too
     for name in names():
         ring = build(name).ring
-        ok = ok and validate_ring(ring).passed
+        ok = ok and validate_ring(unvalidated(ring)).passed
         if ring.size <= 30:
             bad, _, _ = dense_associator(ring)
             ok = ok and len(bad) == 0

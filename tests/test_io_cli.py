@@ -344,6 +344,38 @@ def test_cli_validate_reports_failures(tmp_path, capsys):
     assert "FAIL" in out and "associativity" in out
 
 
+def test_a_file_of_an_alcove_ring_is_never_certified(tmp_path, capsys, monkeypatch):
+    # su3_ring's validation mark stays with the ring it built: a file of
+    # that ring reads back unmarked and is scanned in full, and one with a
+    # constant raised fails as it did before the builder marked its rings
+    from orbifusion import rings
+    from orbifusion.fileio import load_ring
+
+    ring = su3_ring(9)
+    path = _write(tmp_path, "l9.ring", dump_ring(ring))
+    loaded = load_ring(path)
+    assert ring._validated and not loaded._validated
+    scans = []
+    scan = rings.associativity_violations
+    monkeypatch.setattr(
+        rings, "associativity_violations", lambda *a, **kw: scans.append(a[3]) or scan(*a, **kw)
+    )
+    assert validate_ring(loaded).passed and scans == [55]
+    ptr, idx, val = ring.csr()
+    val = val.copy()
+    val[len(val) // 2] += 1
+    raised = FusionRing.from_csr(ring.labels, ring.unit, ring.dual, ptr, idx, val)
+    path = _write(tmp_path, "raised.ring", dump_ring(raised))
+    assert main(["validate", path]) == 1
+    assert scans == [55, 55]
+    assert capsys.readouterr() == (
+        "ring: 55 labels, 18469 stored constants\n"
+        "FAIL frobenius-reciprocity: (23, 42, 25, 2, 3, 2), (25, 25, 42, 3, 2, 2), (42, 23, 25, 2, 2, 3)\n"
+        "FAIL associativity: (1, 19, 25, 42, 6, 5), (1, 24, 25, 42, 6, 5), (1, 25, 25, 33, 7, 8), +3 more\n",
+        "",
+    )
+
+
 def test_cli_missing_file_is_a_schema_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.ring")]) == 3
     assert "schema error" in capsys.readouterr().err

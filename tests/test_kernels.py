@@ -32,6 +32,7 @@ from .oracles import (
     klein_ring,
     su3_csr_full_grid,
     su3_ring,
+    unvalidated,
 )
 
 
@@ -623,6 +624,7 @@ _SCIPY_PROBE = """
 import sys
 from orbifusion import catalog, graphs, orbifold, rings
 from orbifusion.cli import main
+from tests.oracles import unvalidated
 
 
 def scipy_loaded(step):
@@ -649,9 +651,19 @@ folded = graphs.fold_graph(sym)
 assert str(graphs.recognize(folded)) == f"D_{2 * n}"
 graphs.pf_norm(graph), graphs.pf_norm(folded)
 scipy_loaded("d2n")
-assert rings.validate_ring(catalog.su3_ring(15)).passed
+assert main(["catalog", "run", "--all"]) == 0  # su3_ring's rings come validated
+scipy_loaded("catalog all")
+assert rings.validate_ring(unvalidated(catalog.su3_ring(15))).passed
 scipy_loaded("level 15")
 """
+
+
+def _probe_path() -> str:
+    """PYTHONPATH for a probe process: the package's sources, the root
+    of the checkout (for ``tests.oracles``) and the caller's path."""
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return os.pathsep.join(p for p in (src, root, os.environ.get("PYTHONPATH")) if p)
 
 
 def test_only_the_scan_above_the_cut_imports_scipy(tmp_path):
@@ -660,11 +672,9 @@ def test_only_the_scan_above_the_cut_imports_scipy(tmp_path):
 
     ring_file = tmp_path / "e6affine.ring"
     ring_file.write_text(dump_ring(build("E6affine").ring), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(ring_file)],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=_probe_path()),
         capture_output=True,
         text=True,
         timeout=120,
@@ -674,6 +684,7 @@ def test_only_the_scan_above_the_cut_imports_scipy(tmp_path):
         "scipy after validate False",
         "scipy after catalog False",
         "scipy after d2n False",
+        "scipy after catalog all False",
         "scipy after level 15 True",
     ]
 
@@ -687,6 +698,7 @@ def test_alcove_build_and_validation_allocate_in_proportion_to_the_ring():
         ring = su3.su3_ring(18)
         own = sum(a.nbytes for a in ring.csr())
         build_extra = tracemalloc.get_traced_memory()[1] - own
+        ring = unvalidated(ring)  # the builder's mark would skip the scan
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         assert validate_ring(ring).passed
@@ -717,6 +729,7 @@ def test_the_alcove_builder_holds_little_beyond_its_arrays(level):
 _BUILD_PROBE = """
 import scipy.sparse  # noqa: F401  (its import is not the build's)
 from orbifusion import su3, validate_ring
+from tests.oracles import unvalidated
 
 
 def peak_kib():
@@ -728,7 +741,7 @@ def peak_kib():
 
 before = peak_kib()
 ring = su3.su3_ring(24)
-assert validate_ring(ring).passed
+assert validate_ring(unvalidated(ring)).passed  # the scan, not the builder's mark
 print((peak_kib() - before) * 1024 / sum(a.nbytes for a in ring.csr()))
 """
 
@@ -738,11 +751,9 @@ def test_building_and_validating_level_24_raises_a_fresh_peak_by_about_the_ring(
     # builder that concatenated per-slab parts raised a fresh process's
     # peak by 1.8 times the ring's bytes, the one that writes in place by
     # about 1.2 times
-    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", _BUILD_PROBE],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=_probe_path()),
         capture_output=True,
         text=True,
         timeout=120,
@@ -755,7 +766,7 @@ def test_validating_the_level_24_ring_allocates_a_bounded_block_above_it():
     # the scan on an (L, L*L) copy of the table in blocks of two million
     # product entries allocated 64 MB here; on the ring's own arrays in
     # blocks of half a million, about 14 MB, and of a quarter million, 7 MB
-    ring = su3_ring(24)
+    ring = unvalidated(su3_ring(24))  # the builder's mark would skip the scan
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbifusion import (
+    AssumptionError,
     InputError,
     Verdict,
     admissible_weights,
@@ -18,7 +19,8 @@ from orbifusion import (
     validate_ring,
     weight_label,
 )
-from orbifusion import su3
+from orbifusion import rings, su3
+from orbifusion.rings import ValidationReport
 from orbifusion.su3 import LEVEL_CAP
 
 from .oracles import (
@@ -27,6 +29,7 @@ from .oracles import (
     dim3,
     kac_walton,
     su3_ring,
+    unvalidated,
     verlinde,
     verlinde_table,
     weight_system,
@@ -266,6 +269,54 @@ def test_level_bounds():
             fusion_product((0, 0), (0, 0), level)
 
 
+def _alcove_certificate(ring, level):
+    """The certificate's verdicts on an alcove ring, from unmarked copies:
+    the full validation report, and the order of the current (level, 0)
+    or cyclic_action's refusal of it."""
+    report = validate_ring(unvalidated(ring))
+    try:
+        return report, cyclic_action(unvalidated(ring), weight_label((level, 0))).order
+    except AssumptionError as err:
+        return report, str(err)
+
+
+def test_every_level_the_builder_accepts_passes_the_full_scan(monkeypatch):
+    # su3_ring marks every ring it returns as validated, and validate_ring
+    # and cyclic_action trust the mark; this is what it stands on. Levels
+    # the session's cache holds come from it, the others are built one at
+    # a time and dropped
+    scanned = []
+    scan = rings.associativity_violations
+    monkeypatch.setattr(
+        rings, "associativity_violations", lambda *a, **kw: scanned.append(a[3]) or scan(*a, **kw)
+    )
+    for level in range(1, LEVEL_CAP + 1):
+        ring = su3_ring(level) if level <= 12 or level % 3 == 0 else su3.su3_ring(level)
+        assert ring._validated
+        assert _alcove_certificate(ring, level) == (ValidationReport(()), 3), level
+    assert scanned == [len(admissible_weights(k)) for k in range(1, LEVEL_CAP + 1)]
+
+
+def test_a_builder_with_one_constant_raised_fails_the_certificate(monkeypatch):
+    build = su3.su3_csr
+
+    def raised(la, lb, level):
+        ptr, idx, val = build(la, lb, level)
+        val[len(val) // 2] += 1
+        return ptr, idx, val
+
+    monkeypatch.setattr(su3, "su3_csr", raised)
+    # densely scanned levels and one above the cut, scanned as sparse products
+    for level in (1, 6, 13):
+        ring = su3.su3_ring(level)
+        assert validate_ring(ring).passed  # the mark alone
+        report, action = _alcove_certificate(ring, level)
+        assert not report.passed, level
+        assert action == (
+            f"assumption (A1) fails: fusion by '{level},0' fails first-slot equivariance"
+        ), level
+
+
 @pytest.mark.parametrize("level", [9, 12, 15, 18, 21, 24])
 def test_high_level_rows_match_the_truncated_product(level):
     ring = su3_ring(level)
@@ -284,7 +335,7 @@ def test_high_level_rows_match_the_truncated_product(level):
 
 def test_level_four_ring_is_fully_valid():
     ring = su3_ring(4)
-    report = validate_ring(ring)
+    report = validate_ring(unvalidated(ring))  # the scan, not the builder's mark
     assert report.passed
     assert ring.labels[ring.dual[ring.index("3,1")]] == "1,3"
     assert ring.labels[ring.unit] == "0,0"

@@ -43,6 +43,7 @@ from .oracles import (
     frobenius_right_dense,
     frobenius_witnesses_walk,
     klein_ring,
+    unvalidated,
     validate_ring_two_scans,
 )
 
@@ -313,7 +314,7 @@ def test_validation_witnesses_are_the_sorted_checks(block):
     for case, (name, ring, _) in enumerate(_CASES):
         got = [
             (f.axiom, f.witnesses)
-            for f in validate_ring(ring).failures
+            for f in validate_ring(unvalidated(ring)).failures
             if f.axiom in ("dual-unit", "frobenius-reciprocity")
         ]
         assert got == _sorted_failures(case), name
@@ -326,16 +327,12 @@ def test_non_involutive_dual_is_reported_by_every_axiom_it_breaks():
     assert validate_ring(ring).failures[0].witnesses == ((1,), (2,), (3,))
 
 
-def _unvalidated(ring):
-    """A copy of the ring, sharing its arrays, that no validation has passed."""
-    return FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *ring.csr())
-
-
 def test_cyclic_action_refuses_exactly_the_non_equivariant_tables(block):
-    # on copies: another test may have validated the cached rings, and
-    # cyclic_action does not scan a validated ring
+    # on copies: su3_ring marks its rings as validated, another test may
+    # have validated the others, and cyclic_action does not scan a
+    # validated ring
     for name, ring, base in _CASES:
-        ring = _unvalidated(ring)
+        ring = unvalidated(ring)
         N = dense_cube(ring)
         for a in range(ring.size):
             perm = left_permutation(ring, a)
@@ -383,7 +380,8 @@ def test_validation_is_the_two_scan_oracle(block, monkeypatch):
     for case, (name, ring, _) in enumerate(_CASES):
         want = _two_scan_report(case)
         del searches[:]
-        assert validate_ring(ring) == want, name
+        # on a copy, so that a marked ring is scanned too
+        assert validate_ring(unvalidated(ring)) == want, name
         # a clean ring has its Frobenius verdict from the generators'
         # slabs; the witness search decides every other table
         assert bool(searches) != want.passed, name
@@ -591,11 +589,11 @@ def test_validation_is_the_two_scan_oracle_on_raised_level_15_tables(orbit, monk
 def test_validated_rings_skip_the_equivariance_scan(monkeypatch):
     rings_ = [build("E6affine").ring, cyclic_ring(4), su2_even_ring(10), su3_ring(6)]
     for ring in rings_:
-        ring = _unvalidated(ring)
+        ring = unvalidated(ring)
         assert validate_ring(ring).passed and ring._validated
     monkeypatch.setattr(orbifold, "_slab_is_moved", _refuse)
     for ring, alpha in zip(rings_, ("alpha", "g1", "rho10", "6,0")):
-        ring = _unvalidated(ring)
+        ring = unvalidated(ring)
         validate_ring(ring)
         assert cyclic_action(ring, alpha).order > 1
 
@@ -613,7 +611,7 @@ def test_an_unvalidated_broken_table_still_fails_equivariance():
                 continue
             if equivariant_dense(dense_cube(ring), perm):
                 continue
-            fresh = _unvalidated(ring)
+            fresh = unvalidated(ring)
             for validated_first in (False, True):
                 if validated_first:
                     assert not validate_ring(fresh).passed and not fresh._validated
@@ -685,7 +683,7 @@ def test_action_and_dimensions_allocate_in_proportion_to_the_ring():
     # with four entry arrays and an argsort, cyclic_action allocated 5.2
     # times the ring's own array bytes at this level and fp_dimensions 3.9;
     # summing over the whole ring at once, fp_dimensions allocated 1.39
-    ring = _unvalidated(su3_ring(18))  # so that cyclic_action checks equivariance
+    ring = unvalidated(su3_ring(18))  # so that cyclic_action checks equivariance
     own = sum(a.nbytes for a in ring.csr())
     assert _extra_allocation(lambda: cyclic_action(ring, "18,0")) < 2 * own
     assert _extra_allocation(lambda: fp_dimensions(ring)) < 0.75 * own
