@@ -33,11 +33,12 @@ difference, its first nonzero cells and both bracketings there; one
 loop in :func:`associativity_violations` forms, orders and caps the
 witness rows, and stops computing blocks once the cap is reached.
 
-Two readings of the layout serve the rest of the package:
+Three readings of the layout serve the rest of the package:
 :func:`single_outputs` tells which rows are one entry (k, 1), which
 decides the unit, the invertible labels and the identity slabs the scan
-skips, and :func:`row_blocks` cuts rows into memory-bounded blocks by
-their cumulative weights, for the scan and for ``fp_dimensions``.
+skips; :func:`slab` reads the rows (g, j) or (t, g), which
+:func:`slab_mismatches` compares for both Frobenius relations and the
+action's equivariance; :func:`row_blocks` cuts rows into bounded blocks.
 :func:`power_iteration` serves ``fp_dimensions`` and ``pf_norm``.
 """
 
@@ -60,6 +61,51 @@ def single_outputs(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, pairs) -> 
     at = starts[one]
     out[one] = np.where(val[at] == 1, idx[at], -1)
     return out
+
+
+def slab(ptr: np.ndarray, L: int, g: int, second: bool = False):
+    """The stored positions of the rows (g, j), or with ``second`` (t, g),
+    and the row j or t of each, as int64 arrays in pair-major order."""
+    labels = np.arange(L)
+    if second:
+        starts = ptr[labels * L + g]
+        counts = ptr[labels * L + g + 1] - starts
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        pos += np.arange(len(pos))
+    else:
+        counts = np.diff(ptr[g * L : (g + 1) * L + 1])
+        pos = np.arange(ptr[g * L], ptr[(g + 1) * L])
+    return pos, np.repeat(labels, counts)
+
+
+def slab_mismatches(ptr, idx, val, L: int, g: int, h: int, rename=None, second: bool = False):
+    """The positions of slab g's constants that slab h, both read by
+    :func:`slab`, does not hold once moved, ascending, and the value it
+    holds there (0 if absent). The move sends row j, output k to row k,
+    output j (the transpose), or with ``rename`` to row j, output
+    ``rename[k]``; both are injective. Work is of the slabs' size."""
+    pg, rows_g = slab(ptr, L, g, second)
+    ph, rows_h = slab(ptr, L, h, second)
+    kg, vg, vh = idx[pg], val[pg], val[ph]
+    # the key row * L + output of each moved constant; slab h's own keys ascend
+    moved = kg * L + rows_g if rename is None else rows_g * L + rename[kg]
+    own = rows_h * L + idx[ph]
+    if len(pg) == len(ph):
+        # the sorted rows of slab g leave the moved keys in runs, which a
+        # stable sort merges faster than quicksort
+        order = np.argsort(moved, kind="stable")
+        if np.array_equal(moved[order], own) and np.array_equal(vg[order], vh):
+            return pg[:0], vg[:0]
+    t = np.minimum(np.searchsorted(own, moved), len(own) - 1)
+    held = np.where(own[t] == moved, vh[t], 0) if len(own) else np.zeros_like(vg)
+    bad = np.flatnonzero(held != vg)
+    return pg[bad], held[bad]
+
+
+def slab_is_moved(ptr, idx, val, L: int, g: int, h: int, rename=None) -> bool:
+    """Whether first-label slab h is slab g moved as in :func:`slab_mismatches`."""
+    same_size = ptr[(g + 1) * L] - ptr[g * L] == ptr[(h + 1) * L] - ptr[h * L]
+    return same_size and not len(slab_mismatches(ptr, idx, val, L, g, h, rename)[0])
 
 
 def row_blocks(ends: np.ndarray, budget: int):
@@ -181,16 +227,9 @@ class _SpanBasis:
 
 
 def _right_mult_arrays(ptr, idx, val, L, g):
-    """Triples of the right-multiplication operator v -> v * x_g."""
-    starts = ptr[np.arange(L, dtype=np.int64) * L + g]
-    counts = ptr[np.arange(L, dtype=np.int64) * L + g + 1] - starts
-    total = int(counts.sum())
-    offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    take = np.repeat(starts - offs, counts) + np.arange(total)
-    rows = np.repeat(np.arange(L, dtype=np.int64), counts)
-    cols = idx[take].astype(np.int64)
-    vals = val[take].astype(np.int64) % _SPAN_PRIME
-    return rows, cols, vals
+    """Triples of the right multiplication v -> v * x_g: second-label slab g."""
+    pos, rows = slab(ptr, L, g, second=True)
+    return rows, idx[pos].astype(np.int64), val[pos] % _SPAN_PRIME
 
 
 def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
@@ -323,9 +362,8 @@ def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
     # times the column m = x of the block, N_{jk}^m, subtracted from
     # column l = y. The first cap nonzero cells of a block are yielded
     # in ascending (j, k, l), as associativity_violations reads them.
-    lo, hi = ptr[g * L], ptr[(g + 1) * L]
-    rows = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
-    terms = list(zip(rows.tolist(), idx[lo:hi].tolist(), val[lo:hi].tolist()))
+    pos, rows = slab(ptr, L, g)
+    terms = list(zip(rows.tolist(), idx[pos].tolist(), val[pos].tolist()))
     for j0, j1 in row_blocks(np.arange(L + 1) * (L * L), _DENSE_BLOCK):
         diff = np.zeros((j1 - j0, L, L), dtype=np.int64)
         block = cube[j0:j1]

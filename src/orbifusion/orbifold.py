@@ -37,7 +37,8 @@ from .errors import (
     InputError,
     UnsupportedStructureError,
 )
-from .rings import DimensionTable, FusionRing, _slab_is_moved, fp_dimensions, left_permutation
+from .kernels import slab_is_moved as _slab_is_moved
+from .rings import DimensionTable, FusionRing, fp_dimensions, left_permutation
 
 __all__ = [
     "Verdict",

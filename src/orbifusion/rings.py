@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InputError, NumericError, SchemaError, ValidationError
 from .kernels import associativity_violations, generating_set, power_iteration
-from .kernels import row_blocks, single_outputs
+from .kernels import row_blocks, single_outputs, slab_mismatches
+from .kernels import slab_is_moved as _slab_is_moved
 
 __all__ = [
     "FusionRing",
@@ -175,9 +176,11 @@ class FusionRing:
     Notes
     -----
     The pair-major arrays are read-only from construction on, and
-    :meth:`csr` hands out those arrays themselves. The one field set
-    later is ``_validated``, the record that the ring meets every
-    axiom. :func:`validate_ring` sets it when the ring passes, and
+    :meth:`csr` hands out those arrays themselves; ``labels``, ``unit``
+    and ``dual`` are read-only properties, so reassigning one raises
+    :class:`AttributeError`. The one field set later is ``_validated``,
+    the record, which cannot go stale, that the ring meets every axiom.
+    :func:`validate_ring` sets it when the ring passes, and
     :func:`orbifusion.su3.su3_ring` sets it on every ring it returns,
     since the test suite's certificate scans all the levels it accepts;
     :func:`validate_ring` and :func:`orbifusion.orbifold.cyclic_action`
@@ -186,7 +189,7 @@ class FusionRing:
     between threads is safe.
     """
 
-    __slots__ = ("labels", "unit", "dual", "_ptr", "_idx", "_val", "_index", "_validated")
+    __slots__ = ("_labels", "_unit", "_dual", "_ptr", "_idx", "_val", "_index", "_validated")
 
     def __init__(
         self,
@@ -202,16 +205,15 @@ class FusionRing:
         ent = np.array([_checked_entry(t, L) for t in nconst], dtype=object).reshape(-1, 4)
         ijk, n = ent[:, :3].astype(np.int64), ent[:, 3]
         keep = np.flatnonzero(n != 0)
-        self._adopt(*_pair_major(L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep]))
-        self.labels = labels
-        self.unit = int(unit)
-        self.dual = dual
-        self._index = {lab: t for t, lab in enumerate(labels)}
+        pair_major = _pair_major(L, ijk[keep, 0] * L + ijk[keep, 1], ijk[keep, 2], n[keep])
+        self._adopt(labels, unit, dual, *pair_major)
 
-    def _adopt(self, ptr: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
-        """Take the pair-major arrays as they are, read-only, not yet validated."""
+    def _adopt(self, labels, unit: int, dual, ptr: np.ndarray, idx: np.ndarray, val: np.ndarray):
+        """Take the checked header and the arrays as they are, read-only, unvalidated."""
         for a in (ptr, idx, val):
             a.setflags(write=False)
+        self._labels, self._unit, self._dual = labels, int(unit), dual
+        self._index = {lab: t for t, lab in enumerate(labels)}
         self._ptr, self._idx, self._val = ptr, idx, val
         self._validated = False
 
@@ -287,9 +289,6 @@ class FusionRing:
         if len(ptr) != L * L + 1:
             raise SchemaError("ptr length mismatch")
         self = cls.__new__(cls)
-        self.labels = labels
-        self.unit = int(unit)
-        self.dual = dual
         ptr, idx, val = _integer_arrays(ptr=ptr, idx=idx, val=val)
         ptr, val = ptr.astype(np.int64, copy=False), val.astype(np.int64, copy=False)
         if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
@@ -309,11 +308,14 @@ class FusionRing:
             if val.min() < 1:
                 raise SchemaError("stored structure constants must be positive")
             _check_constant_bound(L, int(val.max()))
-        self._adopt(ptr, idx.astype(np.int32, copy=False), val)
-        self._index = {lab: t for t, lab in enumerate(labels)}
+        self._adopt(labels, unit, dual, ptr, idx.astype(np.int32, copy=False), val)
         return self
 
     # -- basic queries ----------------------------------------------------
+
+    labels = property(lambda self: self._labels)
+    unit = property(lambda self: self._unit)
+    dual = property(lambda self: self._dual)
 
     @property
     def size(self) -> int:
@@ -464,70 +466,29 @@ class ValidationReport:
 _WITNESS_CAP = 20
 
 
-def _slab_is_moved(ptr, idx, val, L: int, g: int, h: int, rename=None) -> bool:
-    """Whether slab h is slab g moved: ``N[h,k,j] = N[g,j,k]`` for all j, k
-    (the transpose) when ``rename`` is None, else ``N[h,j,rename[k]] =
-    N[g,j,k]`` (the outputs renamed by the label permutation ``rename``).
-    Work and memory are of the size of the slabs."""
-    a, b = ptr[g * L], ptr[(g + 1) * L]
-    c, d = ptr[h * L], ptr[(h + 1) * L]
-    if b - a != d - c:
-        return False
-    rows_g = np.repeat(np.arange(L), np.diff(ptr[g * L : (g + 1) * L + 1]))
-    rows_h = np.repeat(np.arange(L), np.diff(ptr[h * L : (h + 1) * L + 1]))
-    # the key j * L + k of each moved constant; slab h's own keys ascend
-    if rename is None:
-        moved = idx[a:b] * L + rows_g
-    else:
-        moved = rows_g * L + rename[idx[a:b]]
-    # the moved keys are distinct, and the sorted rows of slab g leave
-    # them in runs, which a stable sort merges faster than quicksort
-    order = np.argsort(moved, kind="stable")
-    return np.array_equal(moved[order], rows_h * L + idx[c:d]) and np.array_equal(
-        val[a:b][order], val[c:d]
-    )
-
-
-# stored constants the Frobenius witness search reads per step
-_WITNESS_CHUNK = 1 << 16
-
-
 def _frobenius_witnesses(ring: FusionRing) -> tuple[tuple[int, ...], ...]:
     """The first ``_WITNESS_CAP`` stored constants, in pair-major order,
     that break a Frobenius relation, as ``(i, j, k, v, N[i*,k,j], N[k,j*,i])``.
 
-    The key ``(i * L + j) * L + k`` of the stored constants ascends, so
-    both lookups are binary searches over it, a chunk of constants at a
-    time, until the witnesses are found. Each chunk's queries are
-    searched in ascending order, which keeps the searches in cache.
+    N[i,j,k] = N[i*,k,j] says that first-label slab i is slab i*
+    transposed, and N[i,j,k] = N[k,j*,i] that second-label slab j is
+    slab j* transposed. Mismatches come back ascending within a slab, and
+    the first relation's slabs in pair-major order, so the first cap of
+    each relation, the second's taken per slab, hold the first of both.
     """
     L = ring.size
     ptr, idx, val = ring.csr()
-    dual = np.asarray(ring.dual, dtype=np.int64)
-    key = np.repeat(np.arange(L * L, dtype=np.int64) * L, np.diff(ptr))
-    key += idx
-
-    def lookup(q):
-        order = np.argsort(q)
-        qs = q[order]
-        t = np.minimum(np.searchsorted(key, qs), len(key) - 1)
-        out = np.empty_like(q)
-        out[order] = np.where(key[t] == qs, val[t], 0)
-        return out
-
-    wit: list[tuple[int, ...]] = []
-    for lo in range(0, len(key), _WITNESS_CHUNK):
-        q = key[lo : lo + _WITNESS_CHUNK]
-        v = val[lo : lo + _WITNESS_CHUNK]
-        ij, k = np.divmod(q, L)
-        i, j = np.divmod(ij, L)
-        a = lookup((dual[i] * L + k) * L + j)
-        b = lookup((k * L + dual[j]) * L + i)
-        bad = np.flatnonzero((a != v) | (b != v))[: _WITNESS_CAP - len(wit)]
-        wit += map(tuple, np.stack([i, j, k, v, a, b], axis=1)[bad].tolist())
-        if len(wit) >= _WITNESS_CAP:
-            break
-    return tuple(wit)
+    first, second = {}, {}  # position -> N[i*,k,j], and -> N[k,j*,i], where it differs
+    for found, by_second in ((first, False), (second, True)):
+        for i in range(L):
+            pos, held = slab_mismatches(ptr, idx, val, L, i, ring.dual[i], second=by_second)
+            found.update(zip(pos[:_WITNESS_CAP].tolist(), held[:_WITNESS_CAP].tolist()))
+            if len(found) >= _WITNESS_CAP and not by_second:
+                break
+    at = np.array(sorted(first.keys() | second.keys())[:_WITNESS_CAP], dtype=np.int64)
+    i, j = np.divmod(np.searchsorted(ptr, at, side="right") - 1, L)
+    rows = zip(at.tolist(), i.tolist(), j.tolist(), idx[at].tolist(), val[at].tolist())
+    return tuple((i, j, k, v, first.get(p, v), second.get(p, v)) for p, i, j, k, v in rows)
 
 
 def validate_ring(ring: FusionRing) -> ValidationReport:
@@ -560,9 +521,8 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     if wit:
         failures.append(AxiomFailure("unit", tuple(wit)))
 
-    wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i]
-    if ring.dual[e] != e:
-        wit.append((e,))
+    # each label once, in order
+    wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i or (i == e and ring.dual[e] != e)]
     if wit:
         failures.append(AxiomFailure("duality-involution", tuple(wit[:_WITNESS_CAP])))
 

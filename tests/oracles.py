@@ -452,7 +452,7 @@ def dual_unit_and_frobenius_sorted(ring):
 
 def frobenius_witnesses_walk(ring):
     """The Frobenius witnesses as validate_ring found them before it
-    searched in chunks: a walk over the stored constants in pair-major
+    compared slabs: a walk over the stored constants in pair-major
     order, two lookups each, until 20 are found. The lookups read a
     dict of the entries, not the pair-major arrays the search reads."""
     N = {(i, j, k): v for i, j, k, v in ring.iter_entries()}
@@ -559,9 +559,8 @@ def validate_ring_two_scans(ring):
     if wit:
         failures.append(AxiomFailure("unit", tuple(wit[:20])))
 
-    wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i]
-    if ring.dual[e] != e:
-        wit.append((e,))
+    # each label once, in order
+    wit = [(i,) for i in range(L) if ring.dual[ring.dual[i]] != i or (i == e and ring.dual[e] != e)]
     if wit:
         failures.append(AxiomFailure("duality-involution", tuple(wit[:20])))
 

@@ -33,6 +33,8 @@ from .oracles import (
     klein_ring,
     rows_out_of_order_four_masks,
     su3_ring,
+    unvalidated,
+    validate_ring_two_scans,
 )
 
 
@@ -248,6 +250,41 @@ def test_the_arrays_a_ring_hands_out_are_read_only():
         ks, _ = ring.row(0, 0)
         with pytest.raises(ValueError, match="read-only"):
             ks[:] = 0
+
+
+@pytest.mark.parametrize("field", ["labels", "unit", "dual"])
+def test_the_labels_unit_and_dual_cannot_be_reassigned(field):
+    # a reassigned unit or dual would leave the mark of a passed
+    # validation on a table that no longer passes
+    marked = su3.su3_ring(3)
+    for ring in [marked, *_rings_by_constructor().values()]:
+        before = getattr(ring, field)
+        with pytest.raises(AttributeError):
+            setattr(ring, field, tuple(range(ring.size)) if field == "dual" else before)
+        assert getattr(ring, field) == before
+    assert validate_ring(marked).passed and validate_ring(unvalidated(marked)).passed
+
+
+def _units_only(labels, unit, dual):
+    L = len(labels)
+    return FusionRing(labels, unit, dual, [(unit, j, j, 1) for j in range(L)])
+
+
+@pytest.mark.parametrize(
+    "labels, unit, dual, want",
+    [
+        # the unit is not self-dual and not involutive: once, not twice
+        (["e", "a", "b"], 0, [1, 2, 0], ((0,), (1,), (2,))),
+        # the unit is not self-dual but involutive, behind it a 3-cycle:
+        # ascending, not with the unit last
+        (list("abcdef"), 1, [0, 2, 1, 4, 5, 3], ((1,), (3,), (4,), (5,))),
+    ],
+)
+def test_the_duality_involution_names_each_label_once_in_order(labels, unit, dual, want):
+    ring = _units_only(labels, unit, dual)
+    for report in (validate_ring(ring), validate_ring_two_scans(ring)):
+        got = next(f.witnesses for f in report.failures if f.axiom == "duality-involution")
+        assert got == want
 
 
 def _first_long_row(ptr):

@@ -282,16 +282,14 @@ def _alcove_certificate(ring, level):
 
 def test_every_level_the_builder_accepts_passes_the_full_scan(monkeypatch):
     # su3_ring marks every ring it returns as validated, and validate_ring
-    # and cyclic_action trust the mark; this is what it stands on. Levels
-    # the session's cache holds come from it, the others are built one at
-    # a time and dropped
+    # and cyclic_action trust the mark; this is what it stands on
     scanned = []
     scan = rings.associativity_violations
     monkeypatch.setattr(
         rings, "associativity_violations", lambda *a, **kw: scanned.append(a[3]) or scan(*a, **kw)
     )
     for level in range(1, LEVEL_CAP + 1):
-        ring = su3_ring(level) if level <= 12 or level % 3 == 0 else su3.su3_ring(level)
+        ring = su3_ring(level)
         assert ring._validated
         assert _alcove_certificate(ring, level) == (ValidationReport(()), 3), level
     assert scanned == [len(admissible_weights(k)) for k in range(1, LEVEL_CAP + 1)]

@@ -8,9 +8,13 @@ attributes (``catalog.run``, ``rings.FusionRing.from_labels``), so a
 name that stopped resolving would fail their operations. Every name a
 module lists in ``__all__`` resolves too, so a moved or deleted
 function cannot stay exported. A fresh import of the command line
-loads no scipy, so the benchmark's cold starts do not pay for it.
+loads no scipy, so the benchmark's cold starts do not pay for it. Every
+``tests/<file>.py::<name>`` that README.md or a module under ``src/``
+cites still names a function or class in that file.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -23,7 +27,8 @@ import pytest
 
 import orbifusion
 
-_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PERFBENCH = os.path.join(_ROOT, "perfbench")
 
 
 def _targets():
@@ -108,3 +113,30 @@ def test_importing_the_command_line_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _test_citations():
+    paths = [os.path.join(_ROOT, "README.md")]
+    paths += sorted(glob.glob(os.path.join(_ROOT, "src", "**", "*.py"), recursive=True))
+    cited = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            cited.update(re.findall(r"tests/(\w+\.py)::(\w+)", f.read()))
+    return sorted(cited)
+
+
+def test_the_documents_cite_tests():
+    # so that a changed citation style cannot leave the check below empty
+    assert len(_test_citations()) >= 9
+
+
+@pytest.mark.parametrize("filename, name", _test_citations())
+def test_every_cited_test_name_resolves(filename, name):
+    with open(os.path.join(_ROOT, "tests", filename), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert name in defined
