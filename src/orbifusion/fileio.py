@@ -41,16 +41,17 @@ closing bracket that a comma and a newline follow, with only blanks
 between them: the end of a row, whether the file writes a row on one
 line or across several (``json.dumps(doc, indent=2)``). A JSON string
 cannot hold a raw newline, so the cut never falls inside a string. A
-piece whose text decodes as whole rows goes straight into int64
-columns; the first other piece ends the cutting, and the rest of the
-array is decoded whole: that file still reads, only without the bound.
+piece whose text decodes as whole rows goes straight into columns,
+int32 labels and int64 counts; the first other piece ends the cutting,
+and the rest of the array is decoded whole: that file still reads, only
+without the bound.
 On a decode error, deep nesting or a refused row the whole text is
 decoded as :func:`load_json` decodes it and :func:`parse_ring` reads
 that, so every message and the order of the checks are those of the
 whole-document reader. Loading the 8.0 MB level-15 alcove file
 (262,684 rows) raises a fresh process's peak by about 30 MB where the
 whole document raised it by about 95 MB, and ``orbifusion validate`` on
-it peaks at 61 MB where it peaked at 124 MB; its 15.9 MB ``indent=2``
+it peaks at 54 MB where it peaked at 124 MB; its 15.9 MB ``indent=2``
 copy raises the peak by about 34 MB, where a cut at any newline after a
 comma raised it by about 109 MB (2 cores, numpy 2.4.6).
 """
@@ -193,8 +194,10 @@ def parse_ring(doc: dict) -> FusionRing:
 
     ``N`` is read as columns: one pass checks the row shapes and the
     count types, and the label columns map through the label index in
-    bulk. When any column check fails, :func:`_raise_row_fault` names
-    the fault that a reading row by row meets first.
+    bulk, into int32. When any column check fails,
+    :func:`_raise_row_fault` names the fault that a reading row by row
+    meets first. Rows in the order :func:`dump_ring` writes them are
+    taken in that order; rows in any other order are sorted.
     """
     _expect_format(doc)
     _expect_keys(doc, {"format", "labels", "unit", "dual", "N"})
@@ -221,10 +224,11 @@ def parse_ring(doc: dict) -> FusionRing:
 
 
 def _n_columns(rows: list, order: dict[str, int]):
-    """``N`` as int64 columns ``(i, j, k, n)``, or None if a row is at fault.
+    """``N`` as columns ``(i, j, k, n)``, the labels int32 and the counts
+    int64, or None if a row is at fault.
 
-    A successful lookup in ``order`` proves that a label is one of the
-    label strings.
+    The three labels of every row map through ``order`` in one pass; a
+    successful lookup proves that a label is one of the label strings.
     """
     if not all(isinstance(row, list) and len(row) == 4 for row in rows):
         return None
@@ -232,17 +236,15 @@ def _n_columns(rows: list, order: dict[str, int]):
     counts = flat[3::4]
     if not set(map(type, counts)) <= {int}:
         return None
+    del flat[3::4]  # the labels, three per row
     try:
         n = np.array(counts, dtype=np.int64)
-        ijk = [
-            np.fromiter(map(order.__getitem__, flat[c::4]), dtype=np.int64, count=len(rows))
-            for c in range(3)
-        ]
+        ijk = np.fromiter(map(order.__getitem__, flat), dtype=np.int32, count=len(flat))
     except (KeyError, TypeError, OverflowError):
         return None
     if len(n) and n.min() < 1:
         return None
-    return (*ijk, n)
+    return (*ijk.reshape(-1, 3).T, n)
 
 
 def _raise_row_fault(
@@ -287,10 +289,10 @@ def load_ring_doc(path: str) -> dict:
     """The document at ``path`` as :func:`load_json` reads it, with a
     top-level ``N`` that follows a list of label strings read in pieces.
 
-    Such an ``N`` becomes int64 columns that :func:`parse_ring` takes as
-    they are. On a document in which anything is amiss, a refused row
-    included, this is :func:`load_json`, so its errors come as they
-    always did.
+    Such an ``N`` becomes the columns of :func:`_n_columns`, which
+    :func:`parse_ring` takes as they are. On a document in which
+    anything is amiss, a refused row included, this is
+    :func:`load_json`, so its errors come as they always did.
     """
     text = _read_text(path)
     try:

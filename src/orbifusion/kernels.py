@@ -20,9 +20,11 @@ as the independent reference the tests compare it against.
 
 The associativity scan compares the two bracketings over blocks of rows,
 so its memory stays bounded by the block size rather than by the ring.
-A ring whose cube L**3 fits the budget ``_DENSE_CELLS`` is compared on
-a dense int64 copy of the table with numpy alone; a larger one through
-scipy's sparse products, the only use of scipy in the package. Those
+A ring whose cube L**3 fits the 16 MB budget ``_DENSE_BYTES`` is
+compared on a dense copy of the table with numpy alone, in int32 when
+``L * max**2 < 2**31`` bounds every bracketing and in int64 otherwise
+(up to 161 and 128 labels); a larger one through scipy's sparse
+products, the only use of scipy in the package. Those products
 read the pair-major arrays in place as an (L*L, L) matrix with rows
 (i, j) and give both bracketings in the same (j, k) by l layout, in
 blocks of j rows sized so that each product, and the kron that forms
@@ -63,43 +65,48 @@ def single_outputs(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, pairs) -> 
     return out
 
 
-def slab(ptr: np.ndarray, L: int, g: int, second: bool = False):
+def slab(ptr: np.ndarray, L: int, g: int, second: bool = False, rows: int | None = None):
     """The stored positions of the rows (g, j), or with ``second`` (t, g),
-    and the row j or t of each, as int64 arrays in pair-major order."""
-    labels = np.arange(L)
+    for j or t below ``rows`` (default L), and the row j or t of each, in
+    pair-major order. The rows (g, j) are stored contiguously, so their
+    positions come as a slice; those of the rows (t, g) as an int64 array."""
+    labels = np.arange(L if rows is None else rows)
     if second:
         starts = ptr[labels * L + g]
         counts = ptr[labels * L + g + 1] - starts
         pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
         pos += np.arange(len(pos))
     else:
-        counts = np.diff(ptr[g * L : (g + 1) * L + 1])
-        pos = np.arange(ptr[g * L], ptr[(g + 1) * L])
+        counts = np.diff(ptr[g * L : g * L + len(labels) + 1])
+        pos = slice(int(ptr[g * L]), int(ptr[g * L + len(labels)]))
     return pos, np.repeat(labels, counts)
 
 
-def slab_mismatches(ptr, idx, val, L: int, g: int, h: int, rename=None, second: bool = False):
+def slab_mismatches(
+    ptr, idx, val, L: int, g: int, h: int, rename=None, second: bool = False, rows: int | None = None
+):
     """The positions of slab g's constants that slab h, both read by
     :func:`slab`, does not hold once moved, ascending, and the value it
-    holds there (0 if absent). The move sends row j, output k to row k,
-    output j (the transpose), or with ``rename`` to row j, output
-    ``rename[k]``; both are injective. Work is of the slabs' size."""
-    pg, rows_g = slab(ptr, L, g, second)
+    holds there (0 if absent); slab g is read on its first ``rows`` rows,
+    slab h whole. The move sends row j, output k to row k, output j (the
+    transpose), or with ``rename`` to row j, output ``rename[k]``; both
+    are injective. Work is of the slabs' size."""
+    pg, rows_g = slab(ptr, L, g, second, rows)
     ph, rows_h = slab(ptr, L, h, second)
     kg, vg, vh = idx[pg], val[pg], val[ph]
     # the key row * L + output of each moved constant; slab h's own keys ascend
     moved = kg * L + rows_g if rename is None else rows_g * L + rename[kg]
     own = rows_h * L + idx[ph]
-    if len(pg) == len(ph):
+    if len(vg) == len(vh):
         # the sorted rows of slab g leave the moved keys in runs, which a
         # stable sort merges faster than quicksort
         order = np.argsort(moved, kind="stable")
         if np.array_equal(moved[order], own) and np.array_equal(vg[order], vh):
-            return pg[:0], vg[:0]
+            return np.zeros(0, dtype=np.int64), vg[:0]
     t = np.minimum(np.searchsorted(own, moved), len(own) - 1)
     held = np.where(own[t] == moved, vh[t], 0) if len(own) else np.zeros_like(vg)
     bad = np.flatnonzero(held != vg)
-    return pg[bad], held[bad]
+    return (pg.start + bad if isinstance(pg, slice) else pg[bad]), held[bad]
 
 
 def slab_is_moved(ptr, idx, val, L: int, g: int, h: int, rename=None) -> bool:
@@ -287,12 +294,27 @@ def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
 # so a smaller block would slow it without lowering the peak.
 _ASSOC_BLOCK = 250_000
 
-# A ring whose cube L**3 has at most _DENSE_CELLS cells (L <= 101, an
-# int64 copy of 8 MB) is scanned densely, well inside the sizes where
-# that beats importing scipy in time and memory (README, "The kernels").
-# The dense buffer holds _DENSE_BLOCK cells per block of j rows.
-_DENSE_CELLS = 2**20
+# A ring whose dense cube takes at most _DENSE_BYTES (16 MB: up to 161
+# labels in int32, 128 in int64) is scanned densely, below the sizes
+# where that stops beating the import of scipy in time and memory
+# (README, "The kernels"). The dense buffer holds _DENSE_BLOCK cells per
+# block of j rows.
+_DENSE_BYTES = 2**24
 _DENSE_BLOCK = 2**17
+
+
+def _dense_dtype(L: int, val: np.ndarray):
+    """The dtype of the dense scan of a table with constants ``val``, or
+    None when its cube would take more than ``_DENSE_BYTES``.
+
+    Each bracketing is a sum of at most L products of two constants, so
+    it is at most ``L * max**2``, and so is every partial sum of either
+    side. When that is below 2**31 the cube, the buffer and every
+    product of a constant with a cube cell are exact in int32.
+    """
+    largest = int(val.max()) if len(val) else 0
+    dtype = np.dtype(np.int32 if L * largest * largest < 2**31 else np.int64)
+    return dtype if L**3 * dtype.itemsize <= _DENSE_BYTES else None
 
 
 def _pair_matrix(ptr, idx, val, L):
@@ -347,9 +369,9 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
             yield j0, r, l, left, left - diff.data[:cap]
 
 
-def _cube(ptr, idx, val, L):
-    """The table as a dense int64 array: cube[i, j, k] = N_{ij}^k."""
-    cube = np.zeros(L**3, dtype=np.int64)
+def _cube(ptr, idx, val, L, dtype):
+    """The table as a dense array of ``dtype``: cube[i, j, k] = N_{ij}^k."""
+    cube = np.zeros(L**3, dtype=dtype)
     cube[np.repeat(np.arange(L * L, dtype=np.int64) * L, np.diff(ptr)) + idx] = val
     return cube.reshape(L, L, L)
 
@@ -362,10 +384,12 @@ def _assoc_gen_dense(ptr, idx, val, L, g, cap, cube):
     # times the column m = x of the block, N_{jk}^m, subtracted from
     # column l = y. The first cap nonzero cells of a block are yielded
     # in ascending (j, k, l), as associativity_violations reads them.
+    # The buffer takes the cube's dtype, in which each a * cube[y] is
+    # exact (see _dense_dtype).
     pos, rows = slab(ptr, L, g)
     terms = list(zip(rows.tolist(), idx[pos].tolist(), val[pos].tolist()))
     for j0, j1 in row_blocks(np.arange(L + 1) * (L * L), _DENSE_BLOCK):
-        diff = np.zeros((j1 - j0, L, L), dtype=np.int64)
+        diff = np.zeros((j1 - j0, L, L), dtype=cube.dtype)
         block = cube[j0:j1]
         for x, y, a in terms:
             if j0 <= x < j1:
@@ -402,10 +426,11 @@ def associativity_violations(
 
     ``gens`` is :func:`generating_set` of the same arrays, for a caller
     that needs the generators too; by default it is computed here.
-    Rings with at most ``_DENSE_CELLS`` cells in their cube are scanned
-    densely, larger ones as sparse products; both paths yield, per block
-    of j rows with a nonzero bracketing difference, its first ``cap``
-    nonzero cells ``(j0, r, l, lhs, rhs)`` with ``r = (j - j0) * L + k``.
+    Rings whose cube takes at most ``_DENSE_BYTES`` in the dtype of
+    :func:`_dense_dtype` are scanned densely, larger ones as sparse
+    products; both paths yield, per block of j rows with a nonzero
+    bracketing difference, its first ``cap`` nonzero cells
+    ``(j0, r, l, lhs, rhs)`` with ``r = (j - j0) * L + k``.
     This loop alone forms the witness rows, in generator then (j, k, l)
     order, and truncates them to ``cap``; once that is reached it pulls
     no further block, so no later block is computed.
@@ -414,8 +439,9 @@ def associativity_violations(
         raise InputError(f"witness cap must be at least 1, got {cap}")
     if gens is None:
         gens = generating_set(ptr, idx, val, L)
-    if L**3 <= _DENSE_CELLS:
-        table, scan = _cube(ptr, idx, val, L), _assoc_gen_dense
+    dtype = _dense_dtype(L, val)
+    if dtype is not None:
+        table, scan = _cube(ptr, idx, val, L, dtype), _assoc_gen_dense
     else:
         table, scan = _pair_matrix(ptr, idx, val, L), _assoc_gen
     labels = np.arange(L)

@@ -128,12 +128,17 @@ def _integer_arrays(**arrays) -> tuple[np.ndarray, ...]:
 def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
     """Entries keyed by pair ``p = i * L + j`` as sorted ``(ptr, idx, val)``.
 
-    A repeated ``(p, k)`` or a constant past the int64 bound raises.
+    Entries whose keys ``p * L + k`` strictly ascend, as :func:`dump_ring`
+    writes them, are taken in their order; any other order is sorted
+    first. A repeated ``(p, k)`` or a constant past the int64 bound raises.
     """
-    order = np.lexsort((k, p))
-    p, k, n = p[order], k[order], n[order]
-    if np.any((p[1:] == p[:-1]) & (k[1:] == k[:-1])):
-        raise SchemaError("duplicate (i, j, k) entry")
+    key = p.astype(np.int64) * L + k
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, p, k, n = key[order], p[order], k[order], n[order]
+        if np.any(key[1:] == key[:-1]):
+            raise SchemaError("duplicate (i, j, k) entry")
+    del key
     _check_constant_bound(L, int(n.max()) if len(n) else 0)
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(np.bincount(p, minlength=L * L), out=ptr[1:])
@@ -243,21 +248,25 @@ class FusionRing:
         k: np.ndarray,
         n: np.ndarray,
     ) -> "FusionRing":
-        """Build from int64 entry columns ``(i, j, k, n)`` in any order.
+        """Build from integer entry columns ``(i, j, k, n)`` in any order.
 
         Every count must be >= 1. The header checks, the check for a
         repeated triple and the constant bound run in the main
         constructor's order with its messages; a non-empty column whose
         dtype is not an integer dtype is refused before any cast, as in
-        :meth:`from_csr`. The columns are sorted into pair-major arrays
-        and adopted through :meth:`from_csr`.
+        :meth:`from_csr`. The label columns, once in range, are read as
+        int32 (``i * L + j`` fits, as L is at most ``LABEL_CAP``).
+        Entries already in pair-major order, as :func:`dump_ring` writes
+        them, are taken as they come; any others are sorted. The
+        pair-major arrays are adopted through :meth:`from_csr`.
         """
         labels, dual = _checked_header(labels, unit, dual)
         L = len(labels)
         i, j, k, n = _integer_arrays(i=i, j=j, k=k, n=n)
-        for col in (i, j, k):  # before k is cast to int32
+        for col in (i, j, k):  # before the cast to int32
             if len(col) and (col.min() < 0 or col.max() >= L):
                 raise SchemaError("structure constant index out of range")
+        i, j, k = (col.astype(np.int32, copy=False) for col in (i, j, k))
         ptr, idx, val = _pair_major(L, i * L + j, k, n)
         return cls.from_csr(labels, unit, dual, ptr, idx, val)
 
@@ -475,20 +484,29 @@ def _frobenius_witnesses(ring: FusionRing) -> tuple[tuple[int, ...], ...]:
     slab j* transposed. Mismatches come back ascending within a slab, and
     the first relation's slabs in pair-major order, so the first cap of
     each relation, the second's taken per slab, hold the first of both.
+    Once the first relation holds a cap, no position past its last one
+    is among them, so the second relation reads only the rows (t, j)
+    whose first label t is at most that position's.
     """
     L = ring.size
     ptr, idx, val = ring.csr()
     first, second = {}, {}  # position -> N[i*,k,j], and -> N[k,j*,i], where it differs
-    for found, by_second in ((first, False), (second, True)):
-        for i in range(L):
-            pos, held = slab_mismatches(ptr, idx, val, L, i, ring.dual[i], second=by_second)
-            found.update(zip(pos[:_WITNESS_CAP].tolist(), held[:_WITNESS_CAP].tolist()))
-            if len(found) >= _WITNESS_CAP and not by_second:
-                break
+    for i in range(L):
+        pos, held = slab_mismatches(ptr, idx, val, L, i, ring.dual[i])
+        first.update(zip(pos[:_WITNESS_CAP].tolist(), held[:_WITNESS_CAP].tolist()))
+        if len(first) >= _WITNESS_CAP:
+            break
+    rows = L
+    if len(first) >= _WITNESS_CAP:
+        last = sorted(first)[_WITNESS_CAP - 1]
+        rows = (int(np.searchsorted(ptr, last, side="right")) - 1) // L + 1
+    for j in range(L):
+        pos, held = slab_mismatches(ptr, idx, val, L, j, ring.dual[j], second=True, rows=rows)
+        second.update(zip(pos[:_WITNESS_CAP].tolist(), held[:_WITNESS_CAP].tolist()))
     at = np.array(sorted(first.keys() | second.keys())[:_WITNESS_CAP], dtype=np.int64)
     i, j = np.divmod(np.searchsorted(ptr, at, side="right") - 1, L)
-    rows = zip(at.tolist(), i.tolist(), j.tolist(), idx[at].tolist(), val[at].tolist())
-    return tuple((i, j, k, v, first.get(p, v), second.get(p, v)) for p, i, j, k, v in rows)
+    found = zip(at.tolist(), i.tolist(), j.tolist(), idx[at].tolist(), val[at].tolist())
+    return tuple((i, j, k, v, first.get(p, v), second.get(p, v)) for p, i, j, k, v in found)
 
 
 def validate_ring(ring: FusionRing) -> ValidationReport:

@@ -72,6 +72,24 @@ def test_single_outputs_reads_each_row_as_a_plain_loop():
         assert got.dtype == np.int64 and got.tolist() == want[::-1]
 
 
+def test_slab_reads_each_row_as_a_plain_loop():
+    # first-label slabs come as a slice of positions, second-label slabs
+    # as an array; both on their first rows only, or on all of them
+    odd = FusionRing(["a", "b", "c"], 0, [0, 1, 2], [(0, 0, 0, 2), (0, 1, 1, 1), (1, 0, 2, 1)])
+    for ring in (klein_ring(), broken_z3_ring(), su3_ring(3), odd):
+        ptr, idx, val = ring.csr()
+        L = ring.size
+        for g in range(L):
+            for second in (False, True):
+                for rows in (None, 0, 1, L - 1, L):
+                    pairs = [(t * L + g if second else g * L + t, t) for t in range(L if rows is None else rows)]
+                    want = [(p, t) for pair, t in pairs for p in range(ptr[pair], ptr[pair + 1])]
+                    pos, of_row = kernels.slab(ptr, L, g, second, rows)
+                    assert isinstance(pos, np.ndarray) == second
+                    got = np.arange(len(idx))[pos].tolist()
+                    assert list(zip(got, of_row.tolist())) == want
+
+
 def test_row_blocks_cut_as_a_plain_greedy_loop():
     rng = random.Random(7)
     for _ in range(200):
@@ -294,8 +312,8 @@ def test_blocked_scan_emits_witnesses_in_generator_then_jkl_order(monkeypatch, b
     # densely (level 6 is below the cut) or as sparse products
     monkeypatch.setattr(kernels, "_ASSOC_BLOCK", block)
     monkeypatch.setattr(kernels, "_DENSE_BLOCK", block)
-    for cells in (kernels._DENSE_CELLS, 0):
-        monkeypatch.setattr(kernels, "_DENSE_CELLS", cells)
+    for budget in (kernels._DENSE_BYTES, 0):
+        monkeypatch.setattr(kernels, "_DENSE_BYTES", budget)
         for mutated, want in _mutated_level6_cases():
             ptr, idx, val = mutated.csr()
             for cap in (1, 5, 20):
@@ -321,8 +339,8 @@ def test_the_scan_stops_at_the_block_of_the_first_witness(monkeypatch):
             yield block
 
     monkeypatch.setattr(kernels, "row_blocks", counted)
-    for cells in (kernels._DENSE_CELLS, 0):
-        monkeypatch.setattr(kernels, "_DENSE_CELLS", cells)
+    for budget in (kernels._DENSE_BYTES, 0):
+        monkeypatch.setattr(kernels, "_DENSE_BYTES", budget)
         for mutated, want in _mutated_level6_cases():
             ptr, idx, val = mutated.csr()
             L = mutated.size
@@ -496,8 +514,8 @@ def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
 
     for name in ("_assoc_gen", "_assoc_gen_dense"):
         monkeypatch.setattr(kernels, name, spy(name))
-    # level 6 (28 labels) is scanned densely, level 15 (136) as sparse products
-    for level, path in ((6, "_assoc_gen_dense"), (15, "_assoc_gen")):
+    # level 6 (28 labels) is scanned densely, level 18 (190) as sparse products
+    for level, path in ((6, "_assoc_gen_dense"), (18, "_assoc_gen")):
         ring = su3_ring(level)
         ptr, idx, val = ring.csr()
         assert generating_set(ptr, idx, val, ring.size)[0] == ring.unit == 0
@@ -515,27 +533,29 @@ def test_the_unit_of_an_alcove_ring_is_not_scanned(monkeypatch):
 @functools.cache
 def _tables(group):
     """Raw tables by name: the symmetry tests' clean and mutated rings;
-    rings on both sides of the cut at 101 labels ("edge"), or alcove
-    rings of 136 and 190 labels ("large"), clean and with one seeded
-    constant raised."""
+    rings on both sides of the cut ("edge": 161 and 162 labels in int32,
+    128 and 129 in int64, where every constant times 2^12 puts
+    ``L * max**2`` at 2^31 or above), or alcove rings of 136 and 190
+    labels ("large"), clean and with one seeded constant raised."""
     if group == "cases":
         from .test_symmetry import _CASES
 
         return {name: ring.csr() + (ring.size,) for name, ring, _ in _CASES}
     if group == "large":
-        makers = (("su3 L=136", lambda: su3_ring(15)), ("su3 L=190", lambda: su3_ring(18)))
+        makers = (("su3 L=136", lambda: su3_ring(15), 1), ("su3 L=190", lambda: su3_ring(18), 1))
     else:
         makers = (
-            ("su2 L=99", lambda: su2_even_ring(196)),
-            ("su2 L=101", lambda: su2_even_ring(200)),
-            ("su2 L=102", lambda: su2_even_ring(202)),
-            ("su3 L=91", lambda: su3_ring(12)),
-            ("su3 L=105", lambda: su3_ring(13)),
+            ("su2 L=161", lambda: su2_even_ring(320), 1),
+            ("su2 L=162", lambda: su2_even_ring(322), 1),
+            ("su3 L=153", lambda: su3_ring(16), 1),
+            ("su2 L=128 x 2^12", lambda: su2_even_ring(254), 2**12),
+            ("su2 L=129 x 2^12", lambda: su2_even_ring(256), 2**12),
         )
     tables = {}
-    for name, make in makers:
+    for name, make, scale in makers:
         ring = make()
         ptr, idx, val = ring.csr()
+        val = val * scale
         tables[name] = (ptr, idx, val, ring.size)
         for seed in (0, 1):
             bumped = val.copy()
@@ -589,21 +609,54 @@ def test_dense_scan_matches_the_sparse_products_on_every_case(monkeypatch, block
     # (one block up to 50 labels); the caps cut the scan inside a run of
     # witnesses of one row block and between generators
     monkeypatch.setattr(kernels, "_DENSE_BLOCK", block)
-    assert all(L**3 <= kernels._DENSE_CELLS for *_, L in _tables("cases").values())
+    assert all(kernels._dense_dtype(L, val) is not None for _, _, val, L in _tables("cases").values())
     failing = _hold_to_the_sparse_products("cases", _cut_caps)
     rows = [list(map(tuple, want[:, :2].tolist())) for want in failing]
     assert any(r[t - 1] == r[t] for r in rows for t in range(1, len(r)))
     assert any(len({g for g, _ in r}) > 1 for r in rows)
 
 
-@pytest.mark.parametrize("cells", ["default", "raised"])
-def test_dense_scan_matches_the_sparse_products_around_the_cut(monkeypatch, cells):
-    # by default the rings up to 101 labels are scanned densely and the
-    # larger ones as sparse products; raised, every one of them densely
-    if cells == "raised":
-        monkeypatch.setattr(kernels, "_DENSE_CELLS", 2**21)
+@pytest.mark.parametrize("budget", ["default", "raised"])
+def test_dense_scan_matches_the_sparse_products_around_the_cut(monkeypatch, budget):
+    # by default a cube of at most 16 MB is scanned densely, in int32 up
+    # to 161 labels and in int64 up to 128, and a larger one as sparse
+    # products; raised to 32 MB, every one of these tables densely
+    want = {"su2 L=161": np.int32, "su3 L=153": np.int32, "su2 L=128 x 2^12": np.int64}
+    for name, (_, _, val, L) in _tables("edge").items():
+        dtype = want.get(name.partition(" bumped")[0])
+        assert kernels._dense_dtype(L, val) == (None if dtype is None else np.dtype(dtype)), name
+    if budget == "raised":
+        monkeypatch.setattr(kernels, "_DENSE_BYTES", 2**25)
     failing = _hold_to_the_sparse_products("edge", lambda want: (1, 7, 20) if len(want) else (20,))
     assert len(failing) == 10
+
+
+def _uniform_table(L: int, m: int):
+    """Every N_{ij}^k = m but the last, m - 1: each bracketing that avoids
+    that constant is L * m**2, the most any table with these L and m holds."""
+    ptr = np.arange(L * L + 1, dtype=np.int64) * L
+    idx = np.tile(np.arange(L, dtype=np.int32), L * L)
+    val = np.full(L**3, m, dtype=np.int64)
+    val[-1] -= 1
+    return ptr, idx, val
+
+
+# 2**31 - 1 is prime, so no L * m**2 equals it: 7 * 17515**2 is the
+# closest below it for L up to 12, in int32; 8 * (2**14)**2 is 2**31 and
+# a constant of 2**16 makes each product a * cube[y] 2**32, both in int64
+@pytest.mark.parametrize(
+    "L,m,dtype", [(7, 17515, np.int32), (8, 2**14, np.int64), (8, 2**16, np.int64)]
+)
+def test_the_dense_scan_is_exact_at_the_int32_bound(monkeypatch, L, m, dtype):
+    ptr, idx, val = _uniform_table(L, m)
+    assert kernels._dense_dtype(L, val) == np.dtype(dtype)
+    want_ok, want = associativity_scan_sparse(ptr, idx, val, L, cap=10**9)
+    assert not want_ok and want[:, 4:].max() == L * m * m
+    dense = associativity_violations(ptr, idx, val, L, cap=len(want))
+    monkeypatch.setattr(kernels, "_DENSE_BYTES", 0)
+    sparse = associativity_violations(ptr, idx, val, L, cap=len(want))
+    for ok, wit in (dense, sparse):
+        assert not ok and wit.dtype == np.int64 and np.array_equal(wit, want)
 
 
 @pytest.mark.parametrize("block", [1, 50_000, kernels._ASSOC_BLOCK])
@@ -613,7 +666,7 @@ def test_pair_major_scan_matches_the_flat_copy_scan_on_large_rings(monkeypatch, 
     # an (L, L*L) copy of the table; the caps end the list inside a run
     # of witnesses of one (generator, j) row
     monkeypatch.setattr(kernels, "_ASSOC_BLOCK", block)
-    monkeypatch.setattr(kernels, "_DENSE_CELLS", 0)
+    monkeypatch.setattr(kernels, "_DENSE_BYTES", 0)
     failing = _hold_to_the_sparse_products("large", _cut_caps)
     assert len(failing) == 4
     rows = [list(map(tuple, want[:, :2].tolist())) for want in failing]
@@ -653,8 +706,8 @@ graphs.pf_norm(graph), graphs.pf_norm(folded)
 scipy_loaded("d2n")
 assert main(["catalog", "run", "--all"]) == 0  # su3_ring's rings come validated
 scipy_loaded("catalog all")
-assert rings.validate_ring(unvalidated(catalog.su3_ring(15))).passed
-scipy_loaded("level 15")
+assert rings.validate_ring(unvalidated(catalog.su3_ring(18))).passed
+scipy_loaded("level 18")
 """
 
 
@@ -685,7 +738,7 @@ def test_only_the_scan_above_the_cut_imports_scipy(tmp_path):
         "scipy after catalog False",
         "scipy after d2n False",
         "scipy after catalog all False",
-        "scipy after level 15 True",
+        "scipy after level 18 True",
     ]
 
 

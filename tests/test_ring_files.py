@@ -484,6 +484,60 @@ def test_the_piece_reader_meets_edge_documents_as_the_parent(name, ring_file):
     assert in_pieces == (name in _EDGES_IN_PIECES)
 
 
+# ---------------------------------------------------------------------------
+# rows in dump_ring's order, taken as they come, and in any other order
+# ---------------------------------------------------------------------------
+
+def _with_pieces_of_one_row(read):
+    """``read()`` at the module's piece size and with a cut at every row end."""
+    out = [read()]
+    with mock.patch.object(fileio, "_PIECE_CHARS", 1):
+        out.append(read())
+    return out
+
+
+@pytest.mark.parametrize("name", ["A13", "E6affine", "SU3_level_9", "escaped", "one-label"])
+def test_a_file_with_shuffled_rows_loads_to_the_arrays_of_the_dumped_file(name, ring_file):
+    text = dump_ring(_RINGS[name]())
+    want = load_ring(ring_file(text))
+    doc = json.loads(text)
+    random.Random(name).shuffle(doc["N"])
+    doc["N"].reverse()
+    for layout in _LAYOUTS.values():
+        path = ring_file(layout(doc))
+        for got in _with_pieces_of_one_row(lambda: load_ring(path)):
+            _assert_same_ring(got, want)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("order", ["in order", "shuffled"])
+def test_a_repeated_triple_is_refused_in_and_out_of_order(order, where, ring_file):
+    doc = json.loads(dump_ring(_RINGS["E6affine"]()))
+    rows = doc["N"]
+    at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+    rows.insert(at + 1, rows[at][:3] + [rows[at][3] + 1])
+    if order == "shuffled":
+        random.Random(where).shuffle(rows)
+    with pytest.raises(SchemaError, match=r"^duplicate \(i, j, k\) entry$"):
+        parse_ring(doc)
+    for layout in _LAYOUTS.values():
+        path = ring_file(layout(doc))
+        for got in _with_pieces_of_one_row(lambda: _outcome(lambda: load_ring(path))):
+            assert got == "duplicate (i, j, k) entry"
+
+
+def test_an_inline_ring_with_rows_in_any_order_loads(tmp_path):
+    ring = _RINGS["E6affine"]()
+    inline = json.loads(dump_ring(ring))
+    random.Random(6).shuffle(inline["N"])
+    path = tmp_path / "go.request"
+    request = {"format": "orbifusion/1", "ring": inline, "alpha": "alpha", "loi_trivial": True}
+    for rows in (inline["N"], sorted(inline["N"]), inline["N"][::-1]):
+        inline["N"] = rows
+        path.write_text(json.dumps(request, indent=1), encoding="utf-8")
+        _assert_same_ring(fileio.load_request(str(path)).ring, ring)
+
+
 _LOAD_PROBE = """
 import sys
 import numpy as np
@@ -523,19 +577,57 @@ def _load_growth_kib(path) -> int:
     return int(done.stdout)
 
 
-def test_a_level_15_file_loads_in_bounded_memory(tmp_path):
+@pytest.fixture(scope="session")
+def level15_file(tmp_path_factory):
+    """The level-15 alcove ring in dump_ring's layout (8.0 MB, 262,684
+    rows), written once per session."""
+    path = tmp_path_factory.mktemp("level15") / "l15.ring"
+    path.write_text(dump_ring(su3_ring(15)), encoding="utf-8")
+    return path
+
+
+def test_a_level_15_file_loads_in_bounded_memory(level15_file):
     # the whole-document reader raised a fresh process's peak by about
     # 95 MB for this 8 MB file (262,684 rows), the piece reader by about 30
-    path = tmp_path / "l15.ring"
-    path.write_text(dump_ring(su3_ring(15)), encoding="utf-8")
-    assert _load_growth_kib(path) < 45 * 1024
+    assert _load_growth_kib(level15_file) < 45 * 1024
 
 
-def test_a_pretty_printed_level_15_file_loads_in_bounded_memory(tmp_path):
+def test_a_pretty_printed_level_15_file_loads_in_bounded_memory(level15_file, tmp_path):
     # written with indent=2 the file is 15.9 MB, each row over six lines;
     # a reader that cut pieces only at a newline after a comma met a cut
     # inside a row and decoded the rest whole, raising the peak by about
     # 109 MB, where cutting at row ends raises it by about 34 MB
     path = tmp_path / "l15.ring"
-    path.write_text(json.dumps(json.loads(dump_ring(su3_ring(15))), indent=2), encoding="utf-8")
+    path.write_text(json.dumps(json.loads(level15_file.read_text(encoding="utf-8")), indent=2), encoding="utf-8")
     assert _load_growth_kib(path) < 55 * 1024
+
+
+_VALIDATE_PROBE = """
+import sys
+from orbifusion.cli import main
+
+assert main(["validate", sys.argv[1]]) == 0
+with open("/proc/self/status") as status:
+    peak = int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+print(any(name.partition(".")[0] == "scipy" for name in sys.modules), peak)
+"""
+
+
+def test_validating_the_level_15_file_stays_small_and_loads_no_scipy(level15_file):
+    # the whole command in a fresh process, its own peak (VmHWM): 63.0-63.1
+    # MiB when the scan of these 136 labels imported scipy.sparse and the
+    # label columns were int64, 53.7-55.9 MiB (by working directory) with
+    # the int32 dense scan and int32 columns (2 cores, numpy 2.4.6, scipy
+    # 1.17.1)
+    src = os.path.dirname(os.path.dirname(orbifusion.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _VALIDATE_PROBE, str(level15_file)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    scipy_loaded, peak_kib = done.stdout.splitlines()[-1].split()
+    assert scipy_loaded == "False"
+    assert int(peak_kib) < 60 * 1024

@@ -507,6 +507,14 @@ def _witness_rings():
     i, j, k, v = entries[-1]
     entries[-1] = (i, j, k, v + 1)
     out["SU3_level_15/last bumped"] = _rebuild(level15, entries)
+    # a broken dual puts the first relation's 20 witnesses in the first
+    # slabs, so the second relation is read on their rows only
+    swapped = list(level15.dual)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    shuffled = list(range(level15.size))
+    random.Random(15).shuffle(shuffled)
+    for name, dual in (("duals of 1 and 2 swapped", swapped), ("shuffled dual", shuffled)):
+        out[f"SU3_level_15/{name}"] = FusionRing.from_csr(level15.labels, level15.unit, dual, *level15.csr())
     out["sigma1 only"] = _sigma1_only_table()
     return out
 
