@@ -33,26 +33,35 @@ order, two-space indent, trailing newline. Floats elsewhere in reports
 go through :func:`fmt_float` so repeated runs agree to the byte.
 
 :func:`load_ring` reads a file's ``N`` in pieces, so that at most one
-piece's Python lists are alive at once. It walks the top-level object
-key by key with the decoder's ``raw_decode``; the last of repeated keys
-wins, as in :func:`json.loads`. A top-level ``N`` that follows a list of
+piece's rows are alive at once. It walks the top-level object key by
+key with the decoder's ``raw_decode``; the last of repeated keys wins,
+as in :func:`json.loads`. A top-level ``N`` that follows a list of
 label strings is cut after ``_PIECE_CHARS`` characters, at the first
 closing bracket that a comma and a newline follow, with only blanks
 between them: the end of a row, whether the file writes a row on one
 line or across several (``json.dumps(doc, indent=2)``). A JSON string
 cannot hold a raw newline, so the cut never falls inside a string. A
-piece whose text decodes as whole rows goes straight into columns,
-int32 labels and int64 counts; the first other piece ends the cutting,
-and the rest of the array is decoded whole: that file still reads, only
-without the bound.
+piece in the layout that :func:`dump_ring` writes, and the last piece
+when dump_ring's closing line ends it, is read with array operations
+on its bytes, without a Python object per row (:func:`_dump_rows`).
+Any doubt sends a piece to :func:`json.loads`: another blank, a
+backslash, non-ASCII text, a label whose ``json.dumps`` form is longer
+than 8 bytes or is not a label, or a count that is not 1 to 18 digits
+without a leading zero. Either way the piece goes straight into
+columns, int32 labels and int64 counts; the first piece that does not
+decode ends the cutting, and the rest of the array is decoded whole:
+that file still reads, only without the bound.
 On a decode error, deep nesting or a refused row the whole text is
 decoded as :func:`load_json` decodes it and :func:`parse_ring` reads
 that, so every message and the order of the checks are those of the
 whole-document reader. Loading the 8.0 MB level-15 alcove file
-(262,684 rows) raises a fresh process's peak by about 30 MB where the
-whole document raised it by about 95 MB, and ``orbifusion validate`` on
-it peaks at 54 MB where it peaked at 124 MB; its 15.9 MB ``indent=2``
-copy raises the peak by about 34 MB, where a cut at any newline after a
+(262,684 rows) takes 0.052 s where decoding each piece took 0.30 s,
+and the 112 MB level-24 file 0.69 s where it took 3.8 s (one
+process, medians of 5 and 3 runs). ``orbifusion validate`` on the
+level-15 file takes 0.28 s in a fresh process where it took 0.44 s,
+and peaks at 52 MiB where it peaked at 54 MiB; read whole, it peaked
+at 124 MB. Its 15.9 MB ``indent=2`` copy is decoded piece by piece and
+raises the peak by about 34 MB, where a cut at any newline after a
 comma raised it by about 109 MB (2 cores, numpy 2.4.6).
 """
 
@@ -132,7 +141,9 @@ def _read_text(path: str) -> str:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _decode(path: str, text: str) -> dict:
@@ -347,27 +358,145 @@ def _n_pieces(text: str, pos: int, order: dict[str, int]) -> tuple[_Columns, int
     """Columns of the array that opens at ``text[pos]``, and the position
     after it.
 
-    A piece runs to a row end, a closing bracket, a comma and a newline,
-    and is decoded and converted on its own; the decoder refuses a raw
+    A piece runs to a row end, a closing bracket, a comma and a newline.
+    A piece in dump_ring's row layout is read by :func:`_dump_rows`; any
+    other is decoded and converted on its own. The decoder refuses a raw
     newline inside a string, so a cut never splits a token. The first
     piece that does not decode ends the loop, and the rest of the array
-    is decoded whole.
+    is decoded whole. The last piece, closed by dump_ring's ``\\n  ]``,
+    is tried on the array reader too.
     """
     pos = _WS.match(text, pos + 1).end()
+    slots = _label_slots(order)
     parts = []
     while (cut := _ROW_END.search(text, pos + _PIECE_CHARS)) is not None:
-        try:
-            rows = json.loads("[" + text[pos : cut.start() + 1] + "]")
-        except (ValueError, RecursionError):
-            break
-        parts.append(_n_columns(rows, order))
-        _need(parts[-1] is not None)  # a refused row goes to the fallback
-        pos = cut.end()
+        piece = text[pos : cut.start() + 1]
+        columns = _dump_rows(piece, slots)
+        if columns is None:
+            try:
+                rows = json.loads("[" + piece + "]")
+            except (ValueError, RecursionError):
+                break
+            columns = _n_columns(rows, order)
+            _need(columns is not None)  # a refused row goes to the fallback
+        parts.append(columns)
+        pos = _WS.match(text, cut.end()).end()
+    # no row end follows pos + _PIECE_CHARS, so the last piece, if the
+    # array reader takes it, closes within this window: its last row,
+    # with the ",\n    " before it, holds at most 56 characters (three
+    # 8-byte labels, 18 digits)
+    end = text.find("\n  ]", pos, pos + _PIECE_CHARS + 64)
+    columns = _dump_rows(text[pos:end], slots) if end >= 0 else None
+    if columns is not None:
+        parts.append(columns)
+        return _Columns(*map(np.concatenate, zip(*parts))), end + 4
     rows, end = _DECODER.raw_decode("[" + text[pos:])
     _need(rows or not parts)  # else a comma comes before the closing bracket
     parts.append(_n_columns(rows, order))
     _need(parts[-1] is not None)
     return _Columns(*map(np.concatenate, zip(*parts))), pos + end - 1
+
+
+def _word(text: bytes) -> np.uint64:
+    """Up to 8 bytes as the little-endian word that :func:`_dump_rows` reads."""
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+# dump_ring's row layout as the words _dump_rows compares: '", "' from
+# each of the first two labels' closing quote, '", ' from the third's,
+# and '],\n    [' from each row's closing bracket to the next row's opening
+_LABEL_SEP = _word(b'", "')
+_COUNT_SEP = _word(b'", ')
+_ROW_SEP = _word(b'],\n    [')
+# _MASKS[w] keeps the first w bytes of a word
+_MASKS = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+# Fibonacci hashing: a label's word times this, its top bits the slot
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+# the largest label slot table is 2**_SLOT_BITS words, 8 MB, and its index
+_SLOT_BITS = 20
+
+
+class _Slots(NamedTuple):
+    """A table in which each packed label takes its own slot."""
+
+    shift: np.uint64  # a word's slot is (word * _HASH) >> shift
+    words: np.ndarray  # uint64, the packed label in its slot, 0 elsewhere
+    index: np.ndarray  # int32, the label's index in its slot
+
+
+def _label_slots(order: dict[str, int]) -> _Slots | None:
+    """The labels whose ``json.dumps`` form has at most 8 bytes and no
+    backslash, packed into words as :func:`_dump_rows` reads them, in a
+    table with one slot each; None when no table of at most
+    ``2**_SLOT_BITS`` slots is free of collisions."""
+    packed = {}
+    for lab, t in order.items():
+        enc = json.dumps(lab)  # ASCII
+        if len(enc) <= 8 and "\\" not in enc:
+            packed[int.from_bytes(enc.encode("ascii"), "little")] = t
+    words = np.array(list(packed), dtype=np.uint64)
+    for bits in range(len(words).bit_length() + 1, _SLOT_BITS + 1):
+        shift = np.uint64(64 - bits)
+        slot = (words * _HASH) >> shift
+        if len(np.unique(slot)) == len(words):
+            table = np.zeros(1 << bits, dtype=np.uint64)
+            index = np.zeros(1 << bits, dtype=np.int32)
+            table[slot] = words
+            index[slot] = list(packed.values())
+            return _Slots(shift, table, index)
+    return None
+
+
+def _dump_rows(piece: str, slots: _Slots | None):
+    """A piece of ``N`` in dump_ring's row layout as the columns that
+    ``_n_columns(json.loads("[" + piece + "]"), order)`` gives, without a
+    Python object per row; None when the piece is anything else.
+
+    The piece must be rows ``["a", "b", "c", n]`` joined by
+    ``,\\n    ``, byte for byte: no other blank, only ASCII, every label
+    the ``json.dumps`` form of one in ``slots``, and each count 1 to 18
+    digits with no leading zero. Those forms hold no backslash, so the
+    quotes fall six to a row, and every byte of the piece is read
+    against the layout that they fix.
+    """
+    m = len(piece)
+    if slots is None or not piece.isascii():
+        return None
+    raw = (piece + "\0" * 7).encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    # words[p] is the 8 bytes from p on, little-endian
+    words = np.ndarray((m,), dtype="<u8", buffer=raw, strides=(1,))
+    q = np.flatnonzero(b == ord('"'))
+    if len(q) == 0 or len(q) % 6 or q[0] != 1 or raw[0] != ord("[") or raw[m - 1] != ord("]"):
+        return None
+    q = q.reshape(-1, 6)
+    starts = q[:, 5] + 3  # of the counts
+    ends = np.append(q[1:, 0] - 8, m - 1)  # the closing brackets
+    lens = ends - starts
+    if not (
+        1 <= lens.min()
+        and lens.max() <= 18  # below 2**63
+        and np.all(words[q[:, 1:4:2]] & _MASKS[4] == _LABEL_SEP)
+        and np.all(words[q[:, 5]] & _MASKS[3] == _COUNT_SEP)
+        and np.all(words[ends[:-1]] == _ROW_SEP)
+    ):
+        return None
+    n = np.zeros(len(q), dtype=np.int64)
+    for t in range(lens.max()):
+        # a count shorter than t + 1 digits reads its last digit again
+        d = b[starts + np.minimum(t, lens - 1)] - np.uint8(ord("0"))
+        if d.max() > 9 or (t == 0 and d.min() == 0):
+            return None
+        n = np.where(lens > t, n * 10 + d, n)
+    spans = q[:, 0::2].ravel()
+    widths = q[:, 1::2].ravel() + 1 - spans
+    if widths.max() > 8:
+        return None
+    labels = words[spans] & _MASKS[widths]
+    slot = (labels * _HASH) >> slots.shift
+    if not np.array_equal(slots.words[slot], labels):
+        return None
+    return (*slots.index[slot].reshape(-1, 3).T, n)
 
 
 def load_ring(path: str) -> FusionRing:

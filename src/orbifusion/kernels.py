@@ -370,9 +370,13 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
 
 
 def _cube(ptr, idx, val, L, dtype):
-    """The table as a dense array of ``dtype``: cube[i, j, k] = N_{ij}^k."""
+    """The table as a dense array of ``dtype``: cube[i, j, k] = N_{ij}^k.
+
+    Every cell index is below L**3 <= _DENSE_BYTES / 4 = 2**22, so the
+    index array is int32.
+    """
     cube = np.zeros(L**3, dtype=dtype)
-    cube[np.repeat(np.arange(L * L, dtype=np.int64) * L, np.diff(ptr)) + idx] = val
+    cube[np.repeat(np.arange(L * L, dtype=np.int32) * L, np.diff(ptr)) + idx] = val
     return cube.reshape(L, L, L)
 
 

@@ -631,6 +631,23 @@ def test_dense_scan_matches_the_sparse_products_around_the_cut(monkeypatch, budg
     assert len(failing) == 10
 
 
+def test_a_clean_dense_scan_at_the_cut_allocates_little_beyond_its_cube():
+    # the 161-label ring's int32 cube is 16.7 MB; filled through an int64
+    # index of its 1.39M constants the scan allocated 28.2 MB, through an
+    # int32 index 22.6 MB
+    ptr, idx, val, L = _tables("edge")["su2 L=161"]
+    gens = _generators("edge", "su2 L=161")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ok, _ = associativity_violations(ptr, idx, val, L, gens=gens)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ok and kernels._dense_dtype(L, val) == np.int32
+    assert extra < 25_000_000
+
+
 def _uniform_table(L: int, m: int):
     """Every N_{ij}^k = m but the last, m - 1: each bracketing that avoids
     that constant is L * m**2, the most any table with these L and m holds."""

@@ -12,6 +12,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -482,6 +483,82 @@ _EDGES_IN_PIECES = {
 def test_the_piece_reader_meets_edge_documents_as_the_parent(name, ring_file):
     _, in_pieces = _reads_as_the_parent(ring_file(_edge_documents()[name]))
     assert in_pieces == (name in _EDGES_IN_PIECES)
+
+
+def test_a_dumped_file_sends_no_piece_through_the_json_decoder(ring_file):
+    # the level-12 file is read in about ten pieces, each in dump_ring's
+    # row layout, so the array reader takes every one of them
+    ring = su3_ring(12)
+    path = ring_file(dump_ring(ring))
+    with (
+        mock.patch.object(fileio.json, "loads", wraps=json.loads) as loads,
+        mock.patch.object(fileio, "_n_columns", wraps=fileio._n_columns) as columns,
+    ):
+        got = load_ring(path)
+    assert (loads.call_count, columns.call_count) == (0, 0)
+    _assert_same_ring(got, ring)
+
+
+# one byte to insert or to put in place of another, and counts to put in
+# place of a row's count
+_EDIT_BYTES = list('019",[] \t\n\\ue.-') + ["\x00", "\x7f", "é"]
+_EDIT_COUNTS = ["10", "9" * 18, "01", "1.0", "true", "0", "-1", "1e0", "9" * 19, " 1", "1 "]
+
+
+def _edited_dump(data) -> tuple[str, dict, bool]:
+    """_base_doc in dump_ring's row layout with one edit inside N: one
+    byte inserted, deleted or replaced, a count replaced, or a label
+    written with an escape or a raw tab. The third label's json.dumps
+    form has 3, 8 (the longest the array reader packs) or 9 bytes.
+    Also returns whether the edit kept dump_ring's layout."""
+    doc = _base_doc()
+    third = data.draw(st.sampled_from(["r", "abcdef", "rstuvwx"]))
+    doc["labels"][2] = third
+    doc["dual"] = {lab: lab for lab in doc["labels"]}
+    doc["N"] = [[third if lab == "r" else lab for lab in row[:3]] + row[3:] for row in doc["N"]]
+    text = _dump_layout(doc)
+    lo, hi = text.index('"N": [') + 6, text.rindex("}")
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace", "count", "label"]))
+    kept = False
+    if kind == "count":
+        counts = [m.span(1) for m in re.finditer(r"(\d+)\]", text)]
+        a, b = data.draw(st.sampled_from(counts))
+        count = data.draw(st.sampled_from(_EDIT_COUNTS))
+        text = text[:a] + count + text[b:]
+        kept = re.fullmatch(r"[1-9][0-9]{0,17}", count) is not None
+    elif kind == "label":
+        a = data.draw(st.sampled_from([m.end() for m in re.finditer(r'"e"', text) if m.start() > lo])) - 2
+        text = text[:a] + data.draw(st.sampled_from(["\\u0065", "\\u0065\\u0065", "e\t", '\\"e'])) + text[a + 1 :]
+    else:
+        # any byte of N, one of its brackets, commas, blanks and quotes,
+        # or one of the bytes around the first row's opening and the last
+        # row's closing
+        layout = [m.start() for m in re.finditer(r'[\[\], \n"]', text) if lo <= m.start() < hi]
+        head = st.integers(lo, text.index('"', lo))
+        tail = st.integers(text.rindex("]\n  ]") - 2, hi - 1)
+        at = data.draw(st.integers(lo, hi - 1) | st.sampled_from(layout) | head | tail)
+        byte = "" if kind == "delete" else data.draw(st.sampled_from(_EDIT_BYTES))
+        text = text[:at] + byte + text[at + (kind != "insert") :]
+    return text, doc, kept
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_one_edit_to_a_dumped_table_reads_as_the_parent(ring_file, data):
+    # each read cuts N into pieces of one row, of two or three rows, and
+    # not at all (the last piece then holds every row)
+    text, doc, kept = _edited_dump(data)
+    _reads_as_the_parent(ring_file(text), sizes=(fileio._PIECE_CHARS, 1, 40))
+    # a piece that the array reader takes is one that json.loads reads
+    # to the same columns
+    order = {lab: t for t, lab in enumerate(doc["labels"])}
+    start, end = text.find("[", text.find('"N": [') + 6), text.rfind("\n  ]")
+    got = fileio._dump_rows(text[start:end], fileio._label_slots(order))
+    if kept and "rstuvwx" not in order:  # every label packs
+        assert got is not None
+    if got is not None:
+        want = fileio._n_columns(json.loads("[" + text[start:end] + "]"), order)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
