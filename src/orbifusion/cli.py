@@ -23,7 +23,6 @@ from typing import Sequence
 from .catalog import names as catalog_names
 from .catalog import run as catalog_run
 from .errors import (
-    AssumptionError,
     InputError,
     ObstructionRequiredError,
     OrbifusionError,
@@ -193,10 +192,7 @@ def _cmd_orbifold(args) -> int:
     require_valid(ring)
     action = cyclic_action(ring, alpha)
     inp = OrbifoldInput.make(action, rho, attested)
-    rep = inp.assumptions
-    for item in rep.items:
-        if not item.passed:
-            raise AssumptionError(item.item, item.detail)
+    rep = inp.assumptions.require("A1", "A2", "A3")
     lines = [str(item) for item in rep.items]
 
     bound = obstruction_bound(inp)

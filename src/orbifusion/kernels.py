@@ -98,8 +98,9 @@ def slab_mismatches(
     moved = kg * L + rows_g if rename is None else rows_g * L + rename[kg]
     own = rows_h * L + idx[ph]
     if len(vg) == len(vh):
-        # the sorted rows of slab g leave the moved keys in runs, which a
-        # stable sort merges faster than quicksort
+        # equal slabs, the common case, end here sooner than by the search
+        # below; the sorted rows of slab g leave the moved keys in runs,
+        # which a stable sort merges faster than quicksort
         order = np.argsort(moved, kind="stable")
         if np.array_equal(moved[order], own) and np.array_equal(vg[order], vh):
             return np.zeros(0, dtype=np.int64), vg[:0]
@@ -142,6 +143,14 @@ def power_iteration(M: np.ndarray, tol: float, max_iter: int, failure: str):
     lam_t = v_t . w_t and v_{t+1} = w_t / |w_t|. The steps run in blocks
     of ``_POWER_CHUNK`` rows, each tested in one vectorised pass, with a
     plain loop's arithmetic, so the result is that loop's to the bit.
+
+    Step t reads v_t alone, so once v_{t+p} equals v_t bit for bit and
+    none of the steps t to t+p-1 passed, no later step can pass. A block
+    with no passing step looks for a repeat at distance 1 or 2 among its
+    rows v_t, the one carried over from the previous block included,
+    and on one raises the same error at once; a bipartite M, whose
+    iterates flip between its two sides, ends there within a block or
+    two.
     """
     n = M.shape[0]
     V = np.empty((_POWER_CHUNK + 1, n))  # V[t] is v_t, V[c] starts the next block
@@ -165,6 +174,11 @@ def power_iteration(M: np.ndarray, tol: float, max_iter: int, failure: str):
         if passed.any():
             t = int(passed.argmax())
             return float(lam_c[t]), V[t].copy()
+        # a repeat anywhere in rows 0..c recurs at the last row, so that
+        # row alone is compared
+        bits = V[: c + 1].view(np.int64)
+        if any(np.array_equal(bits[c], bits[c - p]) for p in (1, 2) if p <= c):
+            break
         V[0] = V[c]
     raise NumericError(failure)
 

@@ -237,100 +237,73 @@ class AssumptionReport:
                 return it
         raise KeyError(name)
 
+    def require(self, *names: str) -> AssumptionReport:
+        """The report, or :class:`AssumptionError` for the first of the
+        named items that fails."""
+        for name in names:
+            it = self.item(name)
+            if not it.passed:
+                raise AssumptionError(name, it.detail)
+        return self
+
     def __str__(self) -> str:
         return "\n".join(str(it) for it in self.items)
 
 
-def _rho_candidates(action: SymmetryAction) -> list[int]:
+def _a3(action: SymmetryAction, r: int):
+    """The three conditions of (A3) on label ``r``, in order, each as
+    ``(holds, text)``: self-dual, fixed by the action, in its own square.
+    A caller that stops at the first failing one never reads N_{rr}^r of
+    a label that is not self-dual and fixed."""
     ring = action.ring
-    return [
-        i
-        for i in range(ring.size)
-        if ring.dual[i] == i and action.perm[i] == i and ring.n(i, i, i) >= 1
-    ]
+    lab = ring.labels[r]
+    yield ring.dual[r] == r, f"{lab!r} is self-dual"
+    yield action.perm[r] == r, f"{lab!r} is fixed by the action"
+    yield ring.n(r, r, r) >= 1, f"{lab!r} appears in its own square"
 
 
 def check_assumptions(inp: OrbifoldInput) -> AssumptionReport:
     """Report pass/fail for (A1), (A2), (A3).
 
     (A2) only echoes the attestation. For (A3) with an explicit rho the
-    three defining conditions are checked one by one; with rho = None
-    the ring is scanned and the least-index candidate, if any, is
-    adopted.
+    three defining conditions of :func:`_a3` are reported one by one;
+    with rho = None the ring is scanned and the least label that meets
+    all three, if any, is adopted. m is read once rho is settled.
     """
     action = inp.action
     ring = action.ring
-    items: list[AssumptionItem] = []
-
     n = action.order
-    items.append(
-        AssumptionItem(
-            "A1",
-            n >= 2,
-            f"{action.alpha_label!r} has exact fusion order {n}"
-            + ("" if n >= 2 else ", which generates no symmetry to quotient by"),
-        )
+    a1 = AssumptionItem(
+        "A1",
+        n >= 2,
+        f"{action.alpha_label!r} has exact fusion order {n}"
+        + ("" if n >= 2 else ", which generates no symmetry to quotient by"),
     )
-    items.append(
-        AssumptionItem(
-            "A2",
-            inp.loi_trivial_attested,
-            "analytic triviality attested by caller"
-            if inp.loi_trivial_attested
-            else "analytic triviality not attested; it cannot be computed here",
-        )
+    a2 = AssumptionItem(
+        "A2",
+        inp.loi_trivial_attested,
+        "analytic triviality attested by caller"
+        if inp.loi_trivial_attested
+        else "analytic triviality not attested; it cannot be computed here",
     )
 
-    rho_label: str | None = None
-    m: int | None = None
     if inp.rho is not None:
-        r = inp.rho
-        lab = ring.labels[r]
-        conds = [
-            (ring.dual[r] == r, f"{lab!r} is self-dual"),
-            (action.perm[r] == r, f"{lab!r} is fixed by the action"),
-            (ring.n(r, r, r) >= 1, f"{lab!r} appears in its own square"),
-        ]
-        ok = all(c for c, _ in conds)
-        detail = "; ".join(
-            text if good else "not: " + text for good, text in conds
-        )
-        items.append(AssumptionItem("A3", ok, detail))
-        if ok:
-            rho_label = lab
-            m = ring.n(r, r, r)
+        conds = list(_a3(action, inp.rho))
+        rho = inp.rho if all(good for good, _ in conds) else None
+        detail = "; ".join(text if good else "not: " + text for good, text in conds)
     else:
-        cands = _rho_candidates(action)
-        if cands:
-            r = cands[0]
-            rho_label = ring.labels[r]
-            m = ring.n(r, r, r)
-            items.append(
-                AssumptionItem(
-                    "A3",
-                    True,
-                    f"scan found fixed self-dual self-coupled label {rho_label!r}",
-                )
-            )
-        else:
-            items.append(
-                AssumptionItem(
-                    "A3",
-                    False,
-                    "no label is simultaneously self-dual, fixed, and in its own square",
-                )
-            )
-
-    return AssumptionReport(items=tuple(items), rho=rho_label, m=m)
-
-
-def _require(inp: OrbifoldInput, *names: str) -> AssumptionReport:
-    report = inp.assumptions
-    for name in names:
-        it = report.item(name)
-        if not it.passed:
-            raise AssumptionError(name, it.detail)
-    return report
+        rho = next(
+            (r for r in range(ring.size) if all(good for good, _ in _a3(action, r))), None
+        )
+        detail = (
+            "no label is simultaneously self-dual, fixed, and in its own square"
+            if rho is None
+            else f"scan found fixed self-dual self-coupled label {ring.labels[rho]!r}"
+        )
+    items = (a1, a2, AssumptionItem("A3", rho is not None, detail))
+    if rho is None:
+        return AssumptionReport(items=items, rho=None, m=None)
+    return AssumptionReport(items=items, rho=ring.labels[rho], m=ring.n(rho, rho, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +372,7 @@ class ObstructionVerdict:
 
 def obstruction_bound(inp: OrbifoldInput) -> ObstructionVerdict:
     """Run the gcd test. Requires (A1) and (A3)."""
-    report = _require(inp, "A1", "A3")
+    report = inp.assumptions.require("A1", "A3")
     assert report.m is not None
     return ObstructionVerdict(report.m, inp.action.order)
 
@@ -527,7 +500,7 @@ def orbifold_sectors(
     if dims is None:
         dims = fp_dimensions(ring)
 
-    rho = _require(inp, "A1", "A3").rho if n > 1 else None
+    rho = inp.assumptions.require("A1", "A3").rho if n > 1 else None
 
     l = obstruction.l
     p = n // l

@@ -146,8 +146,12 @@ def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
 
 
 def _checked_entry(t, L: int) -> tuple[int, int, int, int]:
-    """One ``(i, j, k, n)`` entry as ints, or the error it raises."""
+    """One ``(i, j, k, n)`` entry as ints, or the error it raises. An
+    index that is a bool, or not an ``int`` or ``np.integer``, is refused
+    before any conversion, which would truncate it."""
     i, j, k, n = t
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j, k)):
+        raise SchemaError(f"structure constant index must be an integer: {(i, j, k)}")
     i, j, k = int(i), int(j), int(k)
     if not (0 <= i < L and 0 <= j < L and 0 <= k < L):
         raise SchemaError(f"structure constant index out of range: {(i, j, k)}")
@@ -174,6 +178,8 @@ class FusionRing:
     nconst : mapping or iterable
         Either a mapping ``(i, j, k) -> n`` or an iterable of
         ``(i, j, k, n)`` tuples, integer ``n >= 1``, absent means zero.
+        The indices must be integers (``int`` or ``np.integer``, not
+        ``bool``); any other index is refused, not converted.
         Every ``n`` must satisfy ``L * n**2 < 2**63`` so that sums of
         products of constants stay exact in int64. Each entry is
         converted and checked on its own: there is one conversion path.

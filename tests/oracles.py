@@ -1284,13 +1284,11 @@ def orbifold_sectors_two_branches(inp, obstruction, dims=None):
     rho when none was given."""
     from dataclasses import replace
 
-    from orbifusion.errors import InputError, UnsupportedStructureError
+    from orbifusion.errors import AssumptionError, InputError, UnsupportedStructureError
     from orbifusion.orbifold import (
         MergedClass,
         OrbifoldSectors,
         SplitFamily,
-        _require,
-        _rho_candidates,
         conjugacy_assignment,
     )
     from orbifusion.rings import fp_dimensions
@@ -1328,8 +1326,19 @@ def orbifold_sectors_two_branches(inp, obstruction, dims=None):
         )
         return replace(sectors, conjugacy=conjugacy_assignment(sectors))
 
-    _require(inp, "A1", "A3")
-    rho = inp.rho if inp.rho is not None else _rho_candidates(action)[0]
+    # the gate and the scan as the package wrote them then
+    report = inp.assumptions
+    for name in ("A1", "A3"):
+        it = report.item(name)
+        if not it.passed:
+            raise AssumptionError(name, it.detail)
+    rho = inp.rho
+    if rho is None:
+        rho = [
+            i
+            for i in range(ring.size)
+            if ring.dual[i] == i and action.perm[i] == i and ring.n(i, i, i) >= 1
+        ][0]
 
     l = obstruction.l
     p = n // l

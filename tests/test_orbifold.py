@@ -161,6 +161,28 @@ def test_explicit_rho_conditions_reported_one_by_one():
     assert "not: 'rho2' is fixed by the action" in item.detail
 
 
+def test_the_scan_reads_n_only_of_self_dual_fixed_labels(monkeypatch):
+    # the flip by rho8 fixes rho4 alone: the scan reads its N once and m once
+    ring = su2_even_ring(8)
+    action = cyclic_action(ring, "rho8")
+    calls = []
+    n = FusionRing.n
+    monkeypatch.setattr(FusionRing, "n", lambda *a: calls.append(a[1:]) or n(*a))
+    rep = check_assumptions(OrbifoldInput.make(action, None, True))
+    assert (rep.rho, rep.m) == ("rho4", 1)
+    assert calls == [(2, 2, 2), (2, 2, 2)]
+
+
+def test_require_returns_the_report_or_the_first_failing_item():
+    action = cyclic_action(build("E6affine").ring, "alpha")
+    rep = check_assumptions(OrbifoldInput.make(action, "id", False))
+    assert rep.require("A1") is rep
+    with pytest.raises(AssumptionError) as err:
+        rep.require("A1", "A3", "A2")
+    assert err.value.item == "A3"
+    assert str(err.value) == f"assumption (A3) fails: {rep.item('A3').detail}"
+
+
 # ---------------------------------------------------------------------------
 # obstruction bookkeeping
 # ---------------------------------------------------------------------------

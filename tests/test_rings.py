@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,20 @@ def test_index_out_of_range_names_the_entry():
     _raises_schema([(-1, 0, 0, 1)], "structure constant index out of range: (-1, 0, 0)")
     # the range is checked before the constant of the same entry
     _raises_schema([(0, 5, 0, -1)], "structure constant index out of range: (0, 5, 0)")
+
+
+def test_an_index_that_is_not_an_integer_is_refused_not_converted():
+    good = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    message = "structure constant index must be an integer: {}"
+    # int() would truncate 1.7 and store the constant in row (1, 1)
+    _raises_schema(good + [(1.7, 1, 0, 1)], message.format((1.7, 1, 0)))
+    _raises_schema(good + [(1, "1", 0, 1)], message.format((1, "1", 0)))
+    _raises_schema(good + [(1, 1, True, 1)], message.format((1, 1, True)))
+    _raises_schema({(1, 1, np.float64(0.0)): 1}, message.format((1, 1, np.float64(0.0))))
+    # the type is checked before the range
+    _raises_schema(good + [(9.0, 1, 0, 1)], message.format((9.0, 1, 0)))
+    ring = FusionRing(["e", "x"], 0, [0, 1], good + [(np.int64(1), np.uint8(1), np.int32(0), 1)])
+    assert ring.n(1, 1, 0) == 1
 
 
 def test_constant_must_be_a_nonnegative_integer():
@@ -704,6 +719,22 @@ def test_dimensions_reject_inconsistent_product_equations():
     )
     with pytest.raises(NumericError):
         fp_dimensions(ring)
+
+
+def test_a_repeating_iterate_ends_the_power_iteration_at_once():
+    from orbifusion import NumericError
+
+    # M is a path on the first three labels (eigenvalues +-sqrt(2), 0), so
+    # the iterates flip between its two sides and no step passes; the
+    # full budget of steps took about 6 s at this size
+    L = 512
+    entries = [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 2, 1), (0, 2, 1, 1)]
+    ring = FusionRing([f"x{t}" for t in range(L)], 0, range(L), entries)
+    start = time.perf_counter()
+    with pytest.raises(NumericError) as err:
+        fp_dimensions(ring)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "power iteration did not converge; is the ring validated?"
 
 
 # ---------------------------------------------------------------------------
