@@ -44,6 +44,7 @@ from .orbifold import (
 from .rings import (
     FusionRing,
     classify_by_orders,
+    constant_dtype,
     fp_dimensions,
     invertibles,
     validate_ring,
@@ -93,7 +94,7 @@ def su2_even_ring(level: int) -> FusionRing:
     idx += np.repeat((lo - ptr[:-1]).astype(np.int32), counts)
     labels = [f"rho{2 * u}" for u in range(L)]
     return FusionRing.from_csr(
-        labels, 0, range(L), ptr, idx, np.ones(nnz, dtype=np.int64)
+        labels, 0, range(L), ptr, idx, np.ones(nnz, dtype=constant_dtype(1))
     )
 
 

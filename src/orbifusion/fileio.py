@@ -48,8 +48,9 @@ Any doubt sends a piece to :func:`json.loads`: another blank, a
 backslash, non-ASCII text, a label whose ``json.dumps`` form is longer
 than 8 bytes or is not a label, or a count that is not 1 to 18 digits
 without a leading zero. Either way the piece goes straight into
-columns, int32 labels and int64 counts; the first piece that does not
-decode ends the cutting, and the rest of the array is decoded whole:
+columns, int32 labels and counts read as int64 and kept at the width a
+ring stores them in (:func:`_narrow_counts`); the first piece that does
+not decode ends the cutting, and the rest of the array is decoded whole:
 that file still reads, only without the bound.
 On a decode error, deep nesting or a refused row the whole text is
 decoded as :func:`load_json` decodes it and :func:`parse_ring` reads
@@ -84,6 +85,7 @@ from .rings import (
     FusionRing,
     _dual_indices,
     _label_index,
+    constant_dtype,
 )
 
 __all__ = [
@@ -236,7 +238,7 @@ def parse_ring(doc: dict) -> FusionRing:
 
 def _n_columns(rows: list, order: dict[str, int]):
     """``N`` as columns ``(i, j, k, n)``, the labels int32 and the counts
-    int64, or None if a row is at fault.
+    as :func:`_narrow_counts` keeps them, or None if a row is at fault.
 
     The three labels of every row map through ``order`` in one pass; a
     successful lookup proves that a label is one of the label strings.
@@ -255,7 +257,17 @@ def _n_columns(rows: list, order: dict[str, int]):
         return None
     if len(n) and n.min() < 1:
         return None
-    return (*ijk.reshape(-1, 3).T, n)
+    return (*ijk.reshape(-1, 3).T, _narrow_counts(n))
+
+
+def _narrow_counts(n: np.ndarray) -> np.ndarray:
+    """Positive int64 counts at the width of :func:`constant_dtype`, so
+    that a file's count column takes the ring's bytes, not eight per
+    count. A column holding a count of 2**32 or more, which no ring
+    accepts, stays int64, so that the bound's message quotes it; pieces
+    joined by ``np.concatenate`` take the widest piece's dtype."""
+    largest = int(n.max()) if len(n) else 0
+    return n.astype(constant_dtype(largest)) if largest < 2**32 else n
 
 
 def _raise_row_fault(
@@ -496,7 +508,7 @@ def _dump_rows(piece: str, slots: _Slots | None):
     slot = (labels * _HASH) >> slots.shift
     if not np.array_equal(slots.words[slot], labels):
         return None
-    return (*slots.index[slot].reshape(-1, 3).T, n)
+    return (*slots.index[slot].reshape(-1, 3).T, _narrow_counts(n))
 
 
 def load_ring(path: str) -> FusionRing:

@@ -248,9 +248,10 @@ class _SpanBasis:
 
 
 def _right_mult_arrays(ptr, idx, val, L, g):
-    """Triples of the right multiplication v -> v * x_g: second-label slab g."""
+    """Triples of the right multiplication v -> v * x_g: second-label slab g,
+    its constants as int64 residues (a narrow ``val`` cannot take the prime)."""
     pos, rows = slab(ptr, L, g, second=True)
-    return rows, idx[pos].astype(np.int64), val[pos] % _SPAN_PRIME
+    return rows, idx[pos].astype(np.int64), val[pos].astype(np.int64) % _SPAN_PRIME
 
 
 def generating_set(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray, L: int):
@@ -317,26 +318,39 @@ _DENSE_BYTES = 2**24
 _DENSE_BLOCK = 2**17
 
 
-def _dense_dtype(L: int, val: np.ndarray):
-    """The dtype of the dense scan of a table with constants ``val``, or
-    None when its cube would take more than ``_DENSE_BYTES``.
+def _exact_dtype(L: int, val: np.ndarray) -> np.dtype:
+    """The signed dtype in which both scans of a table with constants
+    ``val`` are exact: int32 when ``L * max**2 < 2**31``, else int64.
 
     Each bracketing is a sum of at most L products of two constants, so
     it is at most ``L * max**2``, and so is every partial sum of either
-    side. When that is below 2**31 the cube, the buffer and every
-    product of a constant with a cube cell are exact in int32.
+    side and their difference. When that is below 2**31 every product
+    of a constant with a cube cell or a matrix entry is exact in int32.
+    A ring's own ``val`` is unsigned and narrower still, and numpy and
+    scipy keep a product in its operands' dtype, so both scans read the
+    constants cast to this one.
     """
     largest = int(val.max()) if len(val) else 0
-    dtype = np.dtype(np.int32 if L * largest * largest < 2**31 else np.int64)
+    return np.dtype(np.int32 if L * largest * largest < 2**31 else np.int64)
+
+
+def _dense_dtype(L: int, val: np.ndarray):
+    """The dtype of the dense scan of a table with constants ``val``,
+    :func:`_exact_dtype`, or None when its cube would take more than
+    ``_DENSE_BYTES``."""
+    dtype = _exact_dtype(L, val)
     return dtype if L**3 * dtype.itemsize <= _DENSE_BYTES else None
 
 
 def _pair_matrix(ptr, idx, val, L):
-    """The table as an (L*L, L) matrix on the ring's own arrays: row
-    i*L + j holds N_{ij}^k at column k. scipy copies only ``ptr``."""
+    """The table as an (L*L, L) matrix: row i*L + j holds N_{ij}^k at
+    column k. It shares the ring's ``idx``; its data are the constants
+    cast once to :func:`_exact_dtype`, so that no product of a block
+    casts the whole table again, and scipy copies ``ptr``."""
     import scipy.sparse as sp
 
-    return sp.csr_matrix((val, idx, ptr), shape=(L * L, L))
+    data = val.astype(_exact_dtype(L, val), copy=False)
+    return sp.csr_matrix((data, idx, ptr), shape=(L * L, L))
 
 
 def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
@@ -349,13 +363,16 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
     # no sort. Blocks run in ascending j and the rows of a nonzero
     # difference are sorted, so its first cap cells, yielded as
     # associativity_violations reads them, come in ascending (j, k, l).
+    # Every matrix takes its constants from the table's data, in the
+    # exact dtype of _pair_matrix, not from the ring's narrow val.
     import scipy.sparse as sp
 
+    data = pairs.data
     lo, hi = ptr[g * L], ptr[(g + 1) * L]
     rg = sp.csr_matrix(
-        (val[lo:hi], idx[lo:hi], ptr[g * L : (g + 1) * L + 1] - lo), shape=(L, L)
+        (data[lo:hi], idx[lo:hi], ptr[g * L : (g + 1) * L + 1] - lo), shape=(L, L)
     )
-    eye = sp.identity(L, dtype=val.dtype, format="csr")
+    eye = sp.identity(L, dtype=data.dtype, format="csr")
     # cumulative entry count of a block, j row by j row: per entry of rg
     # the left side holds L entries of the kron and multiplies the slab
     # of its output; the right side multiplies each entry of the row's
@@ -371,7 +388,7 @@ def _assoc_gen(ptr, idx, val, L, g, cap, pairs):
         lhs = sp.kron(rg[j0:j1], eye, format="csr") @ pairs
         a, b = ptr[j0 * L], ptr[j1 * L]
         full = sp.csr_matrix(
-            (val[a:b], idx[a:b], ptr[j0 * L : j1 * L + 1] - a), shape=(nb * L, L)
+            (data[a:b], idx[a:b], ptr[j0 * L : j1 * L + 1] - a), shape=(nb * L, L)
         )
         diff = lhs - full @ rg
         diff.eliminate_zeros()
@@ -576,8 +593,13 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     slab: the first counts those rows' hits and mirrors them, which
     fixes ``ptr``; the second copies each slab's rows j < i from the
     rows (j, i) already written, with one ``np.take`` per array, and
-    writes the hits of its rows j >= i in place after them.
+    writes the hits of its rows j >= i in place after them. A constant
+    at level k is at most k + 1, so ``val`` is allocated at the width
+    :func:`orbifusion.rings.constant_dtype` gives that bound, the width
+    the ring stores it in.
     """
+    from .rings import constant_dtype  # rings imports this module
+
     L = len(la)
     la = np.asarray(la, dtype=np.int32)
     lb = np.asarray(lb, dtype=np.int32)
@@ -593,7 +615,7 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(counts.ravel(), out=ptr[1:])
     idx = np.empty(ptr[-1], dtype=np.int32)
-    val = np.empty(ptr[-1], dtype=np.int64)
+    val = np.empty(ptr[-1], dtype=constant_dtype(level + 1))
     for i in range(L):
         lo, mid, hi = ptr[i * L], ptr[i * L + i], ptr[(i + 1) * L]
         # rows (i, j < i) are the rows (j, i) of the earlier slabs
@@ -604,7 +626,7 @@ def su3_csr(la: np.ndarray, lb: np.ndarray, level: int):
         ks, n = upper(i)
         at = np.flatnonzero(n >= 0)  # row-major: ascending (j, k)
         np.take(ks, at, out=idx[mid:hi])
-        val[mid:hi] = n.take(at)
+        val[mid:hi] = n.take(at)  # 0 to level
     val += 1
     return ptr, idx, val
 

@@ -68,6 +68,31 @@ def _check_constant_bound(L: int, largest: int) -> None:
         )
 
 
+def constant_dtype(largest: int) -> np.dtype:
+    """The dtype a ring stores its constants in: the narrowest of uint8,
+    uint16 and uint32 that holds ``largest``.
+
+    int64 is never needed: the bound above keeps N**2 below 2**63 even
+    at one label, so every accepted constant is below 2**31.5 < 2**32.
+    A kernel that multiplies, subtracts or takes a residue of constants
+    casts them first, as numpy keeps a uint8 product in uint8.
+    """
+    for dtype in (np.uint8, np.uint16):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
+
+
+def _stored_constants(L: int, val: np.ndarray) -> np.ndarray:
+    """The stored constants, checked positive and within the bound, at
+    the width of :func:`constant_dtype`; no copy if they are already."""
+    if len(val) and val.min() < 1:
+        raise SchemaError("stored structure constants must be positive")
+    largest = int(val.max()) if len(val) else 0
+    _check_constant_bound(L, largest)
+    return val.astype(constant_dtype(largest), copy=False)
+
+
 def _check_label_count(L: int) -> None:
     if L > LABEL_CAP:
         raise SchemaError(f"a fusion ring may have at most {LABEL_CAP} labels, got {L}")
@@ -130,7 +155,8 @@ def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
 
     Entries whose keys ``p * L + k`` strictly ascend, as :func:`dump_ring`
     writes them, are taken in their order; any other order is sorted
-    first. A repeated ``(p, k)`` or a constant past the int64 bound raises.
+    first. A repeated ``(p, k)``, or a count :func:`_stored_constants`
+    refuses, raises.
     """
     key = p.astype(np.int64) * L + k
     if not np.all(key[1:] > key[:-1]):
@@ -139,10 +165,10 @@ def _pair_major(L: int, p: np.ndarray, k: np.ndarray, n: np.ndarray):
         if np.any(key[1:] == key[:-1]):
             raise SchemaError("duplicate (i, j, k) entry")
     del key
-    _check_constant_bound(L, int(n.max()) if len(n) else 0)
+    val = _stored_constants(L, n)
     ptr = np.zeros(L * L + 1, dtype=np.int64)
     np.cumsum(np.bincount(p, minlength=L * L), out=ptr[1:])
-    return ptr, k.astype(np.int32), n.astype(np.int64)
+    return ptr, k.astype(np.int32), val
 
 
 def _checked_entry(t, L: int) -> tuple[int, int, int, int]:
@@ -187,7 +213,10 @@ class FusionRing:
     Notes
     -----
     The pair-major arrays are read-only from construction on, and
-    :meth:`csr` hands out those arrays themselves; ``labels``, ``unit``
+    :meth:`csr` hands out those arrays themselves; ``val`` holds the
+    constants at the width of :func:`constant_dtype`, which every
+    constructor applies, so a ring built and the same ring read from a
+    file store them alike. ``labels``, ``unit``
     and ``dual`` are read-only properties, so reassigning one raises
     :class:`AttributeError`. The one field set later is ``_validated``,
     the record, which cannot go stale, that the ring meets every axiom.
@@ -294,8 +323,9 @@ class FusionRing:
         ``len(idx) == len(val)``; every index lies in ``[0, L)``;
         indices increase strictly within each row; and every stored
         constant is positive and obeys the bound of the main
-        constructor. A non-empty array whose dtype is not an integer
-        dtype is refused before any cast, which would truncate it.
+        constructor; ``val`` is then stored at the width of
+        :func:`constant_dtype`. A non-empty array whose dtype is not an
+        integer dtype is refused before any cast, which would truncate it.
         Validation and the symmetry checks rely on the sorted rows. The arrays adopted are
         made read-only, the caller's own when no conversion copied them.
         """
@@ -305,7 +335,7 @@ class FusionRing:
             raise SchemaError("ptr length mismatch")
         self = cls.__new__(cls)
         ptr, idx, val = _integer_arrays(ptr=ptr, idx=idx, val=val)
-        ptr, val = ptr.astype(np.int64, copy=False), val.astype(np.int64, copy=False)
+        ptr = ptr.astype(np.int64, copy=False)
         if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
             raise SchemaError("ptr must start at 0 and never decrease")
         if not (ptr[-1] == len(idx) == len(val)):
@@ -319,10 +349,7 @@ class FusionRing:
         bad[starts[(starts > 0) & (starts < len(idx))] - 1] = False
         if bad.any():
             raise SchemaError("output indices must increase strictly within each row")
-        if len(val):
-            if val.min() < 1:
-                raise SchemaError("stored structure constants must be positive")
-            _check_constant_bound(L, int(val.max()))
+        val = _stored_constants(L, val)
         self._adopt(labels, unit, dual, ptr, idx.astype(np.int32, copy=False), val)
         return self
 
@@ -376,10 +403,12 @@ class FusionRing:
         L = self.size
         counts = np.diff(self._ptr)
         pairs = np.repeat(np.arange(L * L, dtype=np.int64), counts)
-        return pairs // L, pairs % L, self._idx.astype(np.int64), self._val.copy()
+        return pairs // L, pairs % L, self._idx.astype(np.int64), self._val.astype(np.int64)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only pair-major arrays ``(ptr, idx, val)`` themselves."""
+        """The read-only pair-major arrays ``(ptr, idx, val)`` themselves:
+        ``ptr`` int64, ``idx`` int32 and ``val`` in :func:`constant_dtype`
+        of its largest constant."""
         return self._ptr, self._idx, self._val
 
     def __repr__(self):
@@ -626,8 +655,18 @@ def hom_dim(ring: FusionRing, x: FormalSum, y: FormalSum) -> int:
     return sum(a * ys.get(i, 0) for i, a in x.items())
 
 
-# stored constants fp_dimensions sums per block of first labels, roughly
+# stored constants fp_dimensions sums per block of first labels, roughly,
+# each first label weighing L more for its index temporaries
 _FP_BLOCK_ENTRIES = 1 << 18
+
+
+def _fp_blocks(ptr: np.ndarray, L: int) -> list[tuple[int, int]]:
+    """The blocks of first labels :func:`fp_dimensions` sums over. A
+    block makes index temporaries of its L rows per label beside those of
+    its entries, so a label weighs both; by its entries alone every
+    label of a sparse table would fall in one block, whose temporaries
+    take twice the dense M."""
+    return list(row_blocks(ptr[::L] + np.arange(L + 1) * L, _FP_BLOCK_ENTRIES))
 
 
 def fp_dimensions(ring: FusionRing) -> DimensionTable:
@@ -642,7 +681,7 @@ def fp_dimensions(ring: FusionRing) -> DimensionTable:
     """
     L = ring.size
     ptr, idx, val = ring.csr()
-    blocks = list(row_blocks(ptr[::L], _FP_BLOCK_ENTRIES))
+    blocks = _fp_blocks(ptr, L)
     # add.at and bincount add in input order, and each pair's row lies in
     # one block, so M and rhs are bitwise the entry-by-entry sums
     M = np.zeros(L * L, dtype=np.float64)

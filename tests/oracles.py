@@ -41,6 +41,14 @@ def unvalidated(ring: FusionRing) -> FusionRing:
     return FusionRing.from_csr(ring.labels, ring.unit, ring.dual, *ring.csr())
 
 
+def int64_width_bytes(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray) -> int:
+    """The bytes of a ring's arrays with ``val`` counted as int64, as a
+    ring stored its constants before it kept them at their own width.
+    The memory bounds are stated in these bytes, so that a smaller ring
+    loosens none of them."""
+    return ptr.nbytes + idx.nbytes + 8 * len(val)
+
+
 # ---------------------------------------------------------------------------
 # the row-order check of FusionRing.from_csr with a mask per term
 # ---------------------------------------------------------------------------
@@ -1115,9 +1123,11 @@ def associativity_scan_every_generator(ptr, idx, val, L: int, cap: int = 20):
 def associativity_scan_sparse(ptr, idx, val, L: int, cap: int = 20, *, skip_identity=True):
     """The package's scan as it ran before it scanned small rings densely
     and before it compared the bracketings in the pair-major layout:
-    sparse products on an (L, L*L) copy of the table, whatever its size."""
+    sparse products on an (L, L*L) copy of the table, whatever its size,
+    on the int64 constants a ring held then."""
     from orbifusion.kernels import generating_set, single_outputs
 
+    val = val.astype(np.int64)
     gens = generating_set(ptr, idx, val, L)
     flat = _flat_matrix(ptr, idx, val, L)
     labels = np.arange(L)

@@ -18,7 +18,7 @@ from orbifusion.kernels import (
     generating_set,
     su3_cube,
 )
-from orbifusion.rings import LABEL_CAP
+from orbifusion.rings import LABEL_CAP, constant_dtype
 from orbifusion.su3 import admissible_weights
 
 from .oracles import (
@@ -29,6 +29,7 @@ from .oracles import (
     dense_associator,
     dense_cube,
     generating_set_every_closure,
+    int64_width_bytes,
     klein_ring,
     su3_csr_full_grid,
     su3_ring,
@@ -119,10 +120,16 @@ def test_cube_lanes_agree(level):
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
 
 
+def _as_stored(arrays):
+    """Reference arrays with ``val`` at the width a ring stores it in."""
+    ptr, idx, val = arrays
+    return ptr, idx, val.astype(constant_dtype(int(val.max())))
+
+
 @pytest.mark.parametrize("level", range(1, 13))
 def test_closed_form_builder_matches_the_dense_cube(level):
     _, L, la, lb, wflat, woff = alcove_arrays(level)
-    want = cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff))
+    want = _as_stored(cube_to_csr(su3_cube(L, level + 3, la, lb, wflat, woff)))
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
@@ -133,7 +140,7 @@ def test_triality_cells_give_the_full_grid_arrays(level):
     ws = admissible_weights(level)
     la = np.array([a for a, _ in ws], dtype=np.int64)
     lb = np.array([b for _, b in ws], dtype=np.int64)
-    want = su3_csr_full_grid(la, lb, level)
+    want = _as_stored(su3_csr_full_grid(la, lb, level))
     for got, ref in zip(su3_ring(level).csr(), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
@@ -555,7 +562,8 @@ def _tables(group):
     for name, make, scale in makers:
         ring = make()
         ptr, idx, val = ring.csr()
-        val = val * scale
+        if scale != 1:  # at the width a ring would store the scaled constants in
+            val = (val.astype(np.int64) * scale).astype(constant_dtype(int(val.max()) * scale))
         tables[name] = (ptr, idx, val, ring.size)
         for seed in (0, 1):
             bumped = val.copy()
@@ -784,7 +792,8 @@ def test_the_alcove_builder_holds_little_beyond_its_arrays(level):
     # a builder that kept every slab's idx and val parts alive next to
     # their concatenation peaked 0.79 and 0.74 times the arrays' bytes
     # above them at levels 18 and 24; counting the hits first and writing
-    # them into preallocated arrays, 0.17 and 0.10 times
+    # them into preallocated arrays, 0.17 and 0.10 times (bytes counted
+    # with val as int64)
     la, lb = np.array(admissible_weights(level), dtype=np.int64).T
     tracemalloc.start()
     try:
@@ -792,14 +801,13 @@ def test_the_alcove_builder_holds_little_beyond_its_arrays(level):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = sum(a.nbytes for a in arrays)
-    assert peak - own < 0.25 * own
+    assert peak - sum(a.nbytes for a in arrays) < 0.25 * int64_width_bytes(*arrays)
 
 
 _BUILD_PROBE = """
 import scipy.sparse  # noqa: F401  (its import is not the build's)
 from orbifusion import su3, validate_ring
-from tests.oracles import unvalidated
+from tests.oracles import int64_width_bytes, unvalidated
 
 
 def peak_kib():
@@ -812,7 +820,7 @@ def peak_kib():
 before = peak_kib()
 ring = su3.su3_ring(24)
 assert validate_ring(unvalidated(ring)).passed  # the scan, not the builder's mark
-print((peak_kib() - before) * 1024 / sum(a.nbytes for a in ring.csr()))
+print((peak_kib() - before) * 1024 / int64_width_bytes(*ring.csr()))
 """
 
 
@@ -820,7 +828,7 @@ def test_building_and_validating_level_24_raises_a_fresh_peak_by_about_the_ring(
     # tracing misses the freed chunks a process keeps resident: the
     # builder that concatenated per-slab parts raised a fresh process's
     # peak by 1.8 times the ring's bytes, the one that writes in place by
-    # about 1.2 times
+    # about 1.2 times (bytes counted with val as int64)
     done = subprocess.run(
         [sys.executable, "-c", _BUILD_PROBE],
         env=dict(os.environ, PYTHONPATH=_probe_path()),
@@ -835,7 +843,9 @@ def test_building_and_validating_level_24_raises_a_fresh_peak_by_about_the_ring(
 def test_validating_the_level_24_ring_allocates_a_bounded_block_above_it():
     # the scan on an (L, L*L) copy of the table in blocks of two million
     # product entries allocated 64 MB here; on the ring's own arrays in
-    # blocks of half a million, about 14 MB, and of a quarter million, 7 MB
+    # blocks of half a million, about 14 MB, and of a quarter million, 7 MB;
+    # with the ring's uint8 constants cast once to int32 for the products,
+    # 19 MB, as the ring itself shrank by 24 MB
     ring = unvalidated(su3_ring(24))  # the builder's mark would skip the scan
     tracemalloc.start()
     try:

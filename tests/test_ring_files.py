@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import orbifusion
 from orbifusion import SchemaError, catalog, fileio
 from orbifusion.fileio import dump_ring, load_json, load_ring, load_ring_doc, parse_ring
-from orbifusion.rings import LABEL_CAP, FusionRing
+from orbifusion.rings import LABEL_CAP, FusionRing, constant_dtype
 
 from .oracles import dump_ring_by_row, parse_ring_by_row, su3_ring
 
@@ -141,6 +141,14 @@ def _assert_same_ring(got, want):
     assert (got.labels, got.unit, got.dual) == (want.labels, want.unit, want.dual)
     for a, b in zip(got.csr(), want.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("level", [3, 15, 24])
+def test_a_round_trip_keeps_the_width_of_the_constants(level, ring_file):
+    # the file's counts are read as int64 and kept at the ring's width
+    ring = su3_ring(level)
+    got = load_ring(ring_file(dump_ring(ring)))
+    assert got.csr()[2].dtype == ring.csr()[2].dtype == constant_dtype(level + 1)
 
 
 @pytest.mark.parametrize("name", ["A13", "E6affine", "SU3_level_9", "escaped", "no-rows", "one-label"])

@@ -25,12 +25,13 @@ from orbifusion import (
 from orbifusion.catalog import build, su2_even_ring
 from orbifusion import rings, su3
 from orbifusion.fileio import dump_ring, parse_ring
-from orbifusion.rings import LABEL_CAP, classify_by_orders
+from orbifusion.rings import LABEL_CAP, classify_by_orders, constant_dtype
 
 from .oracles import (
     broken_z3_ring,
     cyclic_ring,
     dense_associator,
+    int64_width_bytes,
     klein_ring,
     rows_out_of_order_four_masks,
     su3_ring,
@@ -209,15 +210,18 @@ def test_constructor_arrays_are_pair_major_and_sorted():
         [(2, 1, 2, 3), (0, 0, 0, 1), (1, 2, 2, 2.0), (2, 1, 0, 1), (1, 1, 1, 0)],
     )
     ptr, idx, val = ring.csr()
-    assert ptr.dtype == np.int64 and idx.dtype == np.int32 and val.dtype == np.int64
+    assert ptr.dtype == np.int64 and idx.dtype == np.int32 and val.dtype == constant_dtype(3)
     assert ptr.tolist() == [0, 1, 1, 1, 1, 1, 2, 2, 4, 4]
     assert idx.tolist() == [0, 2, 0, 2]
     assert val.tolist() == [1, 2, 1, 3]
 
 
 def _su3_level2_csr():
+    """The ring and copies of its arrays, val widened to int64 so that a
+    breakage can write any constant into it."""
     ring = su3_ring(2)
-    return ring, [a.copy() for a in ring.csr()]
+    ptr, idx, val = ring.csr()
+    return ring, [ptr.copy(), idx.copy(), val.astype(np.int64)]
 
 
 def test_from_entries_matches_the_main_constructor_on_shuffled_columns():
@@ -440,8 +444,9 @@ def test_the_one_mask_row_order_check_refuses_what_four_masks_refused():
 def test_adopting_the_level_24_arrays_allocates_one_small_mask():
     # checking the row order with four masks as long as the table
     # allocated 0.25 times the arrays' bytes; with one, 0.10 times
+    # (bytes counted with val as int64)
     ring = su3_ring(24)
-    own = sum(a.nbytes for a in ring.csr())
+    own = int64_width_bytes(*ring.csr())
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]

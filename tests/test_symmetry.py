@@ -27,8 +27,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbifusion import AssumptionError, FusionRing, cyclic_action, fp_dimensions, validate_ring
+from orbifusion.errors import NumericError
 import orbifusion
-from orbifusion import kernels, orbifold, rings
+from orbifusion import orbifold, rings
 from orbifusion.catalog import build, names, su2_even_ring
 from orbifusion.rings import left_permutation
 from . import oracles
@@ -44,6 +45,7 @@ from .oracles import (
     frobenius_left_dense,
     frobenius_right_dense,
     frobenius_witnesses_walk,
+    int64_width_bytes,
     klein_ring,
     unvalidated,
     validate_ring_two_scans,
@@ -668,12 +670,12 @@ def test_dimensions_in_blocks_are_bitwise_the_add_at_scatter(monkeypatch, name):
     # one first label per block, then a size whose last block ends
     # inside the ring, short of a full block
     for entries in (1, ring.nnz // 3 + 1):
-        blocks = list(kernels.row_blocks(ptr[::L], entries))
+        monkeypatch.setattr(rings, "_FP_BLOCK_ENTRIES", entries)
+        blocks = rings._fp_blocks(ptr, L)
         assert blocks[0][0] == 0 and blocks[-1][1] == L
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         if entries == 1:
-            assert all(i1 == i0 + 1 for i0, i1 in blocks if ptr[i0 * L] < ptr[i1 * L])
-        monkeypatch.setattr(rings, "_FP_BLOCK_ENTRIES", entries)
+            assert all(i1 == i0 + 1 for i0, i1 in blocks)
         assert fp_dimensions(ring) == want, entries
 
 
@@ -691,10 +693,35 @@ def test_action_and_dimensions_allocate_in_proportion_to_the_ring():
     # with four entry arrays and an argsort, cyclic_action allocated 5.2
     # times the ring's own array bytes at this level and fp_dimensions 3.9;
     # summing over the whole ring at once, fp_dimensions allocated 1.39
+    # (bytes counted with val as int64)
     ring = unvalidated(su3_ring(18))  # so that cyclic_action checks equivariance
-    own = sum(a.nbytes for a in ring.csr())
+    own = int64_width_bytes(*ring.csr())
     assert _extra_allocation(lambda: cyclic_action(ring, "18,0")) < 2 * own
     assert _extra_allocation(lambda: fp_dimensions(ring)) < 0.75 * own
+
+
+def test_dimensions_of_a_sparse_table_allocate_m_and_one_block(monkeypatch):
+    # four constants on 1024 labels; blocks weighed by their entries alone
+    # put every label in one, whose index temporaries were two L*L int64
+    # arrays beside M, 24 MB above the table in all. The power iteration,
+    # 64 products with the 8 MB M before its first test, is cut short.
+    def stop(M, *args):
+        raise NumericError("stopped after M")
+
+    monkeypatch.setattr(rings, "power_iteration", stop)
+    L = 1024
+    i, j, k = np.zeros(4, dtype=np.int64), np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+    ring = FusionRing.from_entries([str(t) for t in range(L)], 0, range(L), i, j, k, np.ones(4, dtype=np.int64))
+    block = 3 * 8 * rings._FP_BLOCK_ENTRIES  # three int64 index arrays
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(NumericError, match="stopped after M"):
+            fp_dimensions(ring)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert extra < 8 * L * L + block
 
 
 _SCIPY_PROBE = """
